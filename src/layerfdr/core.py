@@ -95,6 +95,16 @@ class LayerState:
             return False
         return True
 
+    def unobserve(self, group: int) -> None:
+        """Undo the latest ``observe(group)``, for a step that failed."""
+        count = self.seen_per_group[group] - 1
+        if count:
+            self.seen_per_group[group] = count
+        else:
+            del self.seen_per_group[group]
+        if group in self.rejected_groups:
+            self.seen_in_rejected -= 1
+
     def mark_rejected(self, group: int, t: int) -> None:
         """Flip the group decision to rejected (irrevocable)."""
         self.rejected_groups.add(group)

@@ -19,9 +19,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from .core import HypothesisEvent, truth_state_from_events
 from .metrics import AggregateResult, LayerTally, aggregate, layer_tally, tally_from_sets
-from .procedures import METHODS, make_procedure, replay
+from .procedures import METHODS, lockstep_rejections, make_procedure, replay
 from .simgen import ScenarioSpec, StreamData, make_stream
 
 LAYER_NAMES = ("individual", "group")
@@ -66,7 +68,8 @@ class ReplicateRun:
 
 def replicate_seed(master_seed: int, method: str, beta: float, r: int) -> int:
     """Stable 64-bit seed for one grid cell replicate."""
-    key = f"{master_seed}|{method}|{beta!r}|{r}".encode()
+    # hash the float value, so 2, 2.0 and np.float64(2.0) name the same cell
+    key = f"{master_seed}|{method}|{float(beta)!r}|{r}".encode()
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
@@ -122,14 +125,36 @@ def run_replicate(scenario: ScenarioSpec, method: str, seed: int) -> ReplicateRu
 def run_cell(
     scenario: ScenarioSpec, method: str, beta: float, replicates: int, master_seed: int
 ) -> dict[str, list[LayerTally]]:
-    """All replicate tallies of one (method, beta) cell, keyed by layer."""
-    per_layer: dict[str, list[LayerTally]] = {name: [] for name in LAYER_NAMES}
+    """All replicate tallies of one (method, beta) cell, keyed by layer.
+
+    Each replicate draws its stream from its own seed, as ``run_replicate``
+    does; the decisions then come from all replicates in lockstep, and equal
+    ``run_replicate``'s tallies replicate for replicate.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method name: {method!r}")
     cell_scenario = replace(scenario, beta=beta)
-    for r in range(replicates):
-        seed = replicate_seed(master_seed, method, beta, r)
-        run = run_replicate(cell_scenario, method, seed)
-        for name in LAYER_NAMES:
-            per_layer[name].append(run.tallies[name])
+    streams = [
+        make_stream(replace(cell_scenario, seed=replicate_seed(master_seed, method, beta, r)))
+        for r in range(replicates)
+    ]
+    rejected = lockstep_rejections(
+        method,
+        np.stack([data.pvalues for data in streams]),
+        np.stack([data.groups for data in streams]) if method.startswith("ml-") else None,
+        scenario.alpha,
+        scenario.eta,
+    )
+    per_layer: dict[str, list[LayerTally]] = {name: [] for name in LAYER_NAMES}
+    for data, hits in zip(streams, rejected):
+        true = data.truths == 1
+        # the individual layer's groups are the arrival positions
+        per_layer["individual"].append(
+            tally_from_sets(set(np.flatnonzero(hits).tolist()), set(np.flatnonzero(true).tolist()))
+        )
+        per_layer["group"].append(
+            tally_from_sets(set(data.groups[hits].tolist()), set(data.groups[true].tolist()))
+        )
     return per_layer
 
 

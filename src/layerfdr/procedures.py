@@ -17,6 +17,11 @@ every pending layer's group to discovered.
   tests since the layer's most recent discovery (reset to 1 on discovery).
 
 Rejection requires strict inequality p < threshold; ties are accepts.
+
+``replay`` drives one stream event by event.  ``lockstep_rejections`` runs
+many independent simulated streams side by side as numpy arrays over the
+replicate axis, for the default configurations only, and reaches the same
+decisions.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     DecisionRecord,
@@ -241,11 +248,21 @@ class OnlineProcedure:
             # every layer's group is already decided; nothing to test or charge
             rejected = self.untested == UNTESTED_LITERAL
             return self._finish(t, event, rejected, {})
-        thresholds = self._thresholds(t, pending)
-        charges = self._charges(t, pending)
-        rejected = all(
-            self._layer_pvalue(m, event) < thresholds[m] for m in pending
-        )
+        try:
+            thresholds = self._thresholds(t, pending)
+            charges = self._charges(t, pending)
+            if self.statistics is None:
+                rejected = all(event.p < thresholds[m] for m in pending)
+            else:
+                # every pending statistic is range-checked before any comparison
+                values = [self._layer_pvalue(m, event) for m in pending]
+                rejected = all(v < thresholds[m] for v, m in zip(values, pending))
+        except BaseException:
+            # a failed step leaves the stream as it was before the call
+            self.t -= 1
+            for m, state in enumerate(self.states):
+                state.unobserve(event.group_index[m])
+            raise
         if rejected:
             for m in pending:
                 self.states[m].mark_rejected(event.group_index[m], t)
@@ -549,3 +566,121 @@ def replay(
         else:
             records.append(procedure.step(event))
     return records
+
+
+def lockstep_rejections(
+    method: str,
+    pvalues: np.ndarray,
+    groups: Optional[np.ndarray],
+    alpha: float,
+    eta: float = 1.0,
+) -> np.ndarray:
+    """Rejected mask, shape (R, N), of R independent streams run in lockstep.
+
+    Row r of ``pvalues`` is one stream of N p-values.  Without ``groups`` the
+    rows run as ``make_procedure(method, 1, alpha, eta)`` on events with
+    group_index (t,); with ``groups`` of shape (R, N) they run as
+    ``make_procedure(method, 2, alpha, eta)`` on events with group_index
+    (t, groups[r, t - 1]).  Only the defaults are covered: the simple-choice
+    spending policy and the inverse-square level sequence.
+
+    The individual layer has singleton groups, so it is always pending and
+    its effective-test count is t; only the group layer keeps per-group
+    arrays.  Every threshold and wealth update is the step engine's float64
+    arithmetic, so the mask equals ``[r.rejected for r in replay(...)]`` row
+    for row.  After an alpha-investing halt a row is neither tested nor
+    rejected.
+    """
+    rule = method[3:] if method.startswith("ml-") else method
+    if rule not in ("GAI", "LOND", "LOND_m", "LORD"):
+        raise ValueError(f"unknown method name: {method!r}")
+    p_by_step = np.ascontiguousarray(np.asarray(pvalues, dtype=float).T)
+    steps, reps = p_by_step.shape
+    rejected = np.zeros((steps, reps), dtype=bool)
+    # levels[j] is the j-th element of the level sequence; no index (t, an
+    # effective-test count or a LORD gap) exceeds the number of steps
+    sequence = BetaSequence(alpha)
+    levels = np.array([0.0] + [sequence.value(j) for j in range(1, steps + 1)])
+    rejections = np.zeros(reps, dtype=np.int64)
+    gap = np.ones(reps, dtype=np.int64)
+    grouped = groups is not None
+    if grouped:
+        groups = np.asarray(groups, dtype=np.int64)
+        if groups.shape != (reps, steps):
+            raise ValueError(
+                f"groups has shape {groups.shape}, expected {(reps, steps)}"
+            )
+        if reps and groups.min() < 0:
+            raise ValueError("group ids must be non-negative")
+        width = int(groups.max()) + 1 if reps else 1
+        # flat (replicate, group) cell of each arrival, one row per step
+        cells = np.ascontiguousarray((groups + width * np.arange(reps)[:, None]).T)
+        group_rejected = np.zeros(reps * width, dtype=bool)
+        seen = np.zeros(reps * width, dtype=np.int64)
+        seen_in_rejected = np.zeros(reps, dtype=np.int64)
+        group_rejections = np.zeros(reps, dtype=np.int64)
+        group_gap = np.ones(reps, dtype=np.int64)
+    if rule == "GAI":
+        # the simple-choice rules are constant, so one evaluation serves every step
+        policy = simple_choice(alpha)
+        snapshot = LayerState()
+        level = policy.alpha_level(1, snapshot)
+        spend = policy.spend(1, snapshot)
+        reward = policy.reward(1, snapshot)
+        wealth = np.full(reps, alpha * eta)
+        group_wealth = np.full(reps, alpha * eta)
+        halted = np.zeros(reps, dtype=bool)
+
+    for i in range(steps):
+        t = i + 1
+        p = p_by_step[i]
+        if grouped:
+            cell = cells[i]
+            pending = ~group_rejected[cell]
+            seen[cell] += 1
+            seen_in_rejected += ~pending
+        if rule == "GAI":
+            threshold = group_threshold = level
+        elif rule == "LORD":
+            threshold = levels[gap]
+            if grouped:
+                group_threshold = levels[group_gap]
+        else:
+            threshold = np.minimum(1.0, levels[t] * (rejections + 1))
+            if grouped:
+                index = t - seen_in_rejected + group_rejections if rule == "LOND_m" else t
+                group_threshold = np.minimum(1.0, levels[index] * (group_rejections + 1))
+        hit = p < threshold
+        if grouped:
+            hit &= (p < group_threshold) | ~pending
+        if rule == "GAI":
+            hit &= ~halted
+        rejected[i] = hit
+        rejections += hit
+        if grouped:
+            newly = hit & pending
+            group_rejected[cell[newly]] = True
+            group_rejections += newly
+            # the group's arrivals so far collapse into its one test
+            seen_in_rejected += np.where(newly, seen[cell], 0)
+        if rule == "LORD":
+            gap = np.where(hit, 1, gap + 1)
+            if grouped:
+                group_gap = np.where(newly, 1, group_gap + pending)
+        elif rule == "GAI":
+            live = ~halted
+            wealth = np.where(
+                hit, wealth + reward - spend, np.where(live, wealth - spend, wealth)
+            )
+            if grouped:
+                group_wealth = np.where(
+                    newly,
+                    group_wealth + reward - spend,
+                    np.where(live & pending, group_wealth - spend, group_wealth),
+                )
+                halted |= np.minimum(wealth, group_wealth) <= 0.0
+            else:
+                halted |= wealth <= 0.0
+            if halted.all():
+                break
+    return rejected.T

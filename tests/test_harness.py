@@ -30,6 +30,15 @@ class TestReplicateSeed:
         }
         assert len(seeds) == 40
 
+    def test_keyed_on_the_float_value_of_beta(self):
+        import numpy as np
+
+        seeds = {
+            replicate_seed(1, "LORD", beta, 0) for beta in (2, 2.0, np.float64(2.0))
+        }
+        # sha256(b"1|LORD|2.0|0"): float grids keep the seeds they always had
+        assert seeds == {13307478223593482376}
+
     def test_independent_of_other_grid_entries(self):
         # the hash keys on the beta value itself, so growing the grid or the
         # method list cannot move existing cells

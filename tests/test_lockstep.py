@@ -1,0 +1,224 @@
+"""The replicate-lockstep kernel against the step engine, decision for decision."""
+
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from layerfdr.core import HypothesisEvent
+from layerfdr.harness import (
+    LAYER_NAMES,
+    SweepSpec,
+    emit_results,
+    replicate_seed,
+    run_cell,
+    run_replicate,
+    run_sweep,
+    standard_scenarios,
+)
+from layerfdr.metrics import aggregate
+from layerfdr.procedures import (
+    METHODS,
+    BetaSequence,
+    lockstep_rejections,
+    make_procedure,
+    replay,
+)
+from layerfdr.simgen import make_stream
+
+ALPHA = 0.1
+
+
+def reference_mask(method, pvalues, groups, alpha=ALPHA, eta=1.0):
+    """Rejections of each row replayed through the step engine."""
+    rows = []
+    for r, row in enumerate(pvalues):
+        if groups is None:
+            events = [
+                HypothesisEvent(t=t, p=float(p), group_index=(t,))
+                for t, p in enumerate(row, 1)
+            ]
+            procedure = make_procedure(method, 1, alpha, eta)
+        else:
+            events = [
+                HypothesisEvent(t=t, p=float(p), group_index=(t, int(g)))
+                for t, (p, g) in enumerate(zip(row, groups[r]), 1)
+            ]
+            procedure = make_procedure(method, 2, alpha, eta)
+        rows.append([record.rejected for record in replay(procedure, events)])
+    return np.array(rows, dtype=bool).reshape(np.shape(pvalues))
+
+
+def assert_matches_replay(method, pvalues, groups=None, alpha=ALPHA, eta=1.0):
+    pvalues = np.asarray(pvalues, dtype=float)
+    got = lockstep_rejections(method, pvalues, groups, alpha, eta)
+    want = reference_mask(method, pvalues, groups, alpha, eta)
+    assert got.shape == pvalues.shape
+    assert np.array_equal(got, want)
+    return got
+
+
+def grouped(method):
+    return method.startswith("ml-")
+
+
+@pytest.mark.parametrize("panel", sorted(standard_scenarios()))
+@pytest.mark.parametrize("method", METHODS)
+def test_matches_replay_on_every_panel(panel, method):
+    spec = standard_scenarios()[panel]
+    for beta in (0.0, 2.0):
+        streams = [
+            make_stream(replace(spec, beta=beta, seed=replicate_seed(3, method, beta, r)))
+            for r in range(4)
+        ]
+        pvalues = np.stack([data.pvalues for data in streams])
+        groups = np.stack([data.groups for data in streams]) if grouped(method) else None
+        assert_matches_replay(method, pvalues, groups, spec.alpha, spec.eta)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_tie_with_the_first_threshold_accepts(method):
+    rule = method[3:] if grouped(method) else method
+    first = ALPHA if rule == "GAI" else BetaSequence(ALPHA).value(1)
+    pvalues = np.array([[first, 0.0], [np.nextafter(first, 0.0), 0.0]])
+    groups = np.array([[1, 2], [1, 2]]) if grouped(method) else None
+    got = assert_matches_replay(method, pvalues, groups)
+    assert got[:, 0].tolist() == [False, True]
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_pvalues_equal_to_issued_thresholds(method):
+    # every p is 0, 1, a level-sequence value, a scaled LOND threshold or
+    # alpha itself, so ties with the thresholds the engine issues are common
+    n = 60
+    sequence = BetaSequence(ALPHA)
+    pool = [0.0, 1.0, ALPHA] + [
+        min(1.0, sequence.value(j) * k) for j in range(1, n + 1) for k in (1, 2, 3)
+    ]
+    rng = np.random.default_rng(11)
+    pvalues = rng.choice(np.array(pool), size=(40, n))
+    groups = rng.integers(0, 4, size=(40, n)) if grouped(method) else None
+    assert_matches_replay(method, pvalues, groups)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_unit_and_zero_pvalues(method):
+    rng = np.random.default_rng(5)
+    pvalues = rng.integers(0, 2, size=(30, 50)).astype(float)
+    groups = rng.integers(1, 6, size=(30, 50)) if grouped(method) else None
+    got = assert_matches_replay(method, pvalues, groups)
+    # a unit p-value clears no threshold
+    assert not got[pvalues == 1.0].any()
+
+
+@pytest.mark.parametrize("method", ["GAI", "ml-GAI"])
+def test_investing_halt_in_mid_stream(method):
+    # three rejections earn wealth, unit p-values spend it, and the zeros
+    # after the halt are neither tested nor rejected
+    row = [0.0] * 3 + [1.0] * 10 + [0.0] * 5
+    pvalues = np.array([row, [0.5] * len(row)])
+    groups = np.array([list(range(1, 19)), [1] * 18]) if grouped(method) else None
+    got = assert_matches_replay(method, pvalues, groups)
+    assert got[0, :3].all()
+    assert not got[0, 3:].any()
+    assert not got[1].any()
+
+
+def test_investing_rows_halt_at_different_steps():
+    rng = np.random.default_rng(9)
+    pvalues = rng.random((25, 80)) ** 4
+    pvalues[:, 40:] = 1.0
+    for method in ("GAI", "ml-GAI"):
+        groups = rng.integers(1, 8, size=pvalues.shape) if grouped(method) else None
+        assert_matches_replay(method, pvalues, groups)
+
+
+@pytest.mark.parametrize("method", ["ml-LOND", "ml-LOND_m", "ml-LORD", "ml-GAI"])
+def test_arrivals_into_rejected_groups(method):
+    # few groups and small p-values: groups are decided early and keep
+    # receiving arrivals, which collapse into their one test
+    rng = np.random.default_rng(23)
+    pvalues = rng.random((20, 120)) ** 6
+    groups = rng.integers(1, 4, size=(20, 120))
+    assert_matches_replay(method, pvalues, groups)
+    procedure = make_procedure(method, 2, ALPHA)
+    records = replay(
+        procedure,
+        [
+            HypothesisEvent(t=t, p=float(p), group_index=(t, int(g)))
+            for t, (p, g) in enumerate(zip(pvalues[0], groups[0]), 1)
+        ],
+    )
+    assert any(not record.layers[1].tested for record in records)
+
+
+def test_lond_m_indexes_by_effective_tests():
+    # group 1 is decided at t=1 and its next three arrivals are individual
+    # discoveries only, so at t=5 the group layer has performed 2 tests:
+    # individual threshold beta(5) * 5 ~ 0.0122, group threshold
+    # beta(2) * 2 ~ 0.0304 for ml-LOND_m but beta(5) * 2 ~ 0.0049 for ml-LOND
+    pvalues = np.array([[0.0, 0.0, 0.0, 0.0, 0.01]])
+    groups = np.array([[1, 1, 1, 1, 2]])
+    modified = assert_matches_replay("ml-LOND_m", pvalues, groups)
+    plain = assert_matches_replay("ml-LOND", pvalues, groups)
+    assert modified[0].tolist() == [True] * 5
+    assert plain[0].tolist() == [True] * 4 + [False]
+
+
+def test_empty_and_validation():
+    assert lockstep_rejections("LORD", np.zeros((0, 5)), None, ALPHA).shape == (0, 5)
+    with pytest.raises(ValueError, match="unknown method"):
+        lockstep_rejections("BH", np.zeros((1, 3)), None, ALPHA)
+    with pytest.raises(ValueError, match="shape"):
+        lockstep_rejections("ml-LORD", np.zeros((2, 3)), np.ones((2, 4), dtype=int), ALPHA)
+    with pytest.raises(ValueError, match="non-negative"):
+        lockstep_rejections("ml-LORD", np.zeros((1, 2)), np.array([[1, -1]]), ALPHA)
+
+
+def test_run_cell_equals_run_replicate_tallies():
+    spec = standard_scenarios()["unbalanced-fixed-constant"]
+    for method in METHODS:
+        per_layer = run_cell(spec, method, 1.5, 6, 41)
+        for r in range(6):
+            run = run_replicate(
+                replace(spec, beta=1.5), method, replicate_seed(41, method, 1.5, r)
+            )
+            for name in LAYER_NAMES:
+                assert per_layer[name][r] == run.tallies[name]
+
+
+def test_small_sweep_emits_the_step_engine_bytes(tmp_path):
+    scenario = standard_scenarios()["interleaved-markov-constant"]
+    sweep = SweepSpec(
+        scenario=scenario,
+        beta_grid=(1.0, 3.0),
+        methods=METHODS,
+        replicates=5,
+        master_seed=17,
+    )
+    emit_results(run_sweep(sweep), tmp_path / "lockstep")
+
+    rows = []
+    for method in METHODS:
+        for beta in sweep.beta_grid:
+            runs = [
+                run_replicate(
+                    replace(scenario, beta=beta),
+                    method,
+                    replicate_seed(sweep.master_seed, method, beta, r),
+                )
+                for r in range(sweep.replicates)
+            ]
+            for name in LAYER_NAMES:
+                rows.append(
+                    aggregate(
+                        [run.tallies[name] for run in runs],
+                        scenario.eta,
+                        method=method,
+                        beta=beta,
+                        layer=name,
+                    )
+                )
+    paths = emit_results(rows, tmp_path / "reference")
+    for path in paths:
+        assert (tmp_path / "lockstep" / path.name).read_bytes() == path.read_bytes()

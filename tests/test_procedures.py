@@ -350,6 +350,51 @@ def test_statistic_transform_must_produce_probability():
         proc.step(event(1, 0.5, (1,)))
 
 
+def test_every_pending_statistic_is_range_checked():
+    # layer 0 already fails (0.9 is above its threshold); layer 1's
+    # out-of-range value must still be reported
+    proc = Lond(2, ALPHA, statistics=(None, lambda e: 7.0))
+    with pytest.raises(ValueError, match="layer 1 statistic"):
+        proc.step(event(1, 0.9, (1, 1)))
+
+
+class TestFailedStepLeavesStreamUnchanged:
+    def test_invalid_level_rolls_back_the_arrival(self):
+        proc = make_procedure(
+            "ml-GAI", 2, ALPHA, policy=constant_policy(1.5, ALPHA, 0.2)
+        )
+        fresh = make_procedure("ml-GAI", 2, ALPHA)
+        with pytest.raises(ValueError, match="significance level"):
+            proc.step(event(1, 0.01, (1, 1)))
+        assert proc.t == 0
+        assert proc.states == fresh.states
+
+    def test_next_valid_step_equals_a_fresh_first_step(self):
+        statistics = (None, lambda e: 7.0 if e.p == 0.9 else e.p)
+        proc = make_procedure("ml-LOND_m", 2, ALPHA, statistics=statistics)
+        fresh = make_procedure("ml-LOND_m", 2, ALPHA, statistics=statistics)
+        with pytest.raises(ValueError, match="outside"):
+            proc.step(event(1, 0.9, (1, 1)))
+        assert proc.t == 0
+        assert proc.step(event(1, 0.01, (1, 1))) == fresh.step(event(1, 0.01, (1, 1)))
+
+    @pytest.mark.parametrize("method", ["ml-GAI", "ml-LOND", "ml-LOND_m", "ml-LORD"])
+    def test_mid_stream_failure_keeps_the_state(self, method):
+        # the individual statistic fails on p == 0.5; the failing event lands
+        # in group 1, which the group layer rejected at t=1
+        statistics = (lambda e: -1.0 if e.p == 0.5 else e.p, None)
+        proc = make_procedure(method, 2, ALPHA, statistics=statistics)
+        reference = make_procedure(method, 2, ALPHA)
+        for i, (p, g) in enumerate([(0.0, 1), (0.3, 1), (0.001, 2), (0.2, 2)], 1):
+            assert proc.step(event(i, p, (i, g))) == reference.step(event(i, p, (i, g)))
+        before = copy.deepcopy(proc.states)
+        with pytest.raises(ValueError, match="outside"):
+            proc.step(event(5, 0.5, (5, 1)))
+        assert proc.t == 4
+        assert proc.states == before
+        assert proc.step(event(5, 0.04, (5, 1))) == reference.step(event(5, 0.04, (5, 1)))
+
+
 def test_event_layer_count_is_checked():
     proc = Lond(2, ALPHA)
     with pytest.raises(ValueError, match="expected 2"):
