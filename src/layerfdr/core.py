@@ -15,7 +15,7 @@ streams are independent and safe to process in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .procedures import BetaSequence, SpendingPolicy
@@ -60,7 +60,6 @@ class LayerConfig:
     default every layer tests the event's own p.
     """
 
-    layer_id: int
     beta_sequence: Optional["BetaSequence"] = None
     spending_policy: Optional["SpendingPolicy"] = None
     statistic: Optional[Callable[[HypothesisEvent], float]] = None
@@ -73,19 +72,17 @@ class LayerState:
     ``seen_in_rejected`` counts hypotheses seen so far whose group is
     currently rejected; together with ``rejections`` it supports the O(1)
     effective-test count (each rejected group collapses to one test).
-    ``since_last_discovery`` is the LORD counter and starts at 1.
+    ``wealth`` is set on alpha-investing layers only and
+    ``since_last_discovery``, the LORD counter starting at 1, on LORD layers
+    only; both stay None elsewhere.
     """
 
     wealth: Optional[float] = None
     rejections: int = 0
-    since_last_discovery: int = 1
-    last_discovery_time: Optional[int] = None
+    since_last_discovery: Optional[int] = None
     rejected_groups: set[int] = field(default_factory=set)
     seen_per_group: dict[int, int] = field(default_factory=dict)
     seen_in_rejected: int = 0
-
-    def group_decision(self, group: int) -> int:
-        return 1 if group in self.rejected_groups else 0
 
     def observe(self, group: int) -> bool:
         """Record an arrival in ``group``; return True if the layer is pending."""
@@ -105,13 +102,12 @@ class LayerState:
         if group in self.rejected_groups:
             self.seen_in_rejected -= 1
 
-    def mark_rejected(self, group: int, t: int) -> None:
+    def mark_rejected(self, group: int) -> None:
         """Flip the group decision to rejected (irrevocable)."""
         self.rejected_groups.add(group)
         self.rejections += 1
         # all hypotheses already seen in this group collapse into one test
         self.seen_in_rejected += self.seen_per_group.get(group, 0)
-        self.last_discovery_time = t
 
     def effective_tests(self, t: int) -> int:
         """Number of tests actually performed in this layer by time t."""
@@ -143,65 +139,3 @@ class DecisionRecord:
 
     def tested_layers(self) -> list[int]:
         return [m for m, out in enumerate(self.layers) if out.tested]
-
-
-class TruthState:
-    """Monotone group-level truth per layer, accumulated from labeled events.
-
-    A group is true as soon as one true hypothesis inside it has been seen;
-    the flag never reverts.
-    """
-
-    def __init__(self, layers: int):
-        if layers < 1:
-            raise ValueError("at least one layer is required")
-        self.true_groups: list[set[int]] = [set() for _ in range(layers)]
-        self.individual_truths: list[int] = []
-
-    @property
-    def layers(self) -> int:
-        return len(self.true_groups)
-
-    def group_truth(self, layer: int, group: int) -> int:
-        return 1 if group in self.true_groups[layer] else 0
-
-
-def update_group_truth(state: TruthState, event: HypothesisEvent) -> TruthState:
-    """Fold one labeled event into the group-level truth state (in place)."""
-    if event.truth is None:
-        raise ValueError("truth required")
-    if len(event.group_index) != state.layers:
-        raise ValueError(
-            f"event carries {len(event.group_index)} group ids, "
-            f"expected {state.layers}"
-        )
-    state.individual_truths.append(event.truth)
-    if event.truth == 1:
-        for m, group in enumerate(event.group_index):
-            state.true_groups[m].add(group)
-    return state
-
-
-def group_selection_sets(
-    decisions: Sequence[DecisionRecord], layers: int
-) -> list[set[int]]:
-    """Per-layer sets of groups containing at least one rejected hypothesis."""
-    selected: list[set[int]] = [set() for _ in range(layers)]
-    for record in decisions:
-        if len(record.group_index) < layers:
-            raise ValueError(
-                f"record at t={record.t} carries {len(record.group_index)} "
-                f"group ids, expected at least {layers}"
-            )
-        if record.rejected:
-            for m in range(layers):
-                selected[m].add(record.group_index[m])
-    return selected
-
-
-def truth_state_from_events(events: Iterable[HypothesisEvent], layers: int) -> TruthState:
-    """Build the end-of-stream truth state from labeled events."""
-    state = TruthState(layers)
-    for event in events:
-        update_group_truth(state, event)
-    return state

@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HypothesisEvent, truth_state_from_events
-from .metrics import AggregateResult, LayerTally, aggregate, layer_tally, tally_from_sets
+from .core import HypothesisEvent
+from .metrics import AggregateResult, LayerTally, aggregate, tally_from_sets
 from .procedures import METHODS, lockstep_rejections, make_procedure, replay
 from .simgen import ScenarioSpec, StreamData, make_stream
 
@@ -56,6 +56,12 @@ class SweepSpec:
             raise ValueError(f"unknown methods: {unknown}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method names")
+        negative = [beta for beta in self.beta_grid if beta < 0.0]
+        if negative:
+            raise ValueError(f"beta must be non-negative, got {negative}")
+        # replicate seeds key on float(beta), so 1 and 1.0 name one cell
+        if len({float(beta) for beta in self.beta_grid}) != len(self.beta_grid):
+            raise ValueError("duplicate beta values")
 
 
 @dataclass(frozen=True)
@@ -73,53 +79,43 @@ def replicate_seed(master_seed: int, method: str, beta: float, r: int) -> int:
     return int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
 
 
-def multilayer_events(data: StreamData) -> list[HypothesisEvent]:
-    """Events with the individual singleton layer first, group layer second."""
+def stream_events(data: StreamData, layers: int) -> list[HypothesisEvent]:
+    """Labeled events of one stream: the individual singleton layer first
+    and, with ``layers=2``, the scenario's group layer second."""
     return [
-        HypothesisEvent(t=i + 1, p=float(p), group_index=(i + 1, int(g)), truth=int(th))
+        HypothesisEvent(t=i + 1, p=float(p), group_index=(i + 1, int(g))[:layers], truth=int(th))
         for i, (p, g, th) in enumerate(zip(data.pvalues, data.groups, data.truths))
     ]
 
 
-def singleton_events(data: StreamData) -> list[HypothesisEvent]:
-    """Events carrying only the individual singleton layer."""
-    return [
-        HypothesisEvent(t=i + 1, p=float(p), group_index=(i + 1,), truth=int(th))
-        for i, (p, th) in enumerate(zip(data.pvalues, data.truths))
-    ]
+def stream_tallies(data: StreamData, rejected: np.ndarray) -> dict[str, LayerTally]:
+    """Tallies of one stream at both reporting layers, from its rejected mask."""
+    true = data.truths == 1
+    # the individual layer's groups are the arrival positions
+    return {
+        "individual": tally_from_sets(
+            set(np.flatnonzero(rejected).tolist()), set(np.flatnonzero(true).tolist())
+        ),
+        "group": tally_from_sets(
+            set(data.groups[rejected].tolist()), set(data.groups[true].tolist())
+        ),
+    }
 
 
 def run_replicate(scenario: ScenarioSpec, method: str, seed: int) -> ReplicateRun:
-    """One seeded run of one method, tallied at both reporting layers.
+    """One seeded run of one method through the step engine (one layer for
+    single-layer methods, two for ml methods), tallied at both reporting layers.
 
     An alpha-investing halt is recorded in the log, not raised.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method name: {method!r}")
     data = make_stream(replace(scenario, seed=seed))
-    if method.startswith("ml-"):
-        events = multilayer_events(data)
-        procedure = make_procedure(method, 2, scenario.alpha, scenario.eta)
-        records = replay(procedure, events)
-        truth = truth_state_from_events(events, 2)
-        tallies = {
-            "individual": layer_tally(records, truth, 0),
-            "group": layer_tally(records, truth, 1),
-        }
-    else:
-        events = singleton_events(data)
-        procedure = make_procedure(method, 1, scenario.alpha, scenario.eta)
-        records = replay(procedure, events)
-        truth = truth_state_from_events(events, 1)
-        selected = {
-            int(g) for g, record in zip(data.groups, records) if record.rejected
-        }
-        true_groups = {int(g) for g, th in zip(data.groups, data.truths) if th == 1}
-        tallies = {
-            "individual": layer_tally(records, truth, 0),
-            "group": tally_from_sets(selected, true_groups),
-        }
-    return ReplicateRun(records=tuple(records), tallies=tallies)
+    layers = 2 if method.startswith("ml-") else 1
+    procedure = make_procedure(method, layers, scenario.alpha, scenario.eta)
+    records = replay(procedure, stream_events(data, layers))
+    rejected = np.array([record.rejected for record in records], dtype=bool)
+    return ReplicateRun(records=tuple(records), tallies=stream_tallies(data, rejected))
 
 
 def run_cell(
@@ -147,14 +143,8 @@ def run_cell(
     )
     per_layer: dict[str, list[LayerTally]] = {name: [] for name in LAYER_NAMES}
     for data, hits in zip(streams, rejected):
-        true = data.truths == 1
-        # the individual layer's groups are the arrival positions
-        per_layer["individual"].append(
-            tally_from_sets(set(np.flatnonzero(hits).tolist()), set(np.flatnonzero(true).tolist()))
-        )
-        per_layer["group"].append(
-            tally_from_sets(set(data.groups[hits].tolist()), set(data.groups[true].tolist()))
-        )
+        for name, tally in stream_tallies(data, hits).items():
+            per_layer[name].append(tally)
     return per_layer
 
 

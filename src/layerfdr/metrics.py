@@ -15,12 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import (
-    DecisionRecord,
-    HypothesisEvent,
-    TruthState,
-    group_selection_sets,
-)
+from .core import DecisionRecord, HypothesisEvent
 
 
 @dataclass(frozen=True)
@@ -63,20 +58,13 @@ def tally_from_sets(selected: set[int], true_groups: set[int]) -> LayerTally:
     )
 
 
-def layer_tally(
-    decisions: Sequence[DecisionRecord], truth_state: TruthState, layer: int
-) -> LayerTally:
-    """Recompute one layer's tally from a full decision log."""
-    selected = group_selection_sets(decisions, truth_state.layers)[layer]
-    return tally_from_sets(selected, truth_state.true_groups[layer])
-
-
 class TallyTracker:
     """Incrementally maintained tallies across a stream.
 
-    Feeding each (event, record) pair keeps per-layer counts identical to a
-    full recomputation at every prefix.  A group discovered while null is
-    reclassified as true the moment a true hypothesis inside it arrives.
+    Feeding each (event, record) pair keeps per-layer counts identical to
+    ``tally_from_sets`` over the selected and true groups of every prefix.
+    A group discovered while null is reclassified as true the moment a true
+    hypothesis inside it arrives.
     """
 
     def __init__(self, layers: int):

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import DecisionRecord, HypothesisEvent
+from .harness import stream_events
 from .metrics import TallyTracker
 from .procedures import AlphaInvesting, replay
 from .simgen import ScenarioSpec, make_stream
@@ -204,18 +205,7 @@ def submartingale_probe(
     squares = np.zeros((2, total + 1))
     rep_seeds = np.random.SeedSequence(seed).generate_state(n_rep, dtype=np.uint64)
     for rep_seed in rep_seeds:
-        data = make_stream(replace(scenario, seed=int(rep_seed)))
-        events = [
-            HypothesisEvent(
-                t=i + 1,
-                p=float(p),
-                group_index=(i + 1, int(g)),
-                truth=int(th),
-            )
-            for i, (p, g, th) in enumerate(
-                zip(data.pvalues, data.groups, data.truths)
-            )
-        ]
+        events = stream_events(make_stream(replace(scenario, seed=int(rep_seed))), 2)
         procedure = AlphaInvesting(2, scenario.alpha, scenario.eta)
         records = replay(procedure, events)
         paths = balance_trajectories(events, records, scenario.alpha, scenario.eta)

@@ -79,11 +79,6 @@ class BetaSequence:
         return self.alpha * (1.0 - self.ratio) * self.ratio ** (j - 1)
 
 
-def beta_eval(sequence: BetaSequence, j: int) -> float:
-    """Evaluate the j-th element (j >= 1) of a level sequence."""
-    return sequence.value(j)
-
-
 PolicyRule = Callable[[int, LayerState], float]
 
 
@@ -109,13 +104,7 @@ def simple_choice(alpha: float) -> SpendingPolicy:
     the most conservative choice.
     """
     spend = alpha / (1.0 - alpha)
-    reward = spend + alpha
-    return SpendingPolicy(
-        alpha_level=lambda t, state: alpha,
-        spend=lambda t, state: spend,
-        reward=lambda t, state: reward,
-        power_bound=lambda t, state: 1.0,
-    )
+    return constant_policy(alpha, spend, spend + alpha)
 
 
 def constant_policy(
@@ -186,9 +175,6 @@ class OnlineProcedure:
     Replaying the same events through a freshly configured instance yields
     identical records.
     """
-
-    records_wealth = False
-    records_gap = False
 
     def __init__(
         self,
@@ -265,7 +251,7 @@ class OnlineProcedure:
             raise
         if rejected:
             for m in pending:
-                self.states[m].mark_rejected(event.group_index[m], t)
+                self.states[m].mark_rejected(event.group_index[m])
         self._settle(t, pending, rejected, charges)
         return self._finish(t, event, rejected, thresholds)
 
@@ -325,12 +311,10 @@ class OnlineProcedure:
                     tested=tested,
                     threshold=thresholds.get(m),
                     newly_rejected=tested and rejected,
-                    wealth=state.wealth if self.records_wealth else None,
+                    wealth=state.wealth,
                     rejections=state.rejections,
                     effective_tests=state.effective_tests(t),
-                    since_last_discovery=(
-                        state.since_last_discovery if self.records_gap else None
-                    ),
+                    since_last_discovery=state.since_last_discovery,
                 )
             )
         self.halted = halted
@@ -352,8 +336,6 @@ class AlphaInvesting(OnlineProcedure):
     neither tested nor charged.  The stream halts once min wealth <= 0 —
     the final charged step may push wealth below zero.
     """
-
-    records_wealth = True
 
     def __init__(
         self,
@@ -450,8 +432,6 @@ class Lord(OnlineProcedure):
     including layers the failing comparison short-circuited past.
     """
 
-    records_gap = True
-
     def __init__(
         self,
         layers: int,
@@ -462,6 +442,8 @@ class Lord(OnlineProcedure):
     ):
         super().__init__(layers, alpha, eta, **kwargs)
         self.betas = _layer_betas(betas, layers, alpha)
+        for state in self.states:
+            state.since_last_discovery = 1
 
     def _thresholds(self, t: int, pending: list[int]) -> dict[int, float]:
         return {
@@ -494,7 +476,6 @@ def make_procedure(
     alpha: float,
     eta: float = 1.0,
     *,
-    beta_kind: str = "inverse-square",
     untested: str = UNTESTED_LITERAL,
     policy: Optional[SpendingPolicy] = None,
     statistics=None,
@@ -510,7 +491,7 @@ def make_procedure(
     """
     name = method[3:] if method.startswith("ml-") else method
     shared_policy = policy if policy is not None else simple_choice(alpha)
-    default_beta = BetaSequence(alpha, kind=beta_kind)
+    default_beta = BetaSequence(alpha)
     if layer_configs is not None:
         if len(layer_configs) != layers:
             raise ValueError("one layer config per layer is required")
@@ -539,19 +520,6 @@ def make_procedure(
     if name == "LORD":
         return Lord(layers, alpha, eta, betas=betas, **kwargs)
     raise ValueError(f"unknown method name: {method!r}")
-
-
-def make_single_layer(
-    method: str, alpha: float, eta: float = 1.0, **kwargs
-) -> OnlineProcedure:
-    """Configure the classic single-layer rule: one layer, singleton groups.
-
-    With a fresh group per arrival every step is tested, so the decisions
-    coincide with the original GAI/LOND/LORD procedures.
-    """
-    if method not in ("GAI", "LOND", "LORD"):
-        raise ValueError(f"unknown method name: {method!r}")
-    return make_procedure(method, 1, alpha, eta, **kwargs)
 
 
 def replay(

@@ -31,7 +31,7 @@ from layerfdr.oracle import (
     single_layer_lord_reference,
     submartingale_probe,
 )
-from layerfdr.procedures import METHODS, make_procedure, make_single_layer, replay
+from layerfdr.procedures import METHODS, make_procedure, replay
 from layerfdr.simgen import ScenarioSpec, gen_pvalues, make_stream
 
 ALPHA = 0.1
@@ -190,7 +190,7 @@ def test_criterion_5_oracle_equivalence_and_test_counting():
         for seed in seeds:
             rng = np.random.default_rng(int(seed))
             pvalues = (rng.random(length) ** 3).tolist()
-            records = make_single_layer(method, ALPHA).run_pvalues(pvalues)
+            records = make_procedure(method, 1, ALPHA).run_pvalues(pvalues)
             engine = [int(r.rejected) for r in records]
             if method == "GAI":
                 ref, tested = single_layer_gai_reference(pvalues, ALPHA)

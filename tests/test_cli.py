@@ -177,6 +177,18 @@ class TestSweep:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("1.0,-1.0", "beta must be non-negative"), ("1,1.0", "duplicate beta values")],
+    )
+    def test_bad_beta_grid_exits_2_before_any_work(self, tmp_path, capsys, grid, message):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(BASE_CONFIG + SWEEP_EXTRAS.replace("2.0,3.0", grid))
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 def run_stream(argv, lines):
     from layerfdr.cli import build_parser, cmd_stream

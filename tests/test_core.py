@@ -3,18 +3,25 @@ import copy
 import numpy as np
 import pytest
 
-from layerfdr.core import (
-    HypothesisEvent,
-    TruthState,
-    group_selection_sets,
-    truth_state_from_events,
-    update_group_truth,
-)
+from layerfdr.core import HypothesisEvent
+from layerfdr.harness import stream_events, stream_tallies
+from layerfdr.metrics import LayerTally
 from layerfdr.procedures import make_procedure, replay
+from layerfdr.simgen import StreamData
 
 
 def event(t, p, groups, truth=None):
     return HypothesisEvent(t=t, p=p, group_index=tuple(groups), truth=truth)
+
+
+def selection_sets(records, layers):
+    """Per-layer groups holding a rejected hypothesis, read off the records."""
+    return [{r.group_index[m] for r in records if r.rejected} for m in range(layers)]
+
+
+def true_group_sets(events, layers):
+    """Per-layer groups holding a true hypothesis."""
+    return [{e.group_index[m] for e in events if e.truth == 1} for m in range(layers)]
 
 
 class TestHypothesisEvent:
@@ -37,66 +44,33 @@ class TestHypothesisEvent:
             event(1, 0.5, (-1,))
 
 
-class TestGroupTruth:
-    def test_null_event_changes_nothing(self):
-        state = TruthState(2)
-        update_group_truth(state, event(1, 0.5, (1, 3), truth=0))
-        assert state.true_groups == [set(), set()]
-
-    def test_true_event_flips_every_layer(self):
-        state = TruthState(2)
-        update_group_truth(state, event(1, 0.5, (1, 3), truth=1))
-        assert state.group_truth(0, 1) == 1
-        assert state.group_truth(1, 3) == 1
-        assert state.group_truth(1, 1) == 0
-
-    def test_truth_is_monotone(self):
-        state = TruthState(1)
-        update_group_truth(state, event(1, 0.5, (7,), truth=1))
-        update_group_truth(state, event(2, 0.5, (7,), truth=0))
-        assert state.group_truth(0, 7) == 1
-
-    def test_missing_label_is_an_error(self):
-        state = TruthState(1)
-        with pytest.raises(ValueError, match="truth required"):
-            update_group_truth(state, event(1, 0.5, (7,)))
-
-    def test_layer_count_mismatch(self):
-        state = TruthState(2)
-        with pytest.raises(ValueError):
-            update_group_truth(state, event(1, 0.5, (7,), truth=1))
+def tallies_of(pvalues, groups, truths):
+    """ml-LOND decisions on one stream, tallied through the harness route."""
+    data = StreamData(
+        groups=np.array(groups), truths=np.array(truths), pvalues=np.array(pvalues)
+    )
+    records = replay(make_procedure("ml-LOND", 2, 0.1), stream_events(data, 2))
+    return stream_tallies(data, np.array([r.rejected for r in records]))
 
 
 class TestSelectionSets:
+    """A discovery is a group holding a rejected hypothesis, counted once."""
+
     def test_empty_without_rejections(self):
-        proc = make_procedure("ml-LOND", 2, 0.1)
-        records = replay(proc, [event(1, 0.9, (1, 1)), event(2, 0.9, (2, 1))])
-        assert group_selection_sets(records, 2) == [set(), set()]
+        tallies = tallies_of([0.9, 0.9], [1, 1], [1, 1])
+        assert tallies["individual"] == LayerTally(0, 0, 2)
+        assert tallies["group"] == LayerTally(0, 0, 1)
 
     def test_single_rejection_lands_in_both_layers(self):
-        proc = make_procedure("ml-LOND", 2, 0.1)
-        records = replay(
-            proc,
-            [
-                event(1, 0.9, (1, 2)),
-                event(2, 0.9, (2, 2)),
-                event(3, 1e-6, (3, 1)),
-            ],
-        )
-        assert group_selection_sets(records, 2) == [{3}, {1}]
+        # the true hypotheses sit in group 2; the rejection is in null group 1
+        tallies = tallies_of([0.9, 0.9, 1e-6], [2, 2, 1], [1, 1, 0])
+        assert tallies["individual"] == LayerTally(1, 0, 2)
+        assert tallies["group"] == LayerTally(1, 0, 1)
 
     def test_same_group_counted_once(self):
-        proc = make_procedure("ml-LOND", 2, 0.1)
-        records = replay(
-            proc,
-            [
-                event(1, 1e-6, (1, 4)),
-                event(2, 1e-6, (2, 4)),
-            ],
-        )
-        selected = group_selection_sets(records, 2)
-        assert selected[1] == {4}
-        assert selected[0] == {1, 2}
+        tallies = tallies_of([1e-6, 1e-6], [4, 4], [1, 0])
+        assert tallies["individual"] == LayerTally(1, 1, 1)
+        assert tallies["group"] == LayerTally(0, 1, 1)
 
 
 def random_events(seed, n=120, layers=2, groups=8):
@@ -119,7 +93,7 @@ def test_group_decisions_monotone_and_match_rejection_counts(method):
     for m in range(2):
         seen = set()
         for prefix_end in range(1, len(records) + 1):
-            selected = group_selection_sets(records[:prefix_end], 2)[m]
+            selected = selection_sets(records[:prefix_end], 2)[m]
             assert seen <= selected  # never un-reject
             seen = selected
             assert len(selected) == records[prefix_end - 1].layers[m].rejections
@@ -144,15 +118,15 @@ def test_truth_and_selection_ignore_layer_order():
         )
         for e in events
     ]
-    truth = truth_state_from_events(events, 3)
-    truth_swapped = truth_state_from_events(swapped, 3)
-    assert truth.true_groups[1] == truth_swapped.true_groups[2]
-    assert truth.true_groups[2] == truth_swapped.true_groups[1]
+    truth = true_group_sets(events, 3)
+    truth_swapped = true_group_sets(swapped, 3)
+    assert truth[1] == truth_swapped[2]
+    assert truth[2] == truth_swapped[1]
 
     records = replay(make_procedure("ml-LOND", 3, 0.1), events)
     records_swapped = replay(make_procedure("ml-LOND", 3, 0.1), swapped)
-    sets_a = group_selection_sets(records, 3)
-    sets_b = group_selection_sets(records_swapped, 3)
+    sets_a = selection_sets(records, 3)
+    sets_b = selection_sets(records_swapped, 3)
     assert sets_a[1] == sets_b[2] and sets_a[2] == sets_b[1]
     assert sets_a[0] == sets_b[0]
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from layerfdr.harness import (
@@ -8,9 +10,11 @@ from layerfdr.harness import (
     run_replicate,
     run_sweep,
     standard_scenarios,
+    stream_events,
 )
-from layerfdr.metrics import aggregate
-from layerfdr.simgen import ScenarioSpec
+from layerfdr.metrics import TallyTracker, aggregate
+from layerfdr.procedures import METHODS
+from layerfdr.simgen import ScenarioSpec, make_stream
 
 BASELINE = ScenarioSpec()  # block / fixed / constant, G=20, n=10, s=20, k=100
 
@@ -87,6 +91,25 @@ class TestRunReplicate:
             assert row.mfdr <= 0.1 + 3.0 * row.mfdr_se
             assert row.power < 0.2
 
+    @pytest.mark.parametrize(
+        "panel",
+        ["block-fixed-constant", "unbalanced-fixed-constant", "interleaved-markov-constant"],
+    )
+    def test_tallies_equal_an_incremental_tracker(self, panel):
+        # TallyTracker shares no code with the harness tally route
+        scenario = standard_scenarios()[panel]
+        for method in METHODS:
+            for seed in (3, 8):
+                run = run_replicate(scenario, method, seed)
+                events = stream_events(make_stream(replace(scenario, seed=seed)), 2)
+                tracker = TallyTracker(2)
+                for event, record in zip(events, run.records):
+                    tracker.update(event, record)
+                assert run.tallies == {
+                    "individual": tracker.tally(0),
+                    "group": tracker.tally(1),
+                }
+
     def test_deterministic_given_seed(self):
         a = run_replicate(BASELINE, "ml-LOND_m", seed=77)
         b = run_replicate(BASELINE, "ml-LOND_m", seed=77)
@@ -106,6 +129,15 @@ class TestSweepSpec:
             SweepSpec(scenario=BASELINE, methods=("GAI", "BH"))
         with pytest.raises(ValueError, match="duplicate"):
             SweepSpec(scenario=BASELINE, methods=("GAI", "GAI"))
+
+    def test_every_beta_is_validated(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            SweepSpec(scenario=BASELINE, beta_grid=(1.0, -1.0))
+
+    def test_duplicate_betas_compare_as_floats(self):
+        # 1 and 1.0 share replicate seeds, so they would be one cell emitted twice
+        with pytest.raises(ValueError, match="duplicate beta"):
+            SweepSpec(scenario=BASELINE, beta_grid=(1, 1.0))
 
 
 class TestRunSweep:

@@ -1,14 +1,8 @@
 import numpy as np
 import pytest
 
-from layerfdr.core import HypothesisEvent, truth_state_from_events
-from layerfdr.metrics import (
-    LayerTally,
-    TallyTracker,
-    aggregate,
-    layer_tally,
-    tally_from_sets,
-)
+from layerfdr.core import HypothesisEvent
+from layerfdr.metrics import LayerTally, TallyTracker, aggregate, tally_from_sets
 from layerfdr.procedures import make_procedure, replay
 
 
@@ -113,11 +107,25 @@ def test_tracker_matches_recomputation_on_random_streams():
         proc = make_procedure("ml-LOND", 2, 0.1)
         records = replay(proc, events)
         tracker = TallyTracker(2)
-        for ev, record in zip(events, records):
+        for prefix_end, (ev, record) in enumerate(zip(events, records), start=1):
             tracker.update(ev, record)
-        truth = truth_state_from_events(events, 2)
-        for m in range(2):
-            assert tracker.tally(m) == layer_tally(records, truth, m)
+            for m in range(2):
+                selected = {
+                    e.group_index[m]
+                    for e, r in zip(events[:prefix_end], records)
+                    if r.rejected
+                }
+                true_groups = {
+                    e.group_index[m] for e in events[:prefix_end] if e.truth == 1
+                }
+                assert tracker.tally(m) == tally_from_sets(selected, true_groups)
+
+
+def test_tracker_requires_truth_labels():
+    unlabeled = HypothesisEvent(t=1, p=1e-9, group_index=(1, 5))
+    record = replay(make_procedure("ml-LOND", 2, 0.1), [unlabeled])[0]
+    with pytest.raises(ValueError, match="truth required"):
+        TallyTracker(2).update(unlabeled, record)
 
 
 def test_tracker_reclassifies_groups_that_become_true():

@@ -14,7 +14,7 @@ from layerfdr.oracle import (
     single_layer_lord_reference,
     submartingale_probe,
 )
-from layerfdr.procedures import AlphaInvesting, make_procedure, make_single_layer, replay
+from layerfdr.procedures import AlphaInvesting, make_procedure, replay
 from layerfdr.simgen import ScenarioSpec
 
 ALPHA = 0.1
@@ -49,7 +49,7 @@ class TestReferences:
         rng = np.random.default_rng(606)
         for trial in range(25):
             pvalues = (rng.random(120) ** 3).tolist()
-            procedure = make_single_layer(method, ALPHA)
+            procedure = make_procedure(method, 1, ALPHA)
             records = procedure.run_pvalues(pvalues)
             engine_decisions = [int(r.rejected) for r in records]
             if method == "GAI":

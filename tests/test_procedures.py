@@ -10,10 +10,8 @@ from layerfdr.procedures import (
     BetaSequence,
     Lond,
     Lord,
-    beta_eval,
     constant_policy,
     make_procedure,
-    make_single_layer,
     replay,
     simple_choice,
     validate_policy,
@@ -63,13 +61,13 @@ class TestValidatePolicy:
 class TestBetaSequence:
     def test_default_family_closed_form(self):
         seq = BetaSequence(ALPHA)
-        assert beta_eval(seq, 1) == pytest.approx(0.0607927, abs=1e-7)
-        assert beta_eval(seq, 2) == pytest.approx(0.0151982, abs=1e-7)
-        assert beta_eval(seq, 3) == pytest.approx(0.0067547, abs=1e-7)
+        assert seq.value(1) == pytest.approx(0.0607927, abs=1e-7)
+        assert seq.value(2) == pytest.approx(0.0151982, abs=1e-7)
+        assert seq.value(3) == pytest.approx(0.0067547, abs=1e-7)
 
     def test_index_starts_at_one(self):
         with pytest.raises(IndexError):
-            beta_eval(BetaSequence(ALPHA), 0)
+            BetaSequence(ALPHA).value(0)
 
     @pytest.mark.parametrize("alpha", [0.05, 0.1, 0.2])
     def test_partial_sums_stay_below_level(self, alpha):
@@ -265,7 +263,7 @@ class TestUntestedPolicy:
 
 class TestSingleLayerFactory:
     def test_lond_walkthrough(self):
-        proc = make_single_layer("LOND", ALPHA)
+        proc = make_procedure("LOND", 1, ALPHA)
         records = proc.run_pvalues([0.01, 0.9, 0.9])
         assert [r.rejected for r in records] == [True, False, False]
         thresholds = [r.layers[0].threshold for r in records]
@@ -274,7 +272,7 @@ class TestSingleLayerFactory:
         )
 
     def test_gai_all_ones_halts_after_budget(self):
-        proc = make_single_layer("GAI", ALPHA)
+        proc = make_procedure("GAI", 1, ALPHA)
         records = proc.run_pvalues([1.0] * 6)
         tested = sum(r.layers[0].tested for r in records)
         assert tested == math.ceil(ALPHA * 1.0 / PHI)  # one paid test
@@ -282,18 +280,18 @@ class TestSingleLayerFactory:
         assert records[0].halted and records[-1].halted
 
     def test_gai_budget_scales_with_eta(self):
-        proc = make_single_layer("GAI", ALPHA, eta=2.0)
+        proc = make_procedure("GAI", 1, ALPHA, eta=2.0)
         records = proc.run_pvalues([1.0] * 6)
         assert sum(r.layers[0].tested for r in records) == 2
 
     def test_lord_rejects_every_zero_pvalue(self):
-        proc = make_single_layer("LORD", ALPHA)
+        proc = make_procedure("LORD", 1, ALPHA)
         records = proc.run_pvalues([0.0] * 10)
         assert all(r.rejected for r in records)
 
     def test_unknown_method(self):
         with pytest.raises(ValueError, match="unknown method name"):
-            make_single_layer("BONF", ALPHA)
+            make_procedure("BONF", 1, ALPHA)
 
 
 @pytest.mark.parametrize("method", ["ml-GAI", "ml-LOND", "ml-LOND_m", "ml-LORD"])
@@ -331,9 +329,24 @@ def test_pending_only_mutation(method):
             assert after.rejections == before.rejections
             assert after.wealth == before.wealth
             assert after.since_last_discovery == before.since_last_discovery
-            assert after.last_discovery_time == before.last_discovery_time
             # the collapsed test count does not advance either
             assert after.effective_tests(i) == before.effective_tests(i - 1)
+
+
+@pytest.mark.parametrize(
+    "method", ["GAI", "LORD", "LOND", "ml-GAI", "ml-LORD", "ml-LOND", "ml-LOND_m"]
+)
+def test_records_carry_wealth_and_gap_only_where_the_rule_keeps_them(method):
+    rng = np.random.default_rng(29)
+    layers = 2 if method.startswith("ml-") else 1
+    events = [
+        event(i, float(rng.random() ** 3), (i, int(rng.integers(1, 4)))[:layers])
+        for i in range(1, 60)
+    ]
+    for record in replay(make_procedure(method, layers, ALPHA), events):
+        for outcome in record.layers:
+            assert (outcome.wealth is not None) == method.endswith("GAI")
+            assert (outcome.since_last_discovery is not None) == method.endswith("LORD")
 
 
 def test_rejection_requires_every_pending_layer():
@@ -411,8 +424,8 @@ class TestLayerConfigs:
         from layerfdr.core import LayerConfig
 
         configs = [
-            LayerConfig(layer_id=0),
-            LayerConfig(layer_id=1, beta_sequence=BetaSequence(ALPHA, kind="geometric")),
+            LayerConfig(),
+            LayerConfig(beta_sequence=BetaSequence(ALPHA, kind="geometric")),
         ]
         proc = make_procedure("ml-LORD", 2, ALPHA, layer_configs=configs)
         record = proc.step(event(1, 0.5, (1, 1)))
@@ -423,7 +436,7 @@ class TestLayerConfigs:
         from layerfdr.core import LayerConfig
 
         strict = constant_policy(0.01, PHI, PSI, 1.0)
-        configs = [LayerConfig(layer_id=0), LayerConfig(layer_id=1, spending_policy=strict)]
+        configs = [LayerConfig(), LayerConfig(spending_policy=strict)]
         proc = make_procedure("ml-GAI", 2, ALPHA, layer_configs=configs)
         record = proc.step(event(1, 0.05, (1, 1)))
         assert record.layers[0].threshold == pytest.approx(ALPHA)
@@ -434,8 +447,8 @@ class TestLayerConfigs:
         from layerfdr.core import LayerConfig
 
         configs = [
-            LayerConfig(layer_id=0),
-            LayerConfig(layer_id=1, statistic=lambda e: min(1.0, 2.0 * e.p)),
+            LayerConfig(),
+            LayerConfig(statistic=lambda e: min(1.0, 2.0 * e.p)),
         ]
         proc = make_procedure("ml-LOND", 2, ALPHA, layer_configs=configs)
         # p itself clears beta_1 but the doubled layer statistic does not
@@ -446,4 +459,4 @@ class TestLayerConfigs:
         from layerfdr.core import LayerConfig
 
         with pytest.raises(ValueError, match="one layer config"):
-            make_procedure("ml-LORD", 2, ALPHA, layer_configs=[LayerConfig(layer_id=0)])
+            make_procedure("ml-LORD", 2, ALPHA, layer_configs=[LayerConfig()])
