@@ -142,14 +142,15 @@ def cmd_simulate(args) -> int:
     if method not in METHODS:
         print(f"simulate: unknown method {method!r}", file=sys.stderr)
         return EXIT_USAGE
-    if args.alpha is not None:
-        scenario = replace(scenario, alpha=args.alpha)
-    if args.eta is not None:
-        scenario = replace(scenario, eta=args.eta)
-    beta = args.beta if args.beta is not None else scenario.beta
-    if beta < 0:
-        print(f"simulate: beta must be non-negative, got {beta}", file=sys.stderr)
+    overrides = {"alpha": args.alpha, "eta": args.eta, "beta": args.beta}
+    try:
+        scenario = replace(
+            scenario, **{key: value for key, value in overrides.items() if value is not None}
+        )
+    except ValueError as exc:
+        print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    beta = scenario.beta
     replicates = args.replicates
     if replicates is None:
         replicates = _config_value(args.config, entries, "replicates", default=100)

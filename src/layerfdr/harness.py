@@ -15,6 +15,7 @@ existing cells.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -22,9 +23,9 @@ from typing import Sequence
 import numpy as np
 
 from .core import HypothesisEvent
-from .metrics import AggregateResult, LayerTally, aggregate, tally_from_sets
+from .metrics import AggregateResult, LayerTally, aggregate
 from .procedures import METHODS, lockstep_rejections, make_procedure, replay
-from .simgen import ScenarioSpec, StreamData, make_stream
+from .simgen import ScenarioSpec, StreamData, make_streams
 
 LAYER_NAMES = ("individual", "group")
 
@@ -56,9 +57,9 @@ class SweepSpec:
             raise ValueError(f"unknown methods: {unknown}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method names")
-        negative = [beta for beta in self.beta_grid if beta < 0.0]
-        if negative:
-            raise ValueError(f"beta must be non-negative, got {negative}")
+        invalid = [beta for beta in self.beta_grid if not (math.isfinite(beta) and beta >= 0.0)]
+        if invalid:
+            raise ValueError(f"beta must be non-negative and finite, got {invalid}")
         # replicate seeds key on float(beta), so 1 and 1.0 name one cell
         if len({float(beta) for beta in self.beta_grid}) != len(self.beta_grid):
             raise ValueError("duplicate beta values")
@@ -88,17 +89,35 @@ def stream_events(data: StreamData, layers: int) -> list[HypothesisEvent]:
     ]
 
 
-def stream_tallies(data: StreamData, rejected: np.ndarray) -> dict[str, LayerTally]:
-    """Tallies of one stream at both reporting layers, from its rejected mask."""
+def stream_tallies(data: StreamData, rejected: np.ndarray) -> dict[str, list[LayerTally]]:
+    """Tallies of stacked (R, N) streams at both reporting layers, from their
+    (R, N) rejected mask: one ``LayerTally`` per stream and layer."""
+    rejected = np.asarray(rejected, dtype=bool)
     true = data.truths == 1
+    rows, total = rejected.shape
     # the individual layer's groups are the arrival positions
+    individual = zip(
+        (rejected & ~true).sum(axis=1).tolist(),
+        (rejected & true).sum(axis=1).tolist(),
+        true.sum(axis=1).tolist(),
+    )
+    # the group layer: sort each row by group, then reduce over each group's run
+    order = np.argsort(data.groups, axis=1, kind="stable")
+    ordered = np.take_along_axis(data.groups, order, axis=1)
+    head = np.ones(ordered.shape, dtype=bool)
+    head[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.flatnonzero(head)
+    row = starts // total
+    selected = np.logical_or.reduceat(np.take_along_axis(rejected, order, axis=1).ravel(), starts)
+    holds_true = np.logical_or.reduceat(np.take_along_axis(true, order, axis=1).ravel(), starts)
+    group = zip(
+        np.bincount(row[selected & ~holds_true], minlength=rows).tolist(),
+        np.bincount(row[selected & holds_true], minlength=rows).tolist(),
+        np.bincount(row[holds_true], minlength=rows).tolist(),
+    )
     return {
-        "individual": tally_from_sets(
-            set(np.flatnonzero(rejected).tolist()), set(np.flatnonzero(true).tolist())
-        ),
-        "group": tally_from_sets(
-            set(data.groups[rejected].tolist()), set(data.groups[true].tolist())
-        ),
+        "individual": [LayerTally(*counts) for counts in individual],
+        "group": [LayerTally(*counts) for counts in group],
     }
 
 
@@ -110,12 +129,13 @@ def run_replicate(scenario: ScenarioSpec, method: str, seed: int) -> ReplicateRu
     """
     if method not in METHODS:
         raise ValueError(f"unknown method name: {method!r}")
-    data = make_stream(replace(scenario, seed=seed))
+    data = make_streams(scenario, [seed])
     layers = 2 if method.startswith("ml-") else 1
     procedure = make_procedure(method, layers, scenario.alpha, scenario.eta)
-    records = replay(procedure, stream_events(data, layers))
-    rejected = np.array([record.rejected for record in records], dtype=bool)
-    return ReplicateRun(records=tuple(records), tallies=stream_tallies(data, rejected))
+    records = replay(procedure, stream_events(data.row(0), layers))
+    rejected = np.array([[record.rejected for record in records]], dtype=bool)
+    tallies = {name: per_row[0] for name, per_row in stream_tallies(data, rejected).items()}
+    return ReplicateRun(records=tuple(records), tallies=tallies)
 
 
 def run_cell(
@@ -124,28 +144,22 @@ def run_cell(
     """All replicate tallies of one (method, beta) cell, keyed by layer.
 
     Each replicate draws its stream from its own seed, as ``run_replicate``
-    does; the decisions then come from all replicates in lockstep, and equal
-    ``run_replicate``'s tallies replicate for replicate.
+    does; the streams are generated stacked, the decisions come from all
+    replicates in lockstep, and the tallies equal ``run_replicate``'s
+    replicate for replicate.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method name: {method!r}")
-    cell_scenario = replace(scenario, beta=beta)
-    streams = [
-        make_stream(replace(cell_scenario, seed=replicate_seed(master_seed, method, beta, r)))
-        for r in range(replicates)
-    ]
+    seeds = [replicate_seed(master_seed, method, beta, r) for r in range(replicates)]
+    data = make_streams(replace(scenario, beta=beta), seeds)
     rejected = lockstep_rejections(
         method,
-        np.stack([data.pvalues for data in streams]),
-        np.stack([data.groups for data in streams]) if method.startswith("ml-") else None,
+        data.pvalues,
+        data.groups if method.startswith("ml-") else None,
         scenario.alpha,
         scenario.eta,
     )
-    per_layer: dict[str, list[LayerTally]] = {name: [] for name in LAYER_NAMES}
-    for data, hits in zip(streams, rejected):
-        for name, tally in stream_tallies(data, hits).items():
-            per_layer[name].append(tally)
-    return per_layer
+    return stream_tallies(data, rejected)
 
 
 def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:

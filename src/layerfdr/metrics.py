@@ -10,7 +10,9 @@ per-replicate ratios TD / max(T, 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -120,6 +122,15 @@ def _mean_se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
+@lru_cache(maxsize=4)
+def _bootstrap_indices(n: int, resamples: int, seed: int) -> np.ndarray:
+    """The seeded (resamples, n) resampling index matrix, shared read-only:
+    every cell of a sweep has the same replicate count, so it is drawn once."""
+    idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+    idx.flags.writeable = False
+    return idx
+
+
 def _bootstrap_ratio_se(
     v: np.ndarray, r: np.ndarray, eta: float, resamples: int, seed: int
 ) -> float:
@@ -127,8 +138,7 @@ def _bootstrap_ratio_se(
     n = len(v)
     if n < 2 or resamples < 2:
         return 0.0
-    rng = np.random.default_rng(seed)
-    idx = rng.integers(0, n, size=(resamples, n))
+    idx = _bootstrap_indices(n, resamples, seed)
     ratios = v[idx].mean(axis=1) / (r[idx].mean(axis=1) + eta)
     return float(ratios.std(ddof=1))
 
@@ -152,8 +162,8 @@ def aggregate(
     """
     if not tallies:
         raise ValueError("at least one replicate is required")
-    if eta <= 0.0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     v = np.array([t.false_discoveries for t in tallies], dtype=float)
     r = np.array([t.discoveries for t in tallies], dtype=float)
     fdps = np.array([t.fdp for t in tallies], dtype=float)

@@ -101,6 +101,16 @@ class TestSimulate:
         assert code == 2
         assert str(missing) in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--beta", "nan"), ("--beta", "inf"), ("--eta", "nan"), ("--eta", "inf")]
+    )
+    def test_non_finite_override_exits_2_before_any_work(self, base_cfg, capsys, flag, value):
+        argv = ["simulate", "--config", str(base_cfg), "--method", "ml-LORD", flag, value]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag[2:]} must be" in captured.err
+
     def test_unknown_method_exits_2(self, base_cfg, capsys):
         code = main(["simulate", "--config", str(base_cfg), "--method", "BH"])
         assert code == 2
@@ -179,7 +189,12 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "grid, message",
-        [("1.0,-1.0", "beta must be non-negative"), ("1,1.0", "duplicate beta values")],
+        [
+            ("1.0,-1.0", "beta must be non-negative"),
+            ("1,1.0", "duplicate beta values"),
+            ("nan", "beta must be non-negative and finite"),
+            ("1.0,inf", "beta must be non-negative and finite"),
+        ],
     )
     def test_bad_beta_grid_exits_2_before_any_work(self, tmp_path, capsys, grid, message):
         path = tmp_path / "sweep.cfg"

@@ -47,10 +47,11 @@ class TestHypothesisEvent:
 def tallies_of(pvalues, groups, truths):
     """ml-LOND decisions on one stream, tallied through the harness route."""
     data = StreamData(
-        groups=np.array(groups), truths=np.array(truths), pvalues=np.array(pvalues)
+        groups=np.array([groups]), truths=np.array([truths]), pvalues=np.array([pvalues])
     )
-    records = replay(make_procedure("ml-LOND", 2, 0.1), stream_events(data, 2))
-    return stream_tallies(data, np.array([r.rejected for r in records]))
+    records = replay(make_procedure("ml-LOND", 2, 0.1), stream_events(data.row(0), 2))
+    tallies = stream_tallies(data, np.array([[r.rejected for r in records]]))
+    return {name: per_row[0] for name, per_row in tallies.items()}
 
 
 class TestSelectionSets:

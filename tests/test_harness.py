@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from layerfdr.harness import (
@@ -11,10 +12,11 @@ from layerfdr.harness import (
     run_sweep,
     standard_scenarios,
     stream_events,
+    stream_tallies,
 )
-from layerfdr.metrics import TallyTracker, aggregate
+from layerfdr.metrics import TallyTracker, aggregate, tally_from_sets
 from layerfdr.procedures import METHODS
-from layerfdr.simgen import ScenarioSpec, make_stream
+from layerfdr.simgen import ScenarioSpec, StreamData, make_stream
 
 BASELINE = ScenarioSpec()  # block / fixed / constant, G=20, n=10, s=20, k=100
 
@@ -117,6 +119,26 @@ class TestRunReplicate:
         assert a.tallies == b.tallies
 
 
+def test_stacked_tallies_equal_per_stream_set_tallies():
+    rng = np.random.default_rng(12)
+    for rows, total, groups in ((1, 1, 1), (7, 40, 3), (30, 200, 20), (5, 60, 2**40)):
+        data = StreamData(
+            groups=rng.integers(1, groups + 1, size=(rows, total)),
+            truths=(rng.random((rows, total)) < 0.3).astype(np.int8),
+            pvalues=np.zeros((rows, total)),
+        )
+        rejected = rng.random((rows, total)) < 0.2
+        tallies = stream_tallies(data, rejected)
+        for r in range(rows):
+            true = data.truths[r] == 1
+            assert tallies["individual"][r] == tally_from_sets(
+                set(np.flatnonzero(rejected[r]).tolist()), set(np.flatnonzero(true).tolist())
+            )
+            assert tallies["group"][r] == tally_from_sets(
+                set(data.groups[r][rejected[r]].tolist()), set(data.groups[r][true].tolist())
+            )
+
+
 class TestSweepSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -133,6 +155,13 @@ class TestSweepSpec:
     def test_every_beta_is_validated(self):
         with pytest.raises(ValueError, match="non-negative"):
             SweepSpec(scenario=BASELINE, beta_grid=(1.0, -1.0))
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_non_finite_betas_rejected(self, beta):
+        # NaN also never equals itself, so the duplicate check cannot catch (nan, nan)
+        for grid in ((beta,), (1.0, beta, beta)):
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec(scenario=BASELINE, beta_grid=grid)
 
     def test_duplicate_betas_compare_as_floats(self):
         # 1 and 1.0 share replicate seeds, so they would be one cell emitted twice

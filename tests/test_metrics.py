@@ -61,6 +61,19 @@ class TestAggregate:
         with pytest.raises(ValueError):
             aggregate([LayerTally(0, 0, 0)], eta=0.0)
 
+    @pytest.mark.parametrize("eta", [float("nan"), float("inf")])
+    def test_requires_finite_eta(self, eta):
+        with pytest.raises(ValueError, match="finite"):
+            aggregate([LayerTally(0, 0, 0)], eta=eta)
+
+    def test_bootstrap_indices_are_shared_read_only(self):
+        from layerfdr.metrics import _bootstrap_indices
+
+        idx = _bootstrap_indices(7, 50, 0)
+        assert idx is _bootstrap_indices(7, 50, 0)
+        assert not idx.flags.writeable
+        assert np.array_equal(idx, np.random.default_rng(0).integers(0, 7, size=(50, 7)))
+
     def test_estimates_stay_in_unit_interval(self):
         rng = np.random.default_rng(31)
         for _ in range(20):

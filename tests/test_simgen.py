@@ -1,13 +1,21 @@
+import hashlib
+import math
+from dataclasses import replace
+from typing import Optional
+
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import erfc
 
+from layerfdr.harness import standard_scenarios
 from layerfdr.simgen import (
     ScenarioSpec,
     gen_pvalues,
     gen_structure,
     gen_truth,
     make_stream,
+    make_streams,
     signal_means,
     two_sided_p,
     two_sided_p_array,
@@ -38,6 +46,10 @@ class TestScenarioSpec:
             {"alpha": 1.0},
             {"eta": 0.0},
             {"p1": 1.5},
+            {"beta": float("nan")},
+            {"beta": float("inf")},
+            {"eta": float("nan")},
+            {"eta": float("inf")},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
@@ -220,3 +232,315 @@ class TestDeterminism:
         spec = ScenarioSpec(pattern="random", seed=1)
         other = ScenarioSpec(pattern="random", seed=2)
         assert not np.array_equal(make_stream(spec).pvalues, make_stream(other).pvalues)
+
+
+# ---------------------------------------------------------------------------
+# naive reference: the per-arrival scalar loops the batched generator replaces,
+# kept verbatim
+
+
+def reference_structure(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
+    """Generate the group id (1-based) of each arrival in the group layer.
+
+    block repeats each group id n times in order; interleaved cycles 1..G
+    n times; unbalanced walks a Markov chain over {1..G} starting at group 1
+    with stay probability 1 - p1 and a uniform jump otherwise.
+    """
+    if spec.structure == "block":
+        return np.repeat(np.arange(1, spec.G + 1), spec.n)
+    if spec.structure == "interleaved":
+        return np.tile(np.arange(1, spec.G + 1), spec.n)
+    if spec.G < 2:
+        raise ValueError("unbalanced structure requires at least two groups")
+    groups = np.empty(spec.total, dtype=np.int64)
+    current = 1
+    for i in range(spec.total):
+        if i > 0 and rng.random() < spec.p1:
+            offset = int(rng.integers(1, spec.G))
+            current = (current - 1 + offset) % spec.G + 1
+        groups[i] = current
+    return groups
+
+
+def reference_truth(
+    spec: ScenarioSpec, structure: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """Generate 0/1 truth labels for each arrival.
+
+    The fixed pattern is deterministic given the structure and consumes no
+    randomness.  The markov pattern assigns labels from a hidden two-state
+    chain (stationary: independent fair coin; eruption: sticky labels with
+    persistence 0.9) and ignores the group structure entirely.
+    """
+    total = len(structure)
+    truths = np.zeros(total, dtype=np.int8)
+    if spec.pattern == "markov":
+        stationary = True
+        previous: Optional[int] = None
+        for i in range(total):
+            if stationary or previous is None:
+                truths[i] = 1 if rng.random() < 0.5 else 0
+            else:
+                truths[i] = previous if rng.random() < 0.9 else 1 - previous
+            previous = int(truths[i])
+            if rng.random() < 0.1:
+                stationary = not stationary
+        return truths
+
+    order = _first_appearance_order(structure)
+    count = _percent_count(spec.s, spec.G)
+    count = min(count, len(order))
+    if count == 0:
+        return truths
+    if spec.pattern == "fixed":
+        chosen = order[:count]
+    else:
+        chosen = list(rng.choice(np.asarray(order), size=count, replace=False))
+    chosen_set = set(int(g) for g in chosen)
+    for group in order:
+        if group not in chosen_set:
+            continue
+        positions = np.flatnonzero(structure == group)
+        picks = _percent_count(spec.k, len(positions))
+        if picks == 0:
+            continue
+        if spec.pattern == "fixed":
+            truths[positions[:picks]] = 1
+        else:
+            truths[rng.choice(positions, size=picks, replace=False)] = 1
+    return truths
+
+
+def _first_appearance_order(structure: np.ndarray) -> list[int]:
+    seen: set[int] = set()
+    order: list[int] = []
+    for g in structure:
+        g = int(g)
+        if g not in seen:
+            seen.add(g)
+            order.append(g)
+    return order
+
+
+def reference_means(theta, strength: str, beta: float) -> np.ndarray:
+    """Mean of the z-statistic for each arrival under a strength profile.
+
+    Nulls have mean 0.  For the increasing/decreasing profiles the t-th true
+    signal (t = running count, 1-based) gets mean beta * (1 + t / total) or
+    beta * (2 - t / total); with no true signals the profile is irrelevant.
+    """
+    theta = np.asarray(theta)
+    means = np.zeros(len(theta), dtype=float)
+    total = int(theta.sum())
+    if total == 0:
+        return means
+    mask = theta == 1
+    if strength == "constant":
+        means[mask] = 1.5 * beta
+        return means
+    ranks = np.cumsum(theta)[mask] / total
+    if strength == "increasing":
+        means[mask] = beta * (1.0 + ranks)
+    elif strength == "decreasing":
+        means[mask] = beta * (2.0 - ranks)
+    else:
+        raise ValueError(f"unknown strength: {strength!r}")
+    return means
+
+
+def reference_stream(spec: ScenarioSpec):
+    """Structure, truths and p-values of one seed through the scalar loops."""
+    rng = np.random.default_rng(spec.seed)
+    groups = reference_structure(spec, rng)
+    truths = reference_truth(spec, groups, rng)
+    z = reference_means(truths, spec.strength, spec.beta) + rng.standard_normal(len(truths))
+    return groups, truths, erfc(np.abs(z) / math.sqrt(2.0))
+
+
+def _percent_count(percent: float, total: int) -> int:
+    # round up so any positive percentage yields at least one pick;
+    # snap near-integers first to keep float noise out of the ceiling
+    return min(total, math.ceil(round(percent * total / 100.0, 9)))
+
+
+def assert_same_stream(data, expected):
+    arrays = (data.groups, data.truths, data.pvalues)
+    for name, got, want in zip(("groups", "truths", "pvalues"), arrays, expected):
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 4.0])
+@pytest.mark.parametrize("panel", sorted(standard_scenarios()))
+def test_standard_panels_match_the_scalar_loops(panel, beta):
+    spec = replace(standard_scenarios()[panel], beta=beta)
+    seeds = list(range(50)) + [2**63, 2**64 - 1]
+    batch = make_streams(spec, seeds)
+    for r, seed in enumerate(seeds):
+        expected = reference_stream(replace(spec, seed=seed))
+        assert_same_stream(batch.row(r), expected)
+        assert_same_stream(make_stream(replace(spec, seed=seed)), expected)
+
+
+UNBALANCED = ScenarioSpec(structure="unbalanced")
+
+EDGE_CASES = {
+    # integers(1, 2) draws nothing
+    "G=2": replace(UNBALANCED, G=2, N=300),
+    "G=3": replace(UNBALANCED, G=3, N=300),
+    # Lemire rejects about half of all half-words
+    "G=2**31+2": replace(UNBALANCED, G=2**31 + 2, N=400),
+    # one raw half-word per jump, never rejected
+    "G=2**32+1": replace(UNBALANCED, G=2**32 + 1, N=300),
+    # whole-word draws
+    "G=2**33": replace(UNBALANCED, G=2**33, N=300),
+    # whole-word draws, a quarter of them rejected
+    "G=2**62+2": replace(UNBALANCED, G=2**62 + 2, N=300),
+    "G=2**33-random": replace(UNBALANCED, G=2**33, N=300, pattern="random", s=50.0, k=50.0),
+    "p1=0": replace(UNBALANCED, p1=0.0, N=77),
+    "p1=1": replace(UNBALANCED, p1=1.0, N=77),
+    "unbalanced-random": replace(UNBALANCED, pattern="random", k=50.0, N=137),
+    "unbalanced-markov": replace(UNBALANCED, pattern="markov", strength="increasing", N=137),
+    "unbalanced-N=1": replace(UNBALANCED, N=1),
+    "s=0": ScenarioSpec(s=0.0),
+    "k=0": ScenarioSpec(k=0.0),
+    "k=0-random": ScenarioSpec(structure="interleaved", pattern="random", k=0.0),
+    "unbalanced-s=0": replace(UNBALANCED, s=0.0, N=90),
+    "unbalanced-k=0": replace(UNBALANCED, k=0.0, N=90),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EDGE_CASES))
+def test_edge_cases_match_the_scalar_loops(case):
+    spec = EDGE_CASES[case]
+    seeds = list(range(50))
+    batch = make_streams(spec, seeds)
+    for r, seed in enumerate(seeds):
+        expected = reference_stream(replace(spec, seed=seed))
+        assert_same_stream(batch.row(r), expected)
+
+
+@pytest.mark.parametrize("buffered", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "case",
+    [
+        "G=2",
+        "G=3",
+        "G=2**31+2",
+        "G=2**32+1",
+        "G=2**33",
+        "G=2**62+2",
+        "unbalanced-random",
+        "unbalanced-markov",
+    ],
+)
+def test_generator_is_left_where_the_scalar_loops_leave_it(case, buffered):
+    spec = EDGE_CASES[case]
+    for seed in range(12):
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (ours, theirs):
+            # an odd count leaves a half-word in the generator's buffer
+            rng.integers(1, 7, buffered)
+        groups = gen_structure(spec, ours)
+        truths = gen_truth(spec, groups, ours)
+        expected_groups = reference_structure(spec, theirs)
+        expected_truths = reference_truth(spec, expected_groups, theirs)
+        assert groups.dtype == expected_groups.dtype and np.array_equal(groups, expected_groups)
+        assert truths.dtype == expected_truths.dtype and np.array_equal(truths, expected_truths)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9))
+        assert np.array_equal(ours.integers(1, 7, 5), theirs.integers(1, 7, 5))
+
+
+class CountingPCG64(np.random.PCG64):
+    """PCG64 that counts its raw-word reads."""
+
+    reads = 0
+
+    def random_raw(self, size=None, output=True):
+        self.reads += 1
+        return super().random_raw(size, output)
+
+
+@pytest.mark.parametrize("case", ["G=2**31+2", "G=2**33", "G=2**62+2"])
+def test_walks_that_use_a_block_up_read_the_next(case):
+    spec = EDGE_CASES[case]
+    refills = 0
+    for seed in range(20):
+        bit_gen = CountingPCG64(seed)
+        groups = gen_structure(spec, np.random.Generator(bit_gen))
+        # one block, then one read to advance past the words used
+        refills += bit_gen.reads > 2
+        assert np.array_equal(groups, reference_structure(spec, np.random.default_rng(seed)))
+    assert refills > 0
+
+
+def test_unbalanced_structure_needs_pcg64():
+    rng = np.random.Generator(np.random.MT19937(0))
+    with pytest.raises(TypeError, match="PCG64"):
+        gen_structure(UNBALANCED, rng)
+
+
+def test_make_streams_needs_a_seed():
+    with pytest.raises(ValueError, match="seed"):
+        make_streams(ScenarioSpec(), [])
+
+
+GOLDEN_SEEDS = (7, 20260808, 2**64 - 1)
+
+#: SHA-256 over the dtype string and bytes of the groups, truths and
+#: p-values of make_streams(panel at beta, GOLDEN_SEEDS), recorded from the
+#: scalar generator with numpy 2.4.  A numpy release that changes the PCG64
+#: stream, or the Lemire, ziggurat or choice algorithms, fails here.
+GOLDEN = {
+    ("block-fixed-constant", 1.0):
+        "c855f3d56ad1b5e979441cfc1f261958fe88c1157cf72a16f3bd0264fc952a6e",
+    ("block-fixed-constant", 4.0):
+        "341b5691947edb59318346a334b2f0054db9a447c944d7045a5523e995d69f59",
+    ("interleaved-fixed-constant", 1.0):
+        "caf05891f5ba2c63d2243cbd96ab1c79fa1d3741d822f22f75978ebec0c38478",
+    ("interleaved-fixed-constant", 4.0):
+        "b0ebd8f9cde3c99ae329c8eea2a6e9ebe5f35fbbeae5a4fc3a9a067e5d72f78a",
+    ("unbalanced-fixed-constant", 1.0):
+        "6b54828f4546eafd2b74a75c39b1b472f4ff5fd4c753466b734080823e18abfb",
+    ("unbalanced-fixed-constant", 4.0):
+        "38f4cb15897f1953dafff09f01b83e7a5d0e7d9b503a6ae15b4effe3b8986d91",
+    ("interleaved-random-constant", 1.0):
+        "a733d28dec20bd707cef4171d2d96f494bce8a050042c2206b667a1ec7faa63c",
+    ("interleaved-random-constant", 4.0):
+        "1093bfa9c901c87cca8a00209ea69cfb09638c4c35439b1d24286de61ed64a19",
+    ("interleaved-markov-constant", 1.0):
+        "470f3067c6b1be9b2151cb8634654fbbc6d4fb5c1fb6925088cd11268e643f27",
+    ("interleaved-markov-constant", 4.0):
+        "1fcac7d645329da2c39158c7d9e8552263b8e025286c69c193fb32a67c35013e",
+    ("block-fixed-increasing", 1.0):
+        "e5287b7ab03e4bdf5523a71fdaa9ab3fef938892dd4e211606d9df0113ddde46",
+    ("block-fixed-increasing", 4.0):
+        "78b9c1ea02278a568d8bde4f013e7eef45e4b6859ddd9bad799116d6f10d7a62",
+    ("block-fixed-decreasing", 1.0):
+        "eb752e3be82bd679a7212d2b6e40d2945c02da89351c03401fbaa58d573b136f",
+    ("block-fixed-decreasing", 4.0):
+        "c19503e6416c2d8c537e8c77a8a03317b30dfdd2ac4147fac6c832f2f7a27df1",
+    ("interleaved-random-constant-k50", 1.0):
+        "d7680f2d11a9e0f00d7d25971155acbb69253ee4eee9d3c135ba412e7f4a32a3",
+    ("interleaved-random-constant-k50", 4.0):
+        "cf42ee9d3fd90384372c2dead2c9475e5f6e5cd3c1cda05e249d0f2b9782cc5b",
+    ("interleaved-random-increasing-k50", 1.0):
+        "5cf74605ad52bc1fdd690b535933fc2ad76541723c94780e6c6c7870a12e12cf",
+    ("interleaved-random-increasing-k50", 4.0):
+        "c76c90875ef2d497e0ef04dc2836efc63e09b867437c4ea34fd5e3304872e902",
+    ("interleaved-random-decreasing-k50", 1.0):
+        "e72b307e51fa0b7c0660d1f7d6a05349854e8dfd52e408d9c5a33f05a3745bf6",
+    ("interleaved-random-decreasing-k50", 4.0):
+        "574ed715c3ce4e074f066bfbe13a6e13d577612510f055e5303ccc77dd572081",
+}
+
+
+@pytest.mark.parametrize("panel, beta", sorted(GOLDEN))
+def test_golden_stream_digests(panel, beta):
+    data = make_streams(replace(standard_scenarios()[panel], beta=beta), GOLDEN_SEEDS)
+    digest = hashlib.sha256()
+    for array in (data.groups, data.truths, data.pvalues):
+        digest.update(array.dtype.str.encode())
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == GOLDEN[(panel, beta)]
