@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
 from typing import Optional, TextIO
@@ -213,15 +214,6 @@ def _stream_error(line_number: int, message: str, sink: TextIO) -> None:
 
 def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = None) -> int:
     sink = sink or sys.stdout
-    if source is None:
-        if args.input == "-":
-            source = sys.stdin
-        else:
-            path = Path(args.input)
-            if not path.exists():
-                print(f"stream: input file not found: {path}", file=sys.stderr)
-                return EXIT_USAGE
-            source = path.open("r", encoding="utf-8")
     if args.method not in METHODS:
         print(f"stream: unknown method {args.method!r}", file=sys.stderr)
         return EXIT_USAGE
@@ -232,58 +224,68 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
     except ValueError as exc:
         print(f"stream: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if source is not None or args.input == "-":
+        # the caller's source and stdin stay open
+        opened = nullcontext(source if source is not None else sys.stdin)
+    else:
+        path = Path(args.input)
+        if not path.exists():
+            print(f"stream: input file not found: {path}", file=sys.stderr)
+            return EXIT_USAGE
+        opened = path.open("r", encoding="utf-8")
     expected = args.layers
-    for line_number, raw in enumerate(source, 1):
-        if not raw.strip():
-            continue
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            _stream_error(line_number, f"malformed record: {exc.msg}", sink)
-            continue
-        if not isinstance(payload, dict):
-            _stream_error(line_number, "record must be a JSON object", sink)
-            continue
-        p = payload.get("p")
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
-            _stream_error(line_number, "field 'p' must be a number", sink)
-            continue
-        if not 0.0 <= p <= 1.0:
-            _stream_error(line_number, f"p outside [0, 1]: {p}", sink)
-            continue
-        groups = payload.get("groups")
-        if (
-            not isinstance(groups, list)
-            or any(isinstance(g, bool) or not isinstance(g, int) for g in groups)
-            or any(g < 0 for g in groups)
-        ):
-            _stream_error(
-                line_number, "field 'groups' must be an array of non-negative integers", sink
+    with opened as source:
+        for line_number, raw in enumerate(source, 1):
+            if not raw.strip():
+                continue
+            try:
+                payload = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                _stream_error(line_number, f"malformed record: {exc.msg}", sink)
+                continue
+            if not isinstance(payload, dict):
+                _stream_error(line_number, "record must be a JSON object", sink)
+                continue
+            p = payload.get("p")
+            if isinstance(p, bool) or not isinstance(p, (int, float)):
+                _stream_error(line_number, "field 'p' must be a number", sink)
+                continue
+            if not 0.0 <= p <= 1.0:
+                _stream_error(line_number, f"p outside [0, 1]: {p}", sink)
+                continue
+            groups = payload.get("groups")
+            if (
+                not isinstance(groups, list)
+                or any(isinstance(g, bool) or not isinstance(g, int) for g in groups)
+                or any(g < 0 for g in groups)
+            ):
+                _stream_error(
+                    line_number, "field 'groups' must be an array of non-negative integers", sink
+                )
+                continue
+            if len(groups) != expected:
+                _stream_error(
+                    line_number, f"expected {expected} group ids, got {len(groups)}", sink
+                )
+                continue
+            event = HypothesisEvent(
+                t=procedure.t + 1, p=float(p), group_index=tuple(groups)
             )
-            continue
-        if len(groups) != expected:
-            _stream_error(
-                line_number, f"expected {expected} group ids, got {len(groups)}", sink
+            record = procedure.skip(event) if procedure.halted else procedure.step(event)
+            print(
+                json.dumps(
+                    {
+                        "t": record.t,
+                        "reject": bool(record.rejected),
+                        "tested_layers": record.tested_layers(),
+                        "thresholds": [
+                            record.layers[m].threshold for m in record.tested_layers()
+                        ],
+                        "halted": record.halted,
+                    }
+                ),
+                file=sink,
             )
-            continue
-        event = HypothesisEvent(
-            t=procedure.t + 1, p=float(p), group_index=tuple(groups)
-        )
-        record = procedure.skip(event) if procedure.halted else procedure.step(event)
-        print(
-            json.dumps(
-                {
-                    "t": record.t,
-                    "reject": bool(record.rejected),
-                    "tested_layers": record.tested_layers(),
-                    "thresholds": [
-                        record.layers[m].threshold for m in record.tested_layers()
-                    ],
-                    "halted": record.halted,
-                }
-            ),
-            file=sink,
-        )
     return EXIT_OK
 
 

@@ -188,8 +188,8 @@ class OnlineProcedure:
             raise ValueError(f"at least one layer is required, got {layers}")
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if eta <= 0.0:
-            raise ValueError(f"eta must be positive, got {eta}")
+        if not (math.isfinite(eta) and eta > 0.0):
+            raise ValueError(f"eta must be positive and finite, got {eta}")
         if untested not in (UNTESTED_LITERAL, UNTESTED_ACCEPT):
             raise ValueError(f"unknown untested-hypothesis mode: {untested!r}")
         if statistics is not None and len(statistics) != layers:
@@ -342,18 +342,15 @@ class AlphaInvesting(OnlineProcedure):
         layers: int,
         alpha: float,
         eta: float = 1.0,
-        policy: Optional[SpendingPolicy] = None,
         policies: Optional[Sequence[SpendingPolicy]] = None,
         **kwargs,
     ):
         super().__init__(layers, alpha, eta, **kwargs)
-        if policies is not None:
-            if len(policies) != layers:
-                raise ValueError("one spending policy per layer is required")
-            self.policies = tuple(policies)
-        else:
-            shared = policy if policy is not None else simple_choice(alpha)
-            self.policies = (shared,) * layers
+        if policies is None:
+            policies = (simple_choice(alpha),) * layers
+        if len(policies) != layers:
+            raise ValueError("one spending policy per layer is required")
+        self.policies = tuple(policies)
         for state in self.states:
             state.wealth = alpha * eta
 

@@ -9,15 +9,17 @@ whose mean is set by the strength profile.
 ``make_streams`` realizes one scenario under many seeds at once, as arrays
 stacked (R, N); ``make_stream`` is its single-seed case.  Work that draws no
 randomness (balanced structures, fixed-pattern truths, group layouts) is done
-once per call, and the per-arrival loops of the unbalanced structure and the
-markov pattern are replaced by block draws that reproduce numpy's PCG64
-stream bit for bit, leaving each generator in the state the loops would.
+once per call.  The markov pattern's per-arrival loop is replaced by one block
+draw, and the unbalanced walk is replayed per stream from raw PCG64 words;
+both reproduce numpy's stream bit for bit and leave each generator in the
+state the scalar loops would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -173,151 +175,6 @@ def _structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
     return _unbalanced_structures(spec, rngs)
 
 
-# The unbalanced walk reads, for each arrival after the first, one double
-# (the jump test, from one 64-bit word) and, on a jump, one bounded integer.
-# numpy draws ``integers(1, G)`` by Lemire's method on 32-bit half-words
-# (low half first, the high half kept in a buffer for the next draw) when
-# G - 1 <= 2**32, and on whole words otherwise; G = 2 draws nothing.  Between
-# two words the walk is in one of four states: the half-word buffer is empty,
-# holds a half-word Lemire accepts, holds one it rejects, or a jump is still
-# drawing and the next word feeds it.  Each word maps state to state by its
-# own bits, so the states of a whole block of words follow from a prefix
-# scan over these maps, each packed as one byte (two bits per state).
-_EMPTY, _HELD_OK, _HELD_BAD, _DRAWING = range(4)
-_M32 = np.uint64(0xFFFFFFFF)
-
-
-def _pack(next_states) -> int:
-    return sum(state << (2 * s) for s, state in enumerate(next_states))
-
-
-_NO_DRAW_MAP = _pack((_EMPTY, _HELD_OK, _HELD_BAD, _DRAWING))
-# half-word draws, by word class jump + 2 * low_ok + 4 * high_ok
-_HALF_MAPS = np.array(
-    [
-        _pack(
-            (
-                _DRAWING if c & 1 else _EMPTY,
-                _EMPTY if c & 1 else _HELD_OK,
-                _DRAWING if c & 1 else _HELD_BAD,
-                (_HELD_OK if c & 4 else _HELD_BAD) if c & 2 else (_EMPTY if c & 4 else _DRAWING),
-            )
-        )
-        for c in range(8)
-    ],
-    dtype=np.uint8,
-)
-# whole-word draws leave the buffer alone, by word class jump + 2 * ok
-_FULL_MAPS = np.array(
-    [
-        _pack((_DRAWING if c & 1 else _EMPTY, _HELD_OK, _HELD_BAD, _EMPTY if c & 2 else _DRAWING))
-        for c in range(4)
-    ],
-    dtype=np.uint8,
-)
-
-
-def _compose_table() -> np.ndarray:
-    digits = (np.arange(256, dtype=np.uint8)[:, None] >> (2 * np.arange(4, dtype=np.uint8))) & 3
-    table = np.zeros((256, 256), dtype=np.uint8)
-    for s in range(4):
-        # later's image of earlier's image of s, for every (later, earlier)
-        table |= digits[:, digits[:, s]] << (2 * s)
-    return table.ravel()
-
-
-#: ``_COMPOSE[(later << 8) | earlier]`` is the map applying earlier, then later
-_COMPOSE = _compose_table()
-
-
-def _scan(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """States before each word and after the last, from (R, K) word maps."""
-    prefix = maps.copy()
-    shift = 1
-    while shift < prefix.shape[1]:
-        pairs = (prefix[:, shift:].astype(np.uint16) << 8) | prefix[:, :-shift]
-        prefix[:, shift:] = _COMPOSE[pairs]
-        shift *= 2
-    states = np.empty((len(start), prefix.shape[1] + 1), dtype=np.uint8)
-    states[:, 0] = start
-    states[:, 1:] = (prefix >> (2 * start)[:, None]) & 3
-    return states
-
-
-def _word_class(*flags: np.ndarray) -> np.ndarray:
-    """Per-word class: flag i sets bit i."""
-    return sum(flag.view(np.uint8) << i for i, flag in enumerate(flags))
-
-
-def _mul_64(words: np.ndarray, factor: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit halves of each word times ``factor`` < 2**64."""
-    f_lo, f_hi = np.uint64(factor & 0xFFFFFFFF), np.uint64(factor >> 32)
-    w_lo, w_hi = words & _M32, words >> 32
-    ll, lh, hl = w_lo * f_lo, w_lo * f_hi, w_hi * f_lo
-    mid = (ll >> 32) + (lh & _M32) + (hl & _M32)
-    return w_hi * f_hi + (lh >> 32) + (hl >> 32) + (mid >> 32), (ll & _M32) | (mid << 32)
-
-
-def _lemire(words: np.ndarray, bound: int, bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """numpy's Lemire draw of [0, bound) from each ``bits``-bit word: the
-    value and whether the word is accepted.  A 32-bit bound of 2**32 accepts
-    every word and returns it unchanged, which is numpy's raw half-word draw
-    for that range."""
-    if bits == 32:
-        product = words * np.uint64(bound)  # < 2**64: words < 2**32, bound <= 2**32
-        high = product >> 32
-        product &= _M32
-        return high, product >= (2**32 - bound) % bound
-    high, low = _mul_64(words, bound)
-    return high, low >= np.uint64((2**64 - bound) % bound)
-
-
-def _cumsum_mod(values: np.ndarray, modulus: int) -> np.ndarray:
-    """Running sums along each row modulo ``modulus``, for entries below it;
-    summed pairwise so nothing overflows for any int64 modulus."""
-    sums = values.copy()
-    modulus = np.uint64(modulus)
-    shift = 1
-    while shift < sums.shape[1]:
-        step = sums[:, shift:] + sums[:, :-shift]
-        # step - modulus wraps above 2**63 when step < modulus, so the minimum
-        # is the reduced sum either way
-        sums[:, shift:] = np.minimum(step, step - modulus)
-        shift *= 2
-    return sums
-
-
-def _walk(spec: ScenarioSpec, bit_gens: list, start: np.ndarray) -> tuple:
-    """Read blocks of raw words until every stream's walk has ended.
-
-    Returns the word pool (R, K), the walk's state before each word and
-    after the last (R, K + 1), and the number of words each stream used.
-    """
-    steps, bound = spec.total - 1, spec.G - 1
-    pool = np.empty((len(bit_gens), 0), dtype=np.uint64)
-    while True:
-        # without rejections a jump takes at most one fresh word in two
-        block = [bit_gen.random_raw(steps + steps // 2 + 2) for bit_gen in bit_gens]
-        pool = np.concatenate([pool, np.stack(block)], axis=1)
-        jump = (pool >> 11) * 2.0**-53 < spec.p1  # numpy's double from one word
-        if bound == 1:
-            maps = np.full(pool.shape, _NO_DRAW_MAP, dtype=np.uint8)
-        elif bound <= 2**32:
-            low_ok = _lemire(pool & _M32, bound, 32)[1]
-            high_ok = _lemire(pool >> 32, bound, 32)[1]
-            maps = _HALF_MAPS[_word_class(jump, low_ok, high_ok)]
-        else:
-            maps = _FULL_MAPS[_word_class(jump, _lemire(pool, bound, 64)[1])]
-        states = _scan(maps, start)
-        tests_before = np.zeros(states.shape, dtype=np.intp)
-        np.cumsum(states[:, :-1] != _DRAWING, axis=1, out=tests_before[:, 1:])
-        # the walk ends once every jump test is read and no draw is pending
-        done = (tests_before >= steps) & (states != _DRAWING)
-        if done.any(axis=1).all():
-            return pool, states, done.argmax(axis=1)
-        # rejections used the block up: draw the next block and scan again
-
-
 def _unbalanced_structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
     bit_gens = [rng.bit_generator for rng in rngs]
     for bit_gen in bit_gens:
@@ -326,56 +183,58 @@ def _unbalanced_structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
                 "the unbalanced structure replays numpy's PCG64 stream; "
                 f"got a {type(bit_gen).__name__} bit generator"
             )
-    rows, steps = len(bit_gens), spec.total - 1
-    bound = spec.G - 1  # integers(1, G) is 1 + a draw from [0, G - 1)
-    half = bound <= 2**32
-    saved = [bit_gen.state for bit_gen in bit_gens]
-    held = np.array([state["has_uint32"] for state in saved], dtype=bool)
-    held_word = np.array([state["uinteger"] for state in saved], dtype=np.uint64)
-    start = np.full(rows, _EMPTY, dtype=np.uint8)
-    if half and bound > 1:
-        start[held] = np.where(_lemire(held_word[held], bound, 32)[1], _HELD_OK, _HELD_BAD)
+    return np.array([_walk(spec, bit_gen) for bit_gen in bit_gens], dtype=np.int64) + 1
 
-    pool, states, used = _walk(spec, bit_gens, start)
-    consumed = np.arange(pool.shape[1]) < used[:, None]
-    tested = (states[:, :-1] != _DRAWING) & consumed
-    fed = consumed & ~tested
-    jumps = ((pool[tested] >> 11) * 2.0**-53 < spec.p1).reshape(rows, steps)
 
-    if bound == 1:
-        draws = np.zeros(np.count_nonzero(jumps), dtype=np.uint64)
-    else:
-        owner, words = np.nonzero(fed)[0], pool[fed]
-        if half:
-            # half-words in the order draws read them: each row's held one,
-            # then low and high of each word fed to a draw
-            owner = np.concatenate([np.flatnonzero(held), np.repeat(owner, 2)])
-            halves = np.column_stack([words & _M32, words >> 32]).ravel()
-            words = np.concatenate([held_word[held], halves])
-            by_row = np.argsort(owner, kind="stable")
-            owner, words = owner[by_row], words[by_row]
-        values, ok = _lemire(words, bound, 32 if half else 64)
-        owner, values = owner[ok], values[ok]
-        # the n-th jump of a row takes the row's n-th accepted draw
-        rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-        draws = values[rank < np.count_nonzero(jumps, axis=1)[owner]]
-    offsets = np.zeros((rows, steps), dtype=np.uint64)
-    offsets[jumps] = draws + 1
+def _walk(spec: ScenarioSpec, bit_gen: np.random.PCG64) -> list:
+    """One generator's unbalanced walk (0-based group ids) from its raw words.
 
-    has, word = held, held_word
-    if half and bound > 1:
-        has = states[np.arange(rows), used] != _EMPTY
-        last = fed.shape[1] - 1 - fed[:, ::-1].argmax(axis=1)
-        word = np.where(fed.any(axis=1), pool[np.arange(rows), last] >> 32, held_word)
-    for bit_gen, state, h, w, n in zip(bit_gens, saved, has, word, used):
-        state["has_uint32"], state["uinteger"] = int(h), int(w)
-        bit_gen.state = state
-        # advance() would clear the half-word buffer just restored
-        bit_gen.random_raw(int(n))
-
-    groups = np.ones((rows, spec.total), dtype=np.int64)
-    groups[:, 1:] += _cumsum_mod(offsets, spec.G).astype(np.int64)
-    return groups
+    Each arrival after the first reads one word for its jump test, numpy's
+    double ``(word >> 11) * 2**-53 < p1``.  A jump then draws
+    ``integers(1, G)`` as numpy does, by Lemire's method on 32-bit half-words
+    (low half first, the high half held in the generator's buffer for the
+    next draw) when G - 1 <= 2**32 and on whole words otherwise; G = 2 draws
+    nothing.  The generator is left where the scalar loop leaves it.
+    """
+    total, G = spec.total, spec.G
+    bound = G - 1  # integers(1, G) is 1 + a draw from [0, G - 1)
+    bits = 32 if bound <= 2**32 else 64
+    mask = (1 << bits) - 1
+    threshold = ((1 << bits) - bound) % bound
+    # (word >> 11) * 2**-53 < p1 is exact in doubles, so for integer words it
+    # is word >> 11 < ceil(p1 * 2**53), that is word < this limit
+    limit = math.ceil(spec.p1 * 2.0**53) << 11
+    state = bit_gen.state
+    held, half = state["has_uint32"], state["uinteger"]
+    # a block holds about the words a walk at p1 = 0.5 reads; more come lazily
+    block = total + total // 2 + 2
+    words = chain.from_iterable(iter(lambda: bit_gen.random_raw(block).tolist(), None))
+    walk = [0] * total
+    current = drawn = 0
+    for i in range(1, total):
+        if next(words) < limit:
+            offset = 0
+            while bound > 1:
+                if bits == 64:
+                    value = next(words)
+                    drawn += 1
+                elif held:
+                    value, held = half, 0
+                else:
+                    word = next(words)
+                    drawn += 1
+                    value, half, held = word & 0xFFFFFFFF, word >> 32, 1
+                product = value * bound
+                if product & mask >= threshold:
+                    offset = product >> bits
+                    break
+            current = (current + offset + 1) % G
+        walk[i] = current
+    state["has_uint32"], state["uinteger"] = held, half
+    bit_gen.state = state
+    # advance() would clear the half-word buffer just restored
+    bit_gen.random_raw(total - 1 + drawn)
+    return walk
 
 
 def _truths(spec: ScenarioSpec, groups: np.ndarray, rngs: list) -> np.ndarray:

@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -280,6 +281,35 @@ class TestStream:
         args = build_parser().parse_args(["stream", "--method", "BH"])
         code = cmd_stream(args, source=io.StringIO(""), sink=io.StringIO())
         assert code == 2
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_eta_exits_2_before_reading_input(self, value, capsys):
+        from layerfdr.cli import build_parser, cmd_stream
+
+        argv = ["stream", "--method", "GAI", "--layers", "1", "--eta", value]
+        source = io.StringIO('{"p": 0.01, "groups": [1]}\n')
+        sink = io.StringIO()
+        assert cmd_stream(build_parser().parse_args(argv), source=source, sink=sink) == 2
+        assert source.tell() == 0 and sink.getvalue() == ""
+        assert "eta must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, code", [("ml-LORD", 0), ("BH", 2)])
+    def test_input_file_is_closed(self, tmp_path, monkeypatch, capsys, method, code):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"p": 0.01, "groups": [1]}\n')
+        opened = []
+        real_open = Path.open
+
+        def recording_open(self, *args, **kwargs):
+            handle = real_open(self, *args, **kwargs)
+            opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(Path, "open", recording_open)
+        argv = ["stream", "--method", method, "--layers", "1", "--input", str(path)]
+        assert main(argv) == code
+        assert len(opened) == (1 if code == 0 else 0)
+        assert all(handle.closed for handle in opened)
 
 
 class TestValidate:

@@ -419,6 +419,13 @@ def test_make_procedure_unknown_method():
         make_procedure("ml-BH", 2, ALPHA)
 
 
+@pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("method", ["GAI", "LOND", "LOND_m", "LORD"])
+def test_eta_must_be_positive_and_finite(method, eta):
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        make_procedure(method, 1, ALPHA, eta)
+
+
 class TestLayerConfigs:
     def test_per_layer_beta_sequences(self):
         from layerfdr.core import LayerConfig

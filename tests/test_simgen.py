@@ -475,6 +475,21 @@ def test_walks_that_use_a_block_up_read_the_next(case):
     assert refills > 0
 
 
+@pytest.mark.parametrize("above", [False, True])
+@pytest.mark.parametrize("seed", [0, 11, 2**64 - 1])
+def test_a_tie_at_the_jump_test_stays_put(seed, above):
+    word = int(np.random.PCG64(seed).random_raw(1)[0])
+    p1 = (word >> 11) * 2.0**-53  # the double of the first jump test's word
+    if above:
+        p1 = float(np.nextafter(p1, 2.0))
+    spec = replace(UNBALANCED, p1=p1, N=60, seed=seed)
+    expected = reference_structure(spec, np.random.default_rng(seed))
+    groups = make_streams(spec, [seed]).groups[0]
+    assert groups.dtype == expected.dtype and np.array_equal(groups, expected)
+    # the jump test is strict: a tie stays put, the next double up jumps
+    assert (groups[1] != 1) == above
+
+
 def test_unbalanced_structure_needs_pcg64():
     rng = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(TypeError, match="PCG64"):
