@@ -7,9 +7,10 @@ replicates, master_seed.  Flags always take precedence over file values.
 
 Stream mode reads one JSON object per line with fields ``p`` (number) and
 ``groups`` (array of M integers in layer order) and answers each with
-``{"t", "reject", "tested_layers", "thresholds", "halted"}``; malformed
-lines produce an error record carrying the line number and do not advance
-the stream clock.
+``{"t", "reject", "tested_layers", "thresholds", "halted"}``.  A malformed
+line, or one the event or engine checks reject (p outside [0, 1], a negative
+group id, the wrong number of ids), produces an error record carrying the
+line number and does not advance the stream clock.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -228,12 +229,11 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
         # the caller's source and stdin stay open
         opened = nullcontext(source if source is not None else sys.stdin)
     else:
-        path = Path(args.input)
-        if not path.exists():
-            print(f"stream: input file not found: {path}", file=sys.stderr)
+        try:
+            opened = Path(args.input).open("r", encoding="utf-8")
+        except OSError as exc:
+            print(f"stream: cannot read input file: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        opened = path.open("r", encoding="utf-8")
-    expected = args.layers
     with opened as source:
         for line_number, raw in enumerate(source, 1):
             if not raw.strip():
@@ -250,28 +250,22 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
             if isinstance(p, bool) or not isinstance(p, (int, float)):
                 _stream_error(line_number, "field 'p' must be a number", sink)
                 continue
-            if not 0.0 <= p <= 1.0:
-                _stream_error(line_number, f"p outside [0, 1]: {p}", sink)
-                continue
             groups = payload.get("groups")
-            if (
-                not isinstance(groups, list)
-                or any(isinstance(g, bool) or not isinstance(g, int) for g in groups)
-                or any(g < 0 for g in groups)
+            if not isinstance(groups, list) or any(
+                isinstance(g, bool) or not isinstance(g, int) for g in groups
             ):
-                _stream_error(
-                    line_number, "field 'groups' must be an array of non-negative integers", sink
-                )
+                _stream_error(line_number, "field 'groups' must be an array of integers", sink)
                 continue
-            if len(groups) != expected:
-                _stream_error(
-                    line_number, f"expected {expected} group ids, got {len(groups)}", sink
+            # the event and the engine check ranges and the group count; a
+            # step that raises leaves the stream clock and state unchanged
+            try:
+                event = HypothesisEvent(
+                    t=procedure.t + 1, p=float(p), group_index=tuple(groups)
                 )
+                record = procedure.skip(event) if procedure.halted else procedure.step(event)
+            except (ValueError, OverflowError) as exc:
+                _stream_error(line_number, str(exc), sink)
                 continue
-            event = HypothesisEvent(
-                t=procedure.t + 1, p=float(p), group_index=tuple(groups)
-            )
-            record = procedure.skip(event) if procedure.halted else procedure.step(event)
             print(
                 json.dumps(
                     {
@@ -291,6 +285,9 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
 
 def cmd_validate(args) -> int:
     alpha = args.alpha
+    if not 0.0 < alpha < 1.0:
+        print(f"validate: alpha must lie in (0, 1), got {alpha}", file=sys.stderr)
+        return EXIT_USAGE
     default_spend = alpha / (1.0 - alpha)
     overridden = any(
         value is not None for value in (args.level, args.phi, args.psi, args.rho)

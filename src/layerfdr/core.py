@@ -15,7 +15,7 @@ streams are independent and safe to process in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .procedures import BetaSequence, SpendingPolicy
@@ -55,14 +55,12 @@ class LayerConfig:
 
     ``beta_sequence`` drives threshold schedules (LOND/LORD layers) and
     ``spending_policy`` drives wealth dynamics (alpha-investing layers);
-    whichever the chosen method ignores may be left unset.  ``statistic``
-    optionally maps the incoming event to a layer-specific p-value; by
-    default every layer tests the event's own p.
+    whichever the chosen method ignores may be left unset.  Every layer
+    tests the event's own p-value.
     """
 
     beta_sequence: Optional["BetaSequence"] = None
     spending_policy: Optional["SpendingPolicy"] = None
-    statistic: Optional[Callable[[HypothesisEvent], float]] = None
 
 
 @dataclass
@@ -84,23 +82,11 @@ class LayerState:
     seen_per_group: dict[int, int] = field(default_factory=dict)
     seen_in_rejected: int = 0
 
-    def observe(self, group: int) -> bool:
-        """Record an arrival in ``group``; return True if the layer is pending."""
+    def observe(self, group: int) -> None:
+        """Record an arrival in ``group``."""
         self.seen_per_group[group] = self.seen_per_group.get(group, 0) + 1
         if group in self.rejected_groups:
             self.seen_in_rejected += 1
-            return False
-        return True
-
-    def unobserve(self, group: int) -> None:
-        """Undo the latest ``observe(group)``, for a step that failed."""
-        count = self.seen_per_group[group] - 1
-        if count:
-            self.seen_per_group[group] = count
-        else:
-            del self.seen_per_group[group]
-        if group in self.rejected_groups:
-            self.seen_in_rejected -= 1
 
     def mark_rejected(self, group: int) -> None:
         """Flip the group decision to rejected (irrevocable)."""

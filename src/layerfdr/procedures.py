@@ -18,6 +18,12 @@ every pending layer's group to discovered.
 
 Rejection requires strict inequality p < threshold; ties are accepts.
 
+A step computes first and commits after: the pending layers, their
+thresholds and charges and the decision are worked out from the state as it
+was before the arrival, and only then are the clock, the arrival counts, the
+discovered groups and the per-rule state updated.  A step that raises
+therefore leaves the procedure unchanged.
+
 ``replay`` drives one stream event by event.  ``lockstep_rejections`` runs
 many independent simulated streams side by side as numpy arrays over the
 replicate axis, for the default configurations only, and reaches the same
@@ -86,9 +92,10 @@ PolicyRule = Callable[[int, LayerState], float]
 class SpendingPolicy:
     """Per-test level/spend/reward/power-bound rules for alpha-investing.
 
-    Each rule receives (t, layer state) and is evaluated before the step's
-    decision, so values may depend on the layer's wealth and discovery
-    history but never on the current outcome.
+    Each rule receives (t, layer state) and is evaluated before the step
+    commits anything: the state does not yet record the arrival at t, so
+    values may depend on the layer's wealth and discovery history but never
+    on the current arrival or outcome.
     """
 
     alpha_level: PolicyRule
@@ -182,7 +189,6 @@ class OnlineProcedure:
         alpha: float,
         eta: float = 1.0,
         untested: str = UNTESTED_LITERAL,
-        statistics: Optional[Sequence[Optional[Callable[[HypothesisEvent], float]]]] = None,
     ):
         if layers < 1:
             raise ValueError(f"at least one layer is required, got {layers}")
@@ -192,24 +198,22 @@ class OnlineProcedure:
             raise ValueError(f"eta must be positive and finite, got {eta}")
         if untested not in (UNTESTED_LITERAL, UNTESTED_ACCEPT):
             raise ValueError(f"unknown untested-hypothesis mode: {untested!r}")
-        if statistics is not None and len(statistics) != layers:
-            raise ValueError("one statistic transform per layer is required")
         self.layers = layers
         self.alpha = alpha
         self.eta = eta
         self.untested = untested
-        self.statistics = tuple(statistics) if statistics is not None else None
         self.states = [LayerState() for _ in range(layers)]
         self.t = 0
         self.halted = False
 
     # -- method-specific hooks -------------------------------------------
 
-    def _thresholds(self, t: int, pending: list[int]) -> dict[int, float]:
-        raise NotImplementedError
+    def _thresholds(self, t: int, pending: list[int]):
+        """Return (thresholds by pending layer, charges handed to ``_settle``).
 
-    def _charges(self, t: int, pending: list[int]):
-        return None
+        Runs before anything is committed and must not change the state.
+        """
+        raise NotImplementedError
 
     def _settle(self, t: int, pending: list[int], rejected: bool, charges) -> None:
         pass
@@ -220,38 +224,31 @@ class OnlineProcedure:
     # -- stream driving ---------------------------------------------------
 
     def step(self, event: HypothesisEvent) -> DecisionRecord:
+        # everything that can raise runs before the state is touched, so a
+        # failed step leaves the stream as it was before the call
         if self.halted:
             raise StreamHalted("wealth exhausted")
         self._check_event(event)
-        self.t += 1
-        t = self.t
+        t = self.t + 1
+        groups = event.group_index
         pending = [
             m
             for m, state in enumerate(self.states)
-            if state.observe(event.group_index[m])
+            if groups[m] not in state.rejected_groups
         ]
-        if not pending:
+        if pending:
+            thresholds, charges = self._thresholds(t, pending)
+            rejected = all(event.p < thresholds[m] for m in pending)
+        else:
             # every layer's group is already decided; nothing to test or charge
+            thresholds, charges = {}, None
             rejected = self.untested == UNTESTED_LITERAL
-            return self._finish(t, event, rejected, {})
-        try:
-            thresholds = self._thresholds(t, pending)
-            charges = self._charges(t, pending)
-            if self.statistics is None:
-                rejected = all(event.p < thresholds[m] for m in pending)
-            else:
-                # every pending statistic is range-checked before any comparison
-                values = [self._layer_pvalue(m, event) for m in pending]
-                rejected = all(v < thresholds[m] for v, m in zip(values, pending))
-        except BaseException:
-            # a failed step leaves the stream as it was before the call
-            self.t -= 1
-            for m, state in enumerate(self.states):
-                state.unobserve(event.group_index[m])
-            raise
+        self.t = t
+        for m, state in enumerate(self.states):
+            state.observe(groups[m])
         if rejected:
             for m in pending:
-                self.states[m].mark_rejected(event.group_index[m])
+                self.states[m].mark_rejected(groups[m])
         self._settle(t, pending, rejected, charges)
         return self._finish(t, event, rejected, thresholds)
 
@@ -285,15 +282,6 @@ class OnlineProcedure:
                 f"event carries {len(event.group_index)} group ids, "
                 f"expected {self.layers}"
             )
-
-    def _layer_pvalue(self, m: int, event: HypothesisEvent) -> float:
-        transform = self.statistics[m] if self.statistics else None
-        if transform is None:
-            return event.p
-        p = transform(event)
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"layer {m} statistic produced p outside [0, 1]: {p}")
-        return p
 
     def _finish(
         self,
@@ -354,24 +342,16 @@ class AlphaInvesting(OnlineProcedure):
         for state in self.states:
             state.wealth = alpha * eta
 
-    def _thresholds(self, t: int, pending: list[int]) -> dict[int, float]:
-        out = {}
+    def _thresholds(self, t: int, pending: list[int]):
+        levels, charges = {}, {}
         for m in pending:
-            level = self.policies[m].alpha_level(t, self.states[m])
+            policy, state = self.policies[m], self.states[m]
+            level = policy.alpha_level(t, state)
             if not 0.0 < level <= 1.0:
                 raise ValueError(f"significance level outside (0, 1]: {level}")
-            out[m] = level
-        return out
-
-    def _charges(self, t: int, pending: list[int]):
-        # evaluated before the decision so both rules see the pre-step state
-        return {
-            m: (
-                self.policies[m].spend(t, self.states[m]),
-                self.policies[m].reward(t, self.states[m]),
-            )
-            for m in pending
-        }
+            levels[m] = level
+            charges[m] = (policy.spend(t, state), policy.reward(t, state))
+        return levels, charges
 
     def _settle(self, t: int, pending: list[int], rejected: bool, charges) -> None:
         # evaluate the update exactly as written (W + reward - spend) so the
@@ -411,13 +391,13 @@ class Lond(OnlineProcedure):
         self.betas = _layer_betas(betas, layers, alpha)
         self.modified = modified
 
-    def _thresholds(self, t: int, pending: list[int]) -> dict[int, float]:
+    def _thresholds(self, t: int, pending: list[int]):
         out = {}
         for m in pending:
             state = self.states[m]
             index = state.effective_tests(t) if self.modified else t
             out[m] = min(1.0, self.betas[m].value(index) * (state.rejections + 1))
-        return out
+        return out, None
 
 
 class Lord(OnlineProcedure):
@@ -442,11 +422,11 @@ class Lord(OnlineProcedure):
         for state in self.states:
             state.since_last_discovery = 1
 
-    def _thresholds(self, t: int, pending: list[int]) -> dict[int, float]:
+    def _thresholds(self, t: int, pending: list[int]):
         return {
             m: self.betas[m].value(self.states[m].since_last_discovery)
             for m in pending
-        }
+        }, None
 
     def _settle(self, t: int, pending: list[int], rejected: bool, charges) -> None:
         if rejected:
@@ -475,7 +455,6 @@ def make_procedure(
     *,
     untested: str = UNTESTED_LITERAL,
     policy: Optional[SpendingPolicy] = None,
-    statistics=None,
     layer_configs: Optional[Sequence[LayerConfig]] = None,
 ) -> OnlineProcedure:
     """Instantiate a procedure by method name.
@@ -483,39 +462,32 @@ def make_procedure(
     The ``ml-`` prefix only documents intent — the engine is the same; the
     multi-layer character comes from the layer count and the group ids the
     events carry.  ``layer_configs`` optionally customizes individual layers
-    (level sequence, spending policy, statistic transform); unset entries
-    fall back to the shared defaults.
+    (level sequence, spending policy); unset entries fall back to the shared
+    defaults.
     """
     name = method[3:] if method.startswith("ml-") else method
     shared_policy = policy if policy is not None else simple_choice(alpha)
     default_beta = BetaSequence(alpha)
-    if layer_configs is not None:
-        if len(layer_configs) != layers:
-            raise ValueError("one layer config per layer is required")
-        if statistics is None:
-            statistics = [config.statistic for config in layer_configs]
-        betas = tuple(
-            config.beta_sequence if config.beta_sequence is not None else default_beta
-            for config in layer_configs
-        )
-        policies = tuple(
-            config.spending_policy
-            if config.spending_policy is not None
-            else shared_policy
-            for config in layer_configs
-        )
-    else:
-        betas = (default_beta,) * layers
-        policies = (shared_policy,) * layers
-    kwargs = {"untested": untested, "statistics": statistics}
+    if layer_configs is None:
+        layer_configs = (LayerConfig(),) * layers
+    elif len(layer_configs) != layers:
+        raise ValueError("one layer config per layer is required")
+    betas = tuple(
+        config.beta_sequence if config.beta_sequence is not None else default_beta
+        for config in layer_configs
+    )
+    policies = tuple(
+        config.spending_policy if config.spending_policy is not None else shared_policy
+        for config in layer_configs
+    )
     if name == "GAI":
-        return AlphaInvesting(layers, alpha, eta, policies=policies, **kwargs)
+        return AlphaInvesting(layers, alpha, eta, policies=policies, untested=untested)
     if name == "LOND":
-        return Lond(layers, alpha, eta, betas=betas, modified=False, **kwargs)
+        return Lond(layers, alpha, eta, betas=betas, modified=False, untested=untested)
     if name == "LOND_m":
-        return Lond(layers, alpha, eta, betas=betas, modified=True, **kwargs)
+        return Lond(layers, alpha, eta, betas=betas, modified=True, untested=untested)
     if name == "LORD":
-        return Lord(layers, alpha, eta, betas=betas, **kwargs)
+        return Lord(layers, alpha, eta, betas=betas, untested=untested)
     raise ValueError(f"unknown method name: {method!r}")
 
 
@@ -551,10 +523,11 @@ def lockstep_rejections(
 
     The individual layer has singleton groups, so it is always pending and
     its effective-test count is t; only the group layer keeps per-group
-    arrays.  Every threshold and wealth update is the step engine's float64
-    arithmetic, so the mask equals ``[r.rejected for r in replay(...)]`` row
-    for row.  After an alpha-investing halt a row is neither tested nor
-    rejected.
+    arrays, of R x (largest id + 1) cells, or of R x N cells once the
+    largest id is N or more.  Every threshold and wealth update is the step
+    engine's float64 arithmetic, so the mask equals
+    ``[r.rejected for r in replay(...)]`` row for row.  After an
+    alpha-investing halt a row is neither tested nor rejected.
     """
     rule = method[3:] if method.startswith("ml-") else method
     if rule not in ("GAI", "LOND", "LOND_m", "LORD"):
@@ -578,6 +551,14 @@ def lockstep_rejections(
         if reps and groups.min() < 0:
             raise ValueError("group ids must be non-negative")
         width = int(groups.max()) + 1 if reps else 1
+        if width > steps:
+            # decisions only compare ids within a row: number each row's
+            # distinct ids densely so the tables stay R x N
+            rows = np.repeat(np.arange(reps), steps)
+            pairs = np.column_stack([rows, groups.ravel()])
+            _, pair = np.unique(pairs, axis=0, return_inverse=True)
+            pair = pair.reshape(reps, steps)
+            groups, width = pair - pair.min(axis=1, keepdims=True), steps
         # flat (replicate, group) cell of each arrival, one row per step
         cells = np.ascontiguousarray((groups + width * np.arange(reps)[:, None]).T)
         group_rejected = np.zeros(reps * width, dtype=bool)

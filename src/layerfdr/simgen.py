@@ -131,8 +131,8 @@ def _percent_count(percent: float, total: int) -> int:
     return min(total, math.ceil(round(percent * total / 100.0, 9)))
 
 
-def gen_structure(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
-    """Generate the group id (1-based) of each arrival in the group layer.
+def _structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
+    """Group ids (1-based) of every generator's stream, stacked (R, N).
 
     block repeats each group id n times in order; interleaved cycles 1..G
     n times; unbalanced walks a Markov chain over {1..G} starting at group 1
@@ -145,27 +145,8 @@ def gen_structure(spec: ScenarioSpec, rng: np.random.Generator) -> np.ndarray:
             groups[i] = current
 
     The unbalanced walk replays numpy's PCG64 stream from raw words, so it
-    needs a PCG64 generator and raises TypeError for any other.
+    needs PCG64 generators and raises TypeError for any other.
     """
-    return _structures(spec, [rng])[0]
-
-
-def gen_truth(
-    spec: ScenarioSpec, structure: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Generate 0/1 truth labels for each arrival.
-
-    The fixed pattern is deterministic given the structure and consumes no
-    randomness.  The markov pattern assigns labels from a hidden two-state
-    chain (stationary: independent fair coin; eruption: sticky labels with
-    persistence 0.9) and ignores the group structure entirely; each arrival
-    draws two uniforms, one for its label and one for switching the chain.
-    """
-    return _truths(spec, np.asarray(structure)[None, :], [rng])[0]
-
-
-def _structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
-    """Group ids of every generator's stream, stacked (R, N)."""
     if spec.structure == "block":
         return np.tile(np.repeat(np.arange(1, spec.G + 1), spec.n), (len(rngs), 1))
     if spec.structure == "interleaved":
@@ -238,7 +219,14 @@ def _walk(spec: ScenarioSpec, bit_gen: np.random.PCG64) -> list:
 
 
 def _truths(spec: ScenarioSpec, groups: np.ndarray, rngs: list) -> np.ndarray:
-    """Truth labels of every generator's stream over its (R, N) structure."""
+    """0/1 truth labels of every generator's stream over its (R, N) structure.
+
+    The fixed pattern is deterministic given the structure and consumes no
+    randomness.  The markov pattern assigns labels from a hidden two-state
+    chain (stationary: independent fair coin; eruption: sticky labels with
+    persistence 0.9) and ignores the group structure entirely; each arrival
+    draws two uniforms, one for its label and one for switching the chain.
+    """
     rows, total = groups.shape
     if spec.pattern == "markov":
         uniforms = np.empty((rows, 2 * total))

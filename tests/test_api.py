@@ -29,8 +29,6 @@ PUBLIC_NAMES = [
     "constant_policy",
     "emit_results",
     "gen_pvalues",
-    "gen_structure",
-    "gen_truth",
     "make_procedure",
     "make_stream",
     "replay",

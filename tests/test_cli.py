@@ -261,6 +261,33 @@ class TestStream:
         )
         assert "outside" in out[0]["error"]
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ('{"p": 1%s, "groups": [1]}' % ("0" * 400), "too large"),
+            ('{"p": -0.5, "groups": [1]}', "outside"),
+            ('{"p": 1e400, "groups": [1]}', "outside"),
+            ('{"p": NaN, "groups": [1]}', "outside"),
+            ('{"p": true, "groups": [1]}', "must be a number"),
+            ('{"p": 0.5, "groups": [-1]}', "non-negative"),
+            ('{"p": 0.5, "groups": [1.0]}', "array of integers"),
+            ('{"p": 0.5, "groups": [1, 2]}', "expected 1"),
+        ],
+    )
+    def test_rejected_line_answers_an_error_and_keeps_the_clock(self, line, message):
+        code, out = run_stream(
+            ["--method", "ml-LORD", "--layers", "1"], [line, '{"p": 0.5, "groups": [1]}']
+        )
+        assert code == 0
+        assert out[0]["line"] == 1 and message in out[0]["error"]
+        assert out[1]["t"] == 1
+
+    @pytest.mark.parametrize("name", [".", "missing.jsonl"])
+    def test_unreadable_input_exits_2(self, tmp_path, capsys, name):
+        argv = ["stream", "--method", "ml-LORD", "--input", str(tmp_path / name)]
+        assert main(argv) == 2
+        assert "stream: cannot read input file" in capsys.readouterr().err
+
     def test_halted_stream_answers_without_testing(self):
         code, out = run_stream(
             ["--method", "ml-GAI", "--layers", "1", "--alpha", "0.1"],
@@ -327,6 +354,11 @@ class TestValidate:
 
     def test_zero_reward_is_admissible(self):
         assert main(["validate", "--alpha", "0.1", "--psi", "0.0"]) == 0
+
+    @pytest.mark.parametrize("alpha", ["1", "0", "-0.1", "1.5", "nan", "inf"])
+    def test_alpha_outside_the_unit_interval_exits_2(self, alpha, capsys):
+        assert main(["validate", "--alpha", alpha]) == 2
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
 
     def test_invalid_power_bound_exits_2(self, capsys):
         code = main(["validate", "--alpha", "0.1", "--rho", "1.5"])

@@ -1,5 +1,6 @@
 """The replicate-lockstep kernel against the step engine, decision for decision."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -163,6 +164,26 @@ def test_lond_m_indexes_by_effective_tests():
     plain = assert_matches_replay("ml-LOND", pvalues, groups)
     assert modified[0].tolist() == [True] * 5
     assert plain[0].tolist() == [True] * 4 + [False]
+
+
+@pytest.mark.parametrize("method", ["ml-LOND", "ml-LOND_m", "ml-LORD", "ml-GAI"])
+def test_sparse_group_ids_keep_the_tables_small(method):
+    # the tables follow the arrivals, not the largest id
+    pvalues = np.array([[0.001, 0.5, 0.002, 0.01], [0.3, 0.0001, 0.02, 0.003]])
+    groups = np.array([[10**7, 3, 10**7, 5], [0, 10**7, 2, 10**7 - 1]])
+    tracemalloc.start()
+    try:
+        lockstep_rejections(method, pvalues, groups, ALPHA)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+    assert_matches_replay(method, pvalues, groups)
+    # ids shared across rows and repeated within them, up to 2**62
+    rng = np.random.default_rng(31)
+    pvalues = rng.random((6, 50)) ** 4
+    groups = rng.choice(np.array([0, 7, 10**7, 2**40, 2**62]), size=(6, 50))
+    assert_matches_replay(method, pvalues, groups, eta=5.0)
 
 
 def test_empty_and_validation():

@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from layerfdr.core import HypothesisEvent, StreamHalted
+from layerfdr.core import HypothesisEvent, LayerConfig, StreamHalted
 from layerfdr.procedures import (
+    METHODS,
     AlphaInvesting,
     BetaSequence,
     Lond,
     Lord,
+    SpendingPolicy,
     constant_policy,
     make_procedure,
     replay,
@@ -350,25 +354,46 @@ def test_records_carry_wealth_and_gap_only_where_the_rule_keeps_them(method):
 
 
 def test_rejection_requires_every_pending_layer():
-    # layer statistics differ via the transform hook: layer 1 never passes
-    proc = Lond(2, ALPHA, statistics=(None, lambda e: 1.0))
-    record = proc.step(event(1, 0.0, (1, 1)))
+    # p = 0.01 clears layer 0's first level (BETA_1) but not layer 1's (~6e-4)
+    proc = Lond(2, ALPHA, betas=(BetaSequence(ALPHA), BetaSequence(0.001)))
+    record = proc.step(event(1, 0.01, (1, 1)))
     assert not record.rejected
     assert record.layers[0].tested and record.layers[1].tested
 
 
-def test_statistic_transform_must_produce_probability():
-    proc = Lond(1, ALPHA, statistics=(lambda e: 1.7,))
-    with pytest.raises(ValueError, match="outside"):
-        proc.step(event(1, 0.5, (1,)))
+class Tripwire:
+    """Default levels that fail once, on the first call after ``armed`` is set.
+
+    ``value`` stands in for a BetaSequence and raises; ``level`` stands in
+    for a spending policy's level rule and returns an invalid level.
+    """
+
+    def __init__(self, armed=False):
+        self.armed = armed
+
+    def _trip(self):
+        tripped, self.armed = self.armed, False
+        return tripped
+
+    def value(self, j):
+        if self._trip():
+            raise ValueError(f"level index {j} outside the schedule")
+        return BetaSequence(ALPHA).value(j)
+
+    def level(self, t, state):
+        return 1.5 if self._trip() else ALPHA
 
 
-def test_every_pending_statistic_is_range_checked():
-    # layer 0 already fails (0.9 is above its threshold); layer 1's
-    # out-of-range value must still be reported
-    proc = Lond(2, ALPHA, statistics=(None, lambda e: 7.0))
-    with pytest.raises(ValueError, match="layer 1 statistic"):
-        proc.step(event(1, 0.9, (1, 1)))
+def wired_procedure(method, layers, wire, layer, **kwargs):
+    """``make_procedure(method, layers, ALPHA)`` with ``wire`` feeding one layer's levels."""
+    if method.endswith("GAI"):
+        simple = simple_choice(ALPHA)
+        policy = SpendingPolicy(wire.level, simple.spend, simple.reward, simple.power_bound)
+        wired = LayerConfig(spending_policy=policy)
+    else:
+        wired = LayerConfig(beta_sequence=wire)
+    configs = [wired if m == layer else LayerConfig() for m in range(layers)]
+    return make_procedure(method, layers, ALPHA, layer_configs=configs, **kwargs)
 
 
 class TestFailedStepLeavesStreamUnchanged:
@@ -383,9 +408,9 @@ class TestFailedStepLeavesStreamUnchanged:
         assert proc.states == fresh.states
 
     def test_next_valid_step_equals_a_fresh_first_step(self):
-        statistics = (None, lambda e: 7.0 if e.p == 0.9 else e.p)
-        proc = make_procedure("ml-LOND_m", 2, ALPHA, statistics=statistics)
-        fresh = make_procedure("ml-LOND_m", 2, ALPHA, statistics=statistics)
+        # the group layer's level fails after the individual layer's is computed
+        proc = wired_procedure("ml-LOND_m", 2, Tripwire(armed=True), layer=1)
+        fresh = make_procedure("ml-LOND_m", 2, ALPHA)
         with pytest.raises(ValueError, match="outside"):
             proc.step(event(1, 0.9, (1, 1)))
         assert proc.t == 0
@@ -393,19 +418,90 @@ class TestFailedStepLeavesStreamUnchanged:
 
     @pytest.mark.parametrize("method", ["ml-GAI", "ml-LOND", "ml-LOND_m", "ml-LORD"])
     def test_mid_stream_failure_keeps_the_state(self, method):
-        # the individual statistic fails on p == 0.5; the failing event lands
+        # the individual layer's level fails at t=5; the failing event lands
         # in group 1, which the group layer rejected at t=1
-        statistics = (lambda e: -1.0 if e.p == 0.5 else e.p, None)
-        proc = make_procedure(method, 2, ALPHA, statistics=statistics)
+        wire = Tripwire()
+        proc = wired_procedure(method, 2, wire, layer=0)
         reference = make_procedure(method, 2, ALPHA)
         for i, (p, g) in enumerate([(0.0, 1), (0.3, 1), (0.001, 2), (0.2, 2)], 1):
             assert proc.step(event(i, p, (i, g))) == reference.step(event(i, p, (i, g)))
         before = copy.deepcopy(proc.states)
+        wire.armed = True
         with pytest.raises(ValueError, match="outside"):
             proc.step(event(5, 0.5, (5, 1)))
         assert proc.t == 4
         assert proc.states == before
         assert proc.step(event(5, 0.04, (5, 1))) == reference.step(event(5, 0.04, (5, 1)))
+
+
+@st.composite
+def grouped_streams(draw):
+    """(layers, events) of a random 1-3 layer stream with small group ids."""
+    layers = draw(st.integers(1, 3))
+    pvalue = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.05), st.floats(0.0, 1.0))
+    ids = st.tuples(*[st.integers(0, 4)] * layers)
+    size = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(pvalue, ids), min_size=size, max_size=size))
+    return layers, [event(t, p, g) for t, (p, g) in enumerate(pairs, 1)]
+
+
+def advance(procedure, ev):
+    return procedure.skip(ev) if procedure.halted else procedure.step(ev)
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+ENGINE_OPTIONS = st.fixed_dictionaries(
+    {"untested": st.sampled_from(["literal", "accept"]), "eta": st.sampled_from([1.0, 10.0])}
+)
+
+
+@PROPERTY_SETTINGS
+@given(
+    method=st.sampled_from(METHODS),
+    stream=grouped_streams(),
+    options=ENGINE_OPTIONS,
+    failure=st.sampled_from(["level", "id count"]),
+    data=st.data(),
+)
+def test_a_raising_step_changes_nothing(method, stream, options, failure, data):
+    layers, events = stream
+    at = data.draw(st.integers(0, len(events) - 1), label="failing step")
+    layer = data.draw(st.integers(0, layers - 1), label="wired layer")
+    wire = Tripwire()
+    proc = wired_procedure(method, layers, wire, layer, **options)
+    twin = wired_procedure(method, layers, Tripwire(), layer, **options)
+    for i, ev in enumerate(events):
+        if i == at:
+            before = (repr(proc.states), proc.t, proc.halted)
+            wire.armed = failure == "level"
+            bad = ev if failure == "level" else event(ev.t, ev.p, ev.group_index + (0,))
+            try:
+                record = proc.step(bad)
+            except (ValueError, StreamHalted):
+                assert (repr(proc.states), proc.t, proc.halted) == before
+            else:
+                # the wired layer was not pending, so its level was never asked for
+                assert wire.armed
+                wire.armed = False
+                assert record == twin.step(ev)
+                continue
+            wire.armed = False
+        assert advance(proc, ev) == advance(twin, ev)
+
+
+@PROPERTY_SETTINGS
+@given(
+    method=st.sampled_from(METHODS),
+    stream=grouped_streams(),
+    options=ENGINE_OPTIONS,
+    data=st.data(),
+)
+def test_a_prefix_replays_to_a_prefix_of_the_records(method, stream, options, data):
+    layers, events = stream
+    records = replay(make_procedure(method, layers, ALPHA, **options), events)
+    assert replay(make_procedure(method, layers, ALPHA, **options), events) == records
+    k = data.draw(st.integers(0, len(events)), label="prefix length")
+    assert replay(make_procedure(method, layers, ALPHA, **options), events[:k]) == records[:k]
 
 
 def test_event_layer_count_is_checked():
@@ -449,18 +545,6 @@ class TestLayerConfigs:
         assert record.layers[0].threshold == pytest.approx(ALPHA)
         assert record.layers[1].threshold == pytest.approx(0.01)
         assert not record.rejected  # 0.05 fails the strict layer
-
-    def test_per_layer_statistic_transform(self):
-        from layerfdr.core import LayerConfig
-
-        configs = [
-            LayerConfig(),
-            LayerConfig(statistic=lambda e: min(1.0, 2.0 * e.p)),
-        ]
-        proc = make_procedure("ml-LOND", 2, ALPHA, layer_configs=configs)
-        # p itself clears beta_1 but the doubled layer statistic does not
-        record = proc.step(event(1, 0.04, (1, 1)))
-        assert not record.rejected
 
     def test_config_count_must_match_layers(self):
         from layerfdr.core import LayerConfig

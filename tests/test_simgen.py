@@ -11,9 +11,9 @@ from scipy.special import erfc
 from layerfdr.harness import standard_scenarios
 from layerfdr.simgen import (
     ScenarioSpec,
+    _structures,
+    _truths,
     gen_pvalues,
-    gen_structure,
-    gen_truth,
     make_stream,
     make_streams,
     signal_means,
@@ -60,34 +60,34 @@ class TestScenarioSpec:
 class TestStructures:
     def test_block(self):
         spec = ScenarioSpec(structure="block", G=2, n=3)
-        groups = gen_structure(spec, np.random.default_rng(0))
+        groups = make_streams(spec, [0]).groups[0]
         assert groups.tolist() == [1, 1, 1, 2, 2, 2]
 
     def test_interleaved(self):
         spec = ScenarioSpec(structure="interleaved", G=3, n=2)
-        groups = gen_structure(spec, np.random.default_rng(0))
+        groups = make_streams(spec, [0]).groups[0]
         assert groups.tolist() == [1, 2, 3, 1, 2, 3]
 
     def test_unbalanced_never_jumps_at_zero_probability(self):
         spec = ScenarioSpec(structure="unbalanced", G=5, n=8, p1=0.0)
-        groups = gen_structure(spec, np.random.default_rng(3))
+        groups = make_streams(spec, [3]).groups[0]
         assert set(groups.tolist()) == {1}
 
     def test_unbalanced_always_jumps_at_probability_one(self):
         spec = ScenarioSpec(structure="unbalanced", G=5, n=8, p1=1.0)
-        groups = gen_structure(spec, np.random.default_rng(3))
+        groups = make_streams(spec, [3]).groups[0]
         assert all(a != b for a, b in zip(groups, groups[1:]))
         assert set(groups.tolist()) <= set(range(1, 6))
 
     def test_unbalanced_needs_two_groups(self):
         spec = ScenarioSpec(structure="unbalanced", G=1, n=8)
         with pytest.raises(ValueError, match="two groups"):
-            gen_structure(spec, np.random.default_rng(0))
+            make_streams(spec, [0]).groups[0]
 
     @pytest.mark.parametrize("structure", ["block", "interleaved"])
     def test_balanced_group_counts(self, structure):
         spec = ScenarioSpec(structure=structure, G=7, n=4)
-        groups = gen_structure(spec, np.random.default_rng(0))
+        groups = make_streams(spec, [0]).groups[0]
         values, counts = np.unique(groups, return_counts=True)
         assert values.tolist() == list(range(1, 8))
         assert all(counts == 4)
@@ -96,46 +96,37 @@ class TestStructures:
 class TestTruthPatterns:
     def test_fixed_block_baseline_marks_first_forty(self):
         spec = ScenarioSpec(structure="block", pattern="fixed", G=20, n=10, s=20, k=100)
-        rng = np.random.default_rng(0)
-        groups = gen_structure(spec, rng)
-        truths = gen_truth(spec, groups, rng)
+        truths = make_streams(spec, [0]).truths[0]
         assert truths[:40].tolist() == [1] * 40
         assert truths[40:].sum() == 0
 
     def test_fixed_half_features_within_true_groups(self):
         spec = ScenarioSpec(structure="block", pattern="fixed", G=4, n=10, s=50, k=50)
-        rng = np.random.default_rng(0)
-        groups = gen_structure(spec, rng)
-        truths = gen_truth(spec, groups, rng)
+        truths = make_streams(spec, [0]).truths[0]
         # first two groups true, first five features of each
         assert truths.reshape(4, 10).sum(axis=1).tolist() == [5, 5, 0, 0]
         assert truths[:5].tolist() == [1] * 5 and truths[5:10].tolist() == [0] * 5
 
     def test_no_true_groups_when_s_is_zero(self):
         spec = ScenarioSpec(pattern="fixed", s=0)
-        rng = np.random.default_rng(0)
-        groups = gen_structure(spec, rng)
-        assert gen_truth(spec, groups, rng).sum() == 0
+        assert make_streams(spec, [0]).truths[0].sum() == 0
 
     def test_random_saturates_at_full_percentages(self):
         spec = ScenarioSpec(pattern="random", s=100, k=100)
-        rng = np.random.default_rng(0)
-        groups = gen_structure(spec, rng)
-        truths = gen_truth(spec, groups, rng)
+        truths = make_streams(spec, [0]).truths[0]
         assert truths.sum() == spec.total
 
     def test_fixed_pattern_consumes_no_randomness(self):
         spec = ScenarioSpec(pattern="fixed")
-        groups = gen_structure(spec, np.random.default_rng(0))
+        groups = make_streams(spec, [0]).groups[0]
         rng = np.random.default_rng(123)
-        gen_truth(spec, groups, rng)
+        _truths(spec, groups[None], [rng])
         assert rng.bit_generator.state == np.random.default_rng(123).bit_generator.state
 
     def test_random_pattern_respects_sizes(self):
         spec = ScenarioSpec(structure="interleaved", pattern="random", G=20, n=10, s=20, k=50)
-        rng = np.random.default_rng(5)
-        groups = gen_structure(spec, rng)
-        truths = gen_truth(spec, groups, rng)
+        data = make_streams(spec, [5])
+        groups, truths = data.groups[0], data.truths[0]
         per_group = {
             g: int(truths[groups == g].sum()) for g in range(1, 21)
         }
@@ -145,9 +136,9 @@ class TestTruthPatterns:
 
     def test_markov_is_seeded_and_binary(self):
         spec = ScenarioSpec(structure="block", pattern="markov", G=20, n=100, N=2000)
-        groups = gen_structure(spec, np.random.default_rng(0))
-        a = gen_truth(spec, groups, np.random.default_rng(7))
-        b = gen_truth(spec, groups, np.random.default_rng(7))
+        # the block structure draws nothing, so seed 7 drives the labels alone
+        a = make_streams(spec, [7]).truths[0]
+        b = make_streams(spec, [7]).truths[0]
         assert np.array_equal(a, b)
         assert set(np.unique(a).tolist()) <= {0, 1}
         assert 0.2 < a.mean() < 0.8
@@ -441,8 +432,8 @@ def test_generator_is_left_where_the_scalar_loops_leave_it(case, buffered):
         for rng in (ours, theirs):
             # an odd count leaves a half-word in the generator's buffer
             rng.integers(1, 7, buffered)
-        groups = gen_structure(spec, ours)
-        truths = gen_truth(spec, groups, ours)
+        groups = _structures(spec, [ours])[0]
+        truths = _truths(spec, groups[None], [ours])[0]
         expected_groups = reference_structure(spec, theirs)
         expected_truths = reference_truth(spec, expected_groups, theirs)
         assert groups.dtype == expected_groups.dtype and np.array_equal(groups, expected_groups)
@@ -468,7 +459,7 @@ def test_walks_that_use_a_block_up_read_the_next(case):
     refills = 0
     for seed in range(20):
         bit_gen = CountingPCG64(seed)
-        groups = gen_structure(spec, np.random.Generator(bit_gen))
+        groups = _structures(spec, [np.random.Generator(bit_gen)])[0]
         # one block, then one read to advance past the words used
         refills += bit_gen.reads > 2
         assert np.array_equal(groups, reference_structure(spec, np.random.default_rng(seed)))
@@ -493,7 +484,7 @@ def test_a_tie_at_the_jump_test_stays_put(seed, above):
 def test_unbalanced_structure_needs_pcg64():
     rng = np.random.Generator(np.random.MT19937(0))
     with pytest.raises(TypeError, match="PCG64"):
-        gen_structure(UNBALANCED, rng)
+        _structures(UNBALANCED, [rng])
 
 
 def test_make_streams_needs_a_seed():
