@@ -7,10 +7,10 @@ replicates, master_seed.  Flags always take precedence over file values.
 
 Stream mode reads one JSON object per line with fields ``p`` (number) and
 ``groups`` (array of M integers in layer order) and answers each with
-``{"t", "reject", "tested_layers", "thresholds", "halted"}``.  A malformed
-line, or one the event or engine checks reject (p outside [0, 1], a negative
-group id, the wrong number of ids), produces an error record carrying the
-line number and does not advance the stream clock.
+``{"t", "reject", "tested_layers", "thresholds", "halted"}``.  A line that is
+not UTF-8 or not well-formed, or one the event or engine checks reject (p
+outside [0, 1], a negative group id, the wrong number of ids), produces an
+error record carrying the line number and does not advance the stream clock.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -227,15 +227,23 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
         return EXIT_USAGE
     if source is not None or args.input == "-":
         # the caller's source and stdin stay open
-        opened = nullcontext(source if source is not None else sys.stdin)
+        opened = nullcontext(source if source is not None else sys.stdin.buffer)
     else:
         try:
-            opened = Path(args.input).open("r", encoding="utf-8")
+            opened = Path(args.input).open("rb")
         except OSError as exc:
             print(f"stream: cannot read input file: {exc}", file=sys.stderr)
             return EXIT_USAGE
     with opened as source:
         for line_number, raw in enumerate(source, 1):
+            # files and stdin are read as bytes, so one line that is not
+            # UTF-8 gets an error record instead of ending the session
+            if isinstance(raw, bytes):
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    _stream_error(line_number, f"line is not UTF-8: {exc.reason}", sink)
+                    continue
             if not raw.strip():
                 continue
             try:

@@ -27,7 +27,11 @@ therefore leaves the procedure unchanged.
 ``replay`` drives one stream event by event.  ``lockstep_rejections`` runs
 many independent simulated streams side by side as numpy arrays over the
 replicate axis, for the default configurations only, and reaches the same
-decisions.
+decisions.  It takes the group ids of any number of partitions, shape
+(R, N, P), and treats the individual level as one more layer whose groups
+are the arrivals, so every layer shares one per-group update; each rule
+keeps only the state it reads (discovery counts, arrival counts for the
+modified LOND, LORD gaps or wealth).
 """
 
 from __future__ import annotations
@@ -149,7 +153,9 @@ def validate_policy(
     0 <= reward <= min(spend / power_bound + alpha, spend / level + alpha + 1).
     Rules are evaluated against a pristine layer snapshot (initial wealth
     alpha, no discoveries), so state-dependent rules are spot-checked at
-    that snapshot only.  Returns the first violation or an ok report.
+    that snapshot only.  Returns the first violation or an ok report; an
+    invalid power bound or level, or a non-finite spend or reward, raises
+    ValueError.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -164,6 +170,7 @@ def validate_policy(
             raise ValueError(f"invalid significance level at t={t}: {level}")
         spend = policy.spend(t, snapshot)
         reward = policy.reward(t, snapshot)
+        _check_charges(t, spend, reward)
         power_cap = spend / rho + alpha
         level_cap = spend / level + alpha + 1.0
         if reward < -tolerance or reward > min(power_cap, level_cap) + tolerance:
@@ -171,6 +178,13 @@ def validate_policy(
                 ok=False, t=t, reward=reward, power_cap=power_cap, level_cap=level_cap
             )
     return PolicyReport(ok=True)
+
+
+def _check_charges(t: int, spend: float, reward: float) -> None:
+    # every comparison with NaN is false, so a NaN charge would pass the
+    # admissibility scan and freeze a stream's wealth at NaN, never halting
+    if not (math.isfinite(spend) and math.isfinite(reward)):
+        raise ValueError(f"non-finite spend or reward at t={t}: {spend}, {reward}")
 
 
 class OnlineProcedure:
@@ -351,6 +365,7 @@ class AlphaInvesting(OnlineProcedure):
                 raise ValueError(f"significance level outside (0, 1]: {level}")
             levels[m] = level
             charges[m] = (policy.spend(t, state), policy.reward(t, state))
+            _check_charges(t, *charges[m])
         return levels, charges
 
     def _settle(self, t: int, pending: list[int], rejected: bool, charges) -> None:
@@ -454,19 +469,18 @@ def make_procedure(
     eta: float = 1.0,
     *,
     untested: str = UNTESTED_LITERAL,
-    policy: Optional[SpendingPolicy] = None,
     layer_configs: Optional[Sequence[LayerConfig]] = None,
 ) -> OnlineProcedure:
     """Instantiate a procedure by method name.
 
     The ``ml-`` prefix only documents intent — the engine is the same; the
     multi-layer character comes from the layer count and the group ids the
-    events carry.  ``layer_configs`` optionally customizes individual layers
-    (level sequence, spending policy); unset entries fall back to the shared
-    defaults.
+    events carry.  ``layer_configs``, one per layer, is the way to set a
+    layer's level sequence or spending policy; unset entries fall back to
+    ``BetaSequence(alpha)`` and ``simple_choice(alpha)``.
     """
     name = method[3:] if method.startswith("ml-") else method
-    shared_policy = policy if policy is not None else simple_choice(alpha)
+    default_policy = simple_choice(alpha)
     default_beta = BetaSequence(alpha)
     if layer_configs is None:
         layer_configs = (LayerConfig(),) * layers
@@ -477,7 +491,7 @@ def make_procedure(
         for config in layer_configs
     )
     policies = tuple(
-        config.spending_policy if config.spending_policy is not None else shared_policy
+        config.spending_policy if config.spending_policy is not None else default_policy
         for config in layer_configs
     )
     if name == "GAI":
@@ -514,119 +528,94 @@ def lockstep_rejections(
 ) -> np.ndarray:
     """Rejected mask, shape (R, N), of R independent streams run in lockstep.
 
-    Row r of ``pvalues`` is one stream of N p-values.  Without ``groups`` the
-    rows run as ``make_procedure(method, 1, alpha, eta)`` on events with
-    group_index (t,); with ``groups`` of shape (R, N) they run as
-    ``make_procedure(method, 2, alpha, eta)`` on events with group_index
-    (t, groups[r, t - 1]).  Only the defaults are covered: the simple-choice
-    spending policy and the inverse-square level sequence.
+    Row r of ``pvalues`` is one stream of N p-values.  ``groups`` holds the
+    group ids of P partitions, shape (R, N, P), or (R, N) for P = 1; None
+    means P = 0.  Row r runs as ``make_procedure(method, 1 + P, alpha, eta)``,
+    with simple-choice spending and inverse-square levels, on events with
+    group_index (t, *groups[r, t - 1]); the mask equals replay's, row for row.
 
-    The individual layer has singleton groups, so it is always pending and
-    its effective-test count is t; only the group layer keeps per-group
-    arrays, of R x (largest id + 1) cells, or of R x N cells once the
-    largest id is N or more.  Every threshold and wealth update is the step
-    engine's float64 arithmetic, so the mask equals
-    ``[r.rejected for r in replay(...)]`` row for row.  After an
-    alpha-investing halt a row is neither tested nor rejected.
+    Layer 0 is the individual layer, whose group id is the arrival index.
+    All 1 + P layers share state of shape (1 + P, R) and one per-group
+    update, and each rule keeps only the state it reads: discovery counts for
+    LOND, plus per-group arrival counts for LOND_m, gaps for LORD, wealth for
+    GAI.  After an alpha-investing halt a row is neither tested nor rejected.
     """
     rule = method[3:] if method.startswith("ml-") else method
     if rule not in ("GAI", "LOND", "LOND_m", "LORD"):
         raise ValueError(f"unknown method name: {method!r}")
-    p_by_step = np.ascontiguousarray(np.asarray(pvalues, dtype=float).T)
-    steps, reps = p_by_step.shape
-    rejected = np.zeros((steps, reps), dtype=bool)
+    # one (1, R) row per step, which broadcasts cheaply against (M, R) state
+    p_by_step = np.ascontiguousarray(np.asarray(pvalues, dtype=float).T)[:, None]
+    steps, _, reps = p_by_step.shape
+    groups = np.zeros((reps, steps, 0)) if groups is None else np.asarray(groups)
+    if groups.shape[:2] != (reps, steps) or groups.ndim > 3:
+        raise ValueError(f"groups has shape {groups.shape}, not ({reps}, {steps}[, P])")
+    if groups.size and groups.min() < 0:
+        raise ValueError("group ids must be non-negative")
+    partitions = np.moveaxis(np.atleast_3d(groups).astype(np.int64), 2, 0)
+    individual = np.broadcast_to(np.arange(steps), (reps, steps))
+    ids = np.stack([individual, *map(_dense_ids, partitions)])
+    layers = len(ids)
+    # flat (layer, replicate, group) cell of each arrival, one (M, R) block per step
+    offsets = steps * np.arange(layers * reps).reshape(layers, reps, 1)
+    cells = np.ascontiguousarray((ids + offsets).transpose(2, 0, 1))
+    decided_groups = np.zeros(ids.size, dtype=bool)
+    rejected = np.zeros((steps, 1, reps), dtype=bool)
     # levels[j] is the j-th element of the level sequence; no index (t, an
     # effective-test count or a LORD gap) exceeds the number of steps
-    sequence = BetaSequence(alpha)
-    levels = np.array([0.0] + [sequence.value(j) for j in range(1, steps + 1)])
-    rejections = np.zeros(reps, dtype=np.int64)
-    gap = np.ones(reps, dtype=np.int64)
-    grouped = groups is not None
-    if grouped:
-        groups = np.asarray(groups, dtype=np.int64)
-        if groups.shape != (reps, steps):
-            raise ValueError(
-                f"groups has shape {groups.shape}, expected {(reps, steps)}"
-            )
-        if reps and groups.min() < 0:
-            raise ValueError("group ids must be non-negative")
-        width = int(groups.max()) + 1 if reps else 1
-        if width > steps:
-            # decisions only compare ids within a row: number each row's
-            # distinct ids densely so the tables stay R x N
-            rows = np.repeat(np.arange(reps), steps)
-            pairs = np.column_stack([rows, groups.ravel()])
-            _, pair = np.unique(pairs, axis=0, return_inverse=True)
-            pair = pair.reshape(reps, steps)
-            groups, width = pair - pair.min(axis=1, keepdims=True), steps
-        # flat (replicate, group) cell of each arrival, one row per step
-        cells = np.ascontiguousarray((groups + width * np.arange(reps)[:, None]).T)
-        group_rejected = np.zeros(reps * width, dtype=bool)
-        seen = np.zeros(reps * width, dtype=np.int64)
-        seen_in_rejected = np.zeros(reps, dtype=np.int64)
-        group_rejections = np.zeros(reps, dtype=np.int64)
-        group_gap = np.ones(reps, dtype=np.int64)
+    levels = np.array([0.0, *map(BetaSequence(alpha).value, range(1, steps + 1))])
     if rule == "GAI":
         # the simple-choice rules are constant, so one evaluation serves every step
-        policy = simple_choice(alpha)
-        snapshot = LayerState()
+        policy, snapshot = simple_choice(alpha), LayerState()
         level = policy.alpha_level(1, snapshot)
-        spend = policy.spend(1, snapshot)
-        reward = policy.reward(1, snapshot)
-        wealth = np.full(reps, alpha * eta)
-        group_wealth = np.full(reps, alpha * eta)
-        halted = np.zeros(reps, dtype=bool)
+        spend, reward = policy.spend(1, snapshot), policy.reward(1, snapshot)
+        wealth = np.full((layers, reps), alpha * eta)
+        halted = np.zeros((1, reps), dtype=bool)
+    elif rule == "LORD":
+        gap = np.ones((layers, reps), dtype=np.int64)
+    else:
+        rejections = np.zeros((layers, reps), dtype=np.int64)
+        if rule == "LOND_m":
+            seen = np.zeros(decided_groups.size, dtype=np.int64)
+            seen_in_rejected = np.zeros((layers, reps), dtype=np.int64)
 
-    for i in range(steps):
-        t = i + 1
-        p = p_by_step[i]
-        if grouped:
-            cell = cells[i]
-            pending = ~group_rejected[cell]
-            seen[cell] += 1
-            seen_in_rejected += ~pending
+    for t, (p, cell) in enumerate(zip(p_by_step, cells), 1):
+        decided = decided_groups[cell]
         if rule == "GAI":
-            threshold = group_threshold = level
+            threshold = level
         elif rule == "LORD":
             threshold = levels[gap]
-            if grouped:
-                group_threshold = levels[group_gap]
         else:
-            threshold = np.minimum(1.0, levels[t] * (rejections + 1))
-            if grouped:
-                index = t - seen_in_rejected + group_rejections if rule == "LOND_m" else t
-                group_threshold = np.minimum(1.0, levels[index] * (group_rejections + 1))
-        hit = p < threshold
-        if grouped:
-            hit &= (p < group_threshold) | ~pending
+            index = t - seen_in_rejected + rejections if rule == "LOND_m" else t
+            threshold = np.minimum(1.0, levels[index] * (rejections + 1))
+        hit = ((p < threshold) | decided).all(axis=0, keepdims=True)
         if rule == "GAI":
             hit &= ~halted
-        rejected[i] = hit
-        rejections += hit
-        if grouped:
-            newly = hit & pending
-            group_rejected[cell[newly]] = True
-            group_rejections += newly
-            # the group's arrivals so far collapse into its one test
-            seen_in_rejected += np.where(newly, seen[cell], 0)
-        if rule == "LORD":
-            gap = np.where(hit, 1, gap + 1)
-            if grouped:
-                group_gap = np.where(newly, 1, group_gap + pending)
-        elif rule == "GAI":
-            live = ~halted
-            wealth = np.where(
-                hit, wealth + reward - spend, np.where(live, wealth - spend, wealth)
-            )
-            if grouped:
-                group_wealth = np.where(
-                    newly,
-                    group_wealth + reward - spend,
-                    np.where(live & pending, group_wealth - spend, group_wealth),
-                )
-                halted |= np.minimum(wealth, group_wealth) <= 0.0
-            else:
-                halted |= wealth <= 0.0
+        rejected[t - 1] = hit
+        newly = hit & ~decided
+        decided_groups[cell] = decided | hit
+        if rule == "GAI":
+            spent = np.where(decided | halted, wealth, wealth - spend)
+            wealth = np.where(newly, wealth + reward - spend, spent)
+            halted |= (wealth <= 0.0).any(axis=0, keepdims=True)
             if halted.all():
                 break
-    return rejected.T
+        elif rule == "LORD":
+            gap += ~decided
+            gap[newly] = 1
+        else:
+            rejections += newly
+            if rule == "LOND_m":
+                # a decided group's arrivals, past and future, are its one test
+                seen[cell] += 1
+                seen_in_rejected += np.where(newly, seen[cell], decided)
+    return rejected[:, 0].T
+
+
+def _dense_ids(ids: np.ndarray) -> np.ndarray:
+    """Ids of shape (R, N) renumbered densely per row once any reaches N."""
+    reps, steps = ids.shape
+    if not ids.size or ids.max() < steps:
+        return ids
+    pairs = np.column_stack([np.repeat(np.arange(reps), steps), ids.ravel()])
+    pair = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(reps, steps)
+    return pair - pair.min(axis=1, keepdims=True)

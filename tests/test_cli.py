@@ -245,6 +245,15 @@ class TestStream:
         assert "expected 2" in out[0]["error"]
         assert out[1]["t"] == 1  # invalid lines do not advance the clock
 
+    def test_non_utf8_line_keeps_streaming(self, tmp_path, capsys):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b'\xff\xfe{"p": 0.5}\n{"p": 0.5, "groups": [1]}\n')
+        argv = ["stream", "--method", "ml-LORD", "--layers", "1", "--input", str(path)]
+        assert main(argv) == 0
+        out = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert out[0]["line"] == 1 and "UTF-8" in out[0]["error"]
+        assert out[1]["t"] == 1
+
     def test_malformed_line_keeps_streaming(self):
         code, out = run_stream(
             ["--method", "ml-LORD", "--layers", "1"],
@@ -364,6 +373,12 @@ class TestValidate:
         code = main(["validate", "--alpha", "0.1", "--rho", "1.5"])
         assert code == 2
         assert "power bound" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("flag", ["--phi", "--psi"])
+    def test_non_finite_charge_exits_2(self, flag, value, capsys):
+        assert main(["validate", "--alpha", "0.1", flag, value]) == 2
+        assert "non-finite spend or reward" in capsys.readouterr().err
 
 
 def test_usage_error_exits_2():

@@ -31,23 +31,22 @@ ALPHA = 0.1
 
 
 def reference_mask(method, pvalues, groups, alpha=ALPHA, eta=1.0):
-    """Rejections of each row replayed through the step engine."""
+    """Rejections of each row replayed through the step engine.
+
+    ``groups`` holds P partitions, shape (R, N, P), or one, shape (R, N), and
+    None means none: row r runs on events (t, g1, ..., gP) with 1 + P layers.
+    """
+    shape = np.shape(pvalues)
+    groups = np.zeros(shape + (0,), int) if groups is None else np.atleast_3d(groups)
     rows = []
     for r, row in enumerate(pvalues):
-        if groups is None:
-            events = [
-                HypothesisEvent(t=t, p=float(p), group_index=(t,))
-                for t, p in enumerate(row, 1)
-            ]
-            procedure = make_procedure(method, 1, alpha, eta)
-        else:
-            events = [
-                HypothesisEvent(t=t, p=float(p), group_index=(t, int(g)))
-                for t, (p, g) in enumerate(zip(row, groups[r]), 1)
-            ]
-            procedure = make_procedure(method, 2, alpha, eta)
+        events = [
+            HypothesisEvent(t=t, p=float(p), group_index=(t, *map(int, ids)))
+            for t, (p, ids) in enumerate(zip(row, groups[r]), 1)
+        ]
+        procedure = make_procedure(method, 1 + groups.shape[2], alpha, eta)
         rows.append([record.rejected for record in replay(procedure, events)])
-    return np.array(rows, dtype=bool).reshape(np.shape(pvalues))
+    return np.array(rows, dtype=bool).reshape(shape)
 
 
 def assert_matches_replay(method, pvalues, groups=None, alpha=ALPHA, eta=1.0):
@@ -61,6 +60,20 @@ def assert_matches_replay(method, pvalues, groups=None, alpha=ALPHA, eta=1.0):
 
 def grouped(method):
     return method.startswith("ml-")
+
+
+def partition_counts(method):
+    """The single-layer rules run alone; the ml rules with one partition, as
+    run_cell passes it, and with two."""
+    return (1, 2) if grouped(method) else (0,)
+
+
+def partitioned(partitions, first, second):
+    """Group ids of ``partitions`` partitions: None, ``first`` of shape
+    (R, N), or ``first`` and ``second`` stacked to shape (R, N, 2)."""
+    if partitions < 2:
+        return first if partitions else None
+    return np.stack([first, second], axis=-1)
 
 
 @pytest.mark.parametrize("panel", sorted(standard_scenarios()))
@@ -96,20 +109,30 @@ def test_pvalues_equal_to_issued_thresholds(method):
     pool = [0.0, 1.0, ALPHA] + [
         min(1.0, sequence.value(j) * k) for j in range(1, n + 1) for k in (1, 2, 3)
     ]
-    rng = np.random.default_rng(11)
-    pvalues = rng.choice(np.array(pool), size=(40, n))
-    groups = rng.integers(0, 4, size=(40, n)) if grouped(method) else None
-    assert_matches_replay(method, pvalues, groups)
+    for partitions in partition_counts(method):
+        rng = np.random.default_rng(11)
+        pvalues = rng.choice(np.array(pool), size=(40, n))
+        groups = partitioned(
+            partitions,
+            rng.integers(0, 4, size=(40, n)),
+            rng.integers(0, 30, size=(40, n)),
+        )
+        assert_matches_replay(method, pvalues, groups)
 
 
 @pytest.mark.parametrize("method", METHODS)
 def test_unit_and_zero_pvalues(method):
-    rng = np.random.default_rng(5)
-    pvalues = rng.integers(0, 2, size=(30, 50)).astype(float)
-    groups = rng.integers(1, 6, size=(30, 50)) if grouped(method) else None
-    got = assert_matches_replay(method, pvalues, groups)
-    # a unit p-value clears no threshold
-    assert not got[pvalues == 1.0].any()
+    for partitions in partition_counts(method):
+        rng = np.random.default_rng(5)
+        pvalues = rng.integers(0, 2, size=(30, 50)).astype(float)
+        groups = partitioned(
+            partitions,
+            rng.integers(1, 6, size=(30, 50)),
+            rng.integers(0, 10, size=(30, 50)),
+        )
+        got = assert_matches_replay(method, pvalues, groups)
+        # a unit p-value clears no threshold
+        assert not got[pvalues == 1.0].any()
 
 
 @pytest.mark.parametrize("method", ["GAI", "ml-GAI"])
@@ -118,11 +141,14 @@ def test_investing_halt_in_mid_stream(method):
     # after the halt are neither tested nor rejected
     row = [0.0] * 3 + [1.0] * 10 + [0.0] * 5
     pvalues = np.array([row, [0.5] * len(row)])
-    groups = np.array([list(range(1, 19)), [1] * 18]) if grouped(method) else None
-    got = assert_matches_replay(method, pvalues, groups)
-    assert got[0, :3].all()
-    assert not got[0, 3:].any()
-    assert not got[1].any()
+    for partitions in partition_counts(method):
+        # the second partition pairs up the first's groups in row 0
+        first = np.array([list(range(1, 19)), [1] * 18])
+        groups = partitioned(partitions, first, first // 2)
+        got = assert_matches_replay(method, pvalues, groups)
+        assert got[0, :3].all()
+        assert not got[0, 3:].any()
+        assert not got[1].any()
 
 
 def test_investing_rows_halt_at_different_steps():
@@ -132,25 +158,35 @@ def test_investing_rows_halt_at_different_steps():
     for method in ("GAI", "ml-GAI"):
         groups = rng.integers(1, 8, size=pvalues.shape) if grouped(method) else None
         assert_matches_replay(method, pvalues, groups)
+    groups = np.stack([rng.integers(1, 8, size=pvalues.shape)] * 2, axis=-1)
+    groups[..., 1] //= 2
+    assert_matches_replay("ml-GAI", pvalues, groups)
 
 
 @pytest.mark.parametrize("method", ["ml-LOND", "ml-LOND_m", "ml-LORD", "ml-GAI"])
 def test_arrivals_into_rejected_groups(method):
     # few groups and small p-values: groups are decided early and keep
     # receiving arrivals, which collapse into their one test
-    rng = np.random.default_rng(23)
-    pvalues = rng.random((20, 120)) ** 6
-    groups = rng.integers(1, 4, size=(20, 120))
-    assert_matches_replay(method, pvalues, groups)
-    procedure = make_procedure(method, 2, ALPHA)
-    records = replay(
-        procedure,
-        [
-            HypothesisEvent(t=t, p=float(p), group_index=(t, int(g)))
-            for t, (p, g) in enumerate(zip(pvalues[0], groups[0]), 1)
-        ],
-    )
-    assert any(not record.layers[1].tested for record in records)
+    for partitions in partition_counts(method):
+        rng = np.random.default_rng(23)
+        pvalues = rng.random((20, 120)) ** 6
+        groups = partitioned(
+            partitions,
+            rng.integers(1, 4, size=(20, 120)),
+            rng.integers(0, 20, size=(20, 120)),
+        )
+        assert_matches_replay(method, pvalues, groups)
+        ids = np.atleast_3d(groups)[0]
+        procedure = make_procedure(method, 1 + partitions, ALPHA)
+        records = replay(
+            procedure,
+            [
+                HypothesisEvent(t=t, p=float(p), group_index=(t, *map(int, g)))
+                for t, (p, g) in enumerate(zip(pvalues[0], ids), 1)
+            ],
+        )
+        for layer in range(1, 1 + partitions):
+            assert any(not record.layers[layer].tested for record in records)
 
 
 def test_lond_m_indexes_by_effective_tests():
@@ -164,26 +200,43 @@ def test_lond_m_indexes_by_effective_tests():
     plain = assert_matches_replay("ml-LOND", pvalues, groups)
     assert modified[0].tolist() == [True] * 5
     assert plain[0].tolist() == [True] * 4 + [False]
+    # a second partition that binds: its group 0 takes the first ten
+    # discoveries, so at t=100 it has performed 91 tests with one discovery,
+    # threshold beta(91) * 2 ~ 1.5e-5, below the individual and first
+    # partition's beta(100) * 11 ~ 6.7e-5
+    pvalues = np.array([[0.0] * 10 + [0.5] * 89 + [3e-5]])
+    first = np.arange(1, 101)[None]
+    second = np.where(first <= 10, 0, first)
+    alone = assert_matches_replay("ml-LOND_m", pvalues, first)
+    both = assert_matches_replay("ml-LOND_m", pvalues, np.stack([first, second], -1))
+    assert alone[0, -1] and not both[0, -1]
 
 
 @pytest.mark.parametrize("method", ["ml-LOND", "ml-LOND_m", "ml-LORD", "ml-GAI"])
 def test_sparse_group_ids_keep_the_tables_small(method):
     # the tables follow the arrivals, not the largest id
-    pvalues = np.array([[0.001, 0.5, 0.002, 0.01], [0.3, 0.0001, 0.02, 0.003]])
-    groups = np.array([[10**7, 3, 10**7, 5], [0, 10**7, 2, 10**7 - 1]])
-    tracemalloc.start()
-    try:
-        lockstep_rejections(method, pvalues, groups, ALPHA)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
-    assert_matches_replay(method, pvalues, groups)
-    # ids shared across rows and repeated within them, up to 2**62
-    rng = np.random.default_rng(31)
-    pvalues = rng.random((6, 50)) ** 4
-    groups = rng.choice(np.array([0, 7, 10**7, 2**40, 2**62]), size=(6, 50))
-    assert_matches_replay(method, pvalues, groups, eta=5.0)
+    for partitions in partition_counts(method):
+        # the second partition's ids stay below N, so only the first is renumbered
+        pvalues = np.array([[0.001, 0.5, 0.002, 0.01], [0.3, 0.0001, 0.02, 0.003]])
+        first = np.array([[10**7, 3, 10**7, 5], [0, 10**7, 2, 10**7 - 1]])
+        groups = partitioned(partitions, first, np.array([[0, 1, 1, 0], [2, 2, 1, 1]]))
+        tracemalloc.start()
+        try:
+            lockstep_rejections(method, pvalues, groups, ALPHA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert_matches_replay(method, pvalues, groups)
+        # ids shared across rows and repeated within them, up to 2**62
+        rng = np.random.default_rng(31)
+        pvalues = rng.random((6, 50)) ** 4
+        groups = partitioned(
+            partitions,
+            rng.choice(np.array([0, 7, 10**7, 2**40, 2**62]), size=(6, 50)),
+            rng.integers(0, 20, size=(6, 50)),
+        )
+        assert_matches_replay(method, pvalues, groups, eta=5.0)
 
 
 def test_empty_and_validation():
@@ -192,6 +245,8 @@ def test_empty_and_validation():
         lockstep_rejections("BH", np.zeros((1, 3)), None, ALPHA)
     with pytest.raises(ValueError, match="shape"):
         lockstep_rejections("ml-LORD", np.zeros((2, 3)), np.ones((2, 4), dtype=int), ALPHA)
+    with pytest.raises(ValueError, match="shape"):
+        lockstep_rejections("ml-LORD", np.zeros((2, 3)), np.ones((2, 4, 2), dtype=int), ALPHA)
     with pytest.raises(ValueError, match="non-negative"):
         lockstep_rejections("ml-LORD", np.zeros((1, 2)), np.array([[1, -1]]), ALPHA)
 

@@ -61,6 +61,14 @@ class TestValidatePolicy:
         with pytest.raises(ValueError):
             validate_policy(simple_choice(ALPHA), ALPHA, horizon=0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("charge", ["spend", "reward"])
+    def test_non_finite_charge_raises(self, value, charge):
+        charges = {"spend": PHI, "reward": PSI, charge: value}
+        policy = constant_policy(ALPHA, charges["spend"], charges["reward"])
+        with pytest.raises(ValueError, match="non-finite spend or reward"):
+            validate_policy(policy, ALPHA, horizon=10)
+
 
 class TestBetaSequence:
     def test_default_family_closed_form(self):
@@ -398,14 +406,23 @@ def wired_procedure(method, layers, wire, layer, **kwargs):
 
 class TestFailedStepLeavesStreamUnchanged:
     def test_invalid_level_rolls_back_the_arrival(self):
-        proc = make_procedure(
-            "ml-GAI", 2, ALPHA, policy=constant_policy(1.5, ALPHA, 0.2)
-        )
+        config = LayerConfig(spending_policy=constant_policy(1.5, ALPHA, 0.2))
+        proc = make_procedure("ml-GAI", 2, ALPHA, layer_configs=[config] * 2)
         fresh = make_procedure("ml-GAI", 2, ALPHA)
         with pytest.raises(ValueError, match="significance level"):
             proc.step(event(1, 0.01, (1, 1)))
         assert proc.t == 0
         assert proc.states == fresh.states
+
+    @pytest.mark.parametrize("spend, reward", [(math.nan, 0.2), (ALPHA, math.inf)])
+    def test_non_finite_charge_leaves_the_state_unchanged(self, spend, reward):
+        # a NaN wealth never compares <= 0, so the stream would never halt
+        config = LayerConfig(spending_policy=constant_policy(0.1, spend, reward))
+        proc = make_procedure("GAI", 1, ALPHA, layer_configs=[config])
+        with pytest.raises(ValueError, match="non-finite spend or reward"):
+            proc.step(event(1, 0.01, (1,)))
+        assert proc.t == 0
+        assert proc.states == make_procedure("GAI", 1, ALPHA).states
 
     def test_next_valid_step_equals_a_fresh_first_step(self):
         # the group layer's level fails after the individual layer's is computed
