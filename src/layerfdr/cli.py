@@ -259,9 +259,8 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
                 _stream_error(line_number, "field 'p' must be a number", sink)
                 continue
             groups = payload.get("groups")
-            if not isinstance(groups, list) or any(
-                isinstance(g, bool) or not isinstance(g, int) for g in groups
-            ):
+            # json.loads gives int, never a subclass, for an integer; bool is excluded
+            if not isinstance(groups, list) or not all(type(g) is int for g in groups):
                 _stream_error(line_number, "field 'groups' must be an array of integers", sink)
                 continue
             # the event and the engine check ranges and the group count; a
@@ -274,18 +273,14 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
             except (ValueError, OverflowError) as exc:
                 _stream_error(line_number, str(exc), sink)
                 continue
+            # the bytes json.dumps writes for this dict, built in one pass
+            tested = record.tested_layers()
+            thresholds = ", ".join([repr(record.layers[m].threshold) for m in tested])
             print(
-                json.dumps(
-                    {
-                        "t": record.t,
-                        "reject": bool(record.rejected),
-                        "tested_layers": record.tested_layers(),
-                        "thresholds": [
-                            record.layers[m].threshold for m in record.tested_layers()
-                        ],
-                        "halted": record.halted,
-                    }
-                ),
+                f'{{"t": {record.t}, "reject": {"true" if record.rejected else "false"}, '
+                f'"tested_layers": [{", ".join(map(str, tested))}], '
+                f'"thresholds": [{thresholds}], '
+                f'"halted": {"true" if record.halted else "false"}}}',
                 file=sink,
             )
     return EXIT_OK

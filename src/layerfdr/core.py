@@ -15,7 +15,7 @@ streams are independent and safe to process in parallel.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from .procedures import BetaSequence, SpendingPolicy
@@ -43,7 +43,7 @@ class HypothesisEvent:
             raise ValueError(f"time index must be >= 1, got {self.t}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"p-value outside [0, 1]: {self.p}")
-        if any(g < 0 for g in self.group_index):
+        if self.group_index and min(self.group_index) < 0:
             raise ValueError("group ids must be non-negative")
         if self.truth not in (None, 0, 1):
             raise ValueError(f"truth label must be 0 or 1, got {self.truth}")
@@ -70,6 +70,8 @@ class LayerState:
     ``seen_in_rejected`` counts hypotheses seen so far whose group is
     currently rejected; together with ``rejections`` it supports the O(1)
     effective-test count (each rejected group collapses to one test).
+    ``seen_per_group`` counts arrivals in undecided groups only: a rejected
+    group's count moves into ``seen_in_rejected`` and its entry is dropped.
     ``wealth`` is set on alpha-investing layers only and
     ``since_last_discovery``, the LORD counter starting at 1, on LORD layers
     only; both stay None elsewhere.
@@ -84,25 +86,29 @@ class LayerState:
 
     def observe(self, group: int) -> None:
         """Record an arrival in ``group``."""
-        self.seen_per_group[group] = self.seen_per_group.get(group, 0) + 1
         if group in self.rejected_groups:
             self.seen_in_rejected += 1
+        else:
+            self.seen_per_group[group] = self.seen_per_group.get(group, 0) + 1
 
     def mark_rejected(self, group: int) -> None:
         """Flip the group decision to rejected (irrevocable)."""
         self.rejected_groups.add(group)
         self.rejections += 1
         # all hypotheses already seen in this group collapse into one test
-        self.seen_in_rejected += self.seen_per_group.get(group, 0)
+        self.seen_in_rejected += self.seen_per_group.pop(group, 0)
 
     def effective_tests(self, t: int) -> int:
         """Number of tests actually performed in this layer by time t."""
         return t - self.seen_in_rejected + self.rejections
 
 
-@dataclass(frozen=True)
-class LayerOutcome:
-    """Post-step snapshot of one layer inside a DecisionRecord."""
+class LayerOutcome(NamedTuple):
+    """Post-step snapshot of one layer inside a DecisionRecord.
+
+    A NamedTuple because one is built per layer on every step, at about a
+    third of a frozen dataclass's cost; its fields read by name.
+    """
 
     tested: bool
     threshold: Optional[float]

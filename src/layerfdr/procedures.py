@@ -245,24 +245,26 @@ class OnlineProcedure:
         self._check_event(event)
         t = self.t + 1
         groups = event.group_index
-        pending = [
-            m
-            for m, state in enumerate(self.states)
-            if groups[m] not in state.rejected_groups
-        ]
+        states = self.states
+        pending = [m for m, state in enumerate(states) if groups[m] not in state.rejected_groups]
         if pending:
             thresholds, charges = self._thresholds(t, pending)
-            rejected = all(event.p < thresholds[m] for m in pending)
+            p = event.p
+            rejected = True
+            for m in pending:
+                if not p < thresholds[m]:
+                    rejected = False
+                    break
         else:
             # every layer's group is already decided; nothing to test or charge
             thresholds, charges = {}, None
             rejected = self.untested == UNTESTED_LITERAL
         self.t = t
-        for m, state in enumerate(self.states):
-            state.observe(groups[m])
+        for state, group in zip(states, groups):
+            state.observe(group)
         if rejected:
             for m in pending:
-                self.states[m].mark_rejected(groups[m])
+                states[m].mark_rejected(groups[m])
         self._settle(t, pending, rejected, charges)
         return self._finish(t, event, rejected, thresholds)
 
@@ -272,8 +274,8 @@ class OnlineProcedure:
             raise RuntimeError("skip() is only valid after the stream has halted")
         self._check_event(event)
         self.t += 1
-        for m, state in enumerate(self.states):
-            state.observe(event.group_index[m])
+        for state, group in zip(self.states, event.group_index):
+            state.observe(group)
         return self._finish(self.t, event, False, {})
 
     def run_pvalues(self, pvalues: Sequence[float]) -> list[DecisionRecord]:
@@ -307,26 +309,22 @@ class OnlineProcedure:
         halted = self._exhausted()
         outcomes = []
         for m, state in enumerate(self.states):
-            tested = m in thresholds
+            threshold = thresholds.get(m)
+            tested = threshold is not None
+            rejections = state.rejections
             outcomes.append(
                 LayerOutcome(
-                    tested=tested,
-                    threshold=thresholds.get(m),
-                    newly_rejected=tested and rejected,
-                    wealth=state.wealth,
-                    rejections=state.rejections,
-                    effective_tests=state.effective_tests(t),
-                    since_last_discovery=state.since_last_discovery,
+                    tested,
+                    threshold,
+                    tested and rejected,
+                    state.wealth,
+                    rejections,
+                    t - state.seen_in_rejected + rejections,
+                    state.since_last_discovery,
                 )
             )
         self.halted = halted
-        return DecisionRecord(
-            t=t,
-            rejected=rejected,
-            group_index=event.group_index,
-            layers=tuple(outcomes),
-            halted=halted,
-        )
+        return DecisionRecord(t, rejected, event.group_index, tuple(outcomes), halted)
 
 
 class AlphaInvesting(OnlineProcedure):
@@ -438,10 +436,8 @@ class Lord(OnlineProcedure):
             state.since_last_discovery = 1
 
     def _thresholds(self, t: int, pending: list[int]):
-        return {
-            m: self.betas[m].value(self.states[m].since_last_discovery)
-            for m in pending
-        }, None
+        betas, states = self.betas, self.states
+        return {m: betas[m].value(states[m].since_last_discovery) for m in pending}, None
 
     def _settle(self, t: int, pending: list[int], rejected: bool, charges) -> None:
         if rejected:
@@ -539,12 +535,20 @@ def lockstep_rejections(
     update, and each rule keeps only the state it reads: discovery counts for
     LOND, plus per-group arrival counts for LOND_m, gaps for LORD, wealth for
     GAI.  After an alpha-investing halt a row is neither tested nor rejected.
+    A p-value outside [0, 1] (NaN included) or a ``pvalues`` that is not 2-D
+    raises ValueError.
     """
     rule = method[3:] if method.startswith("ml-") else method
     if rule not in ("GAI", "LOND", "LOND_m", "LORD"):
         raise ValueError(f"unknown method name: {method!r}")
+    pvalues = np.asarray(pvalues, dtype=float)
+    if pvalues.ndim != 2:
+        raise ValueError(f"pvalues has shape {pvalues.shape}, not (R, N)")
+    outside = ~((pvalues >= 0.0) & (pvalues <= 1.0))  # NaN fails both comparisons
+    if outside.any():
+        raise ValueError(f"p-value outside [0, 1]: {pvalues[outside][0]}")
     # one (1, R) row per step, which broadcasts cheaply against (M, R) state
-    p_by_step = np.ascontiguousarray(np.asarray(pvalues, dtype=float).T)[:, None]
+    p_by_step = np.ascontiguousarray(pvalues.T)[:, None]
     steps, _, reps = p_by_step.shape
     groups = np.zeros((reps, steps, 0)) if groups is None else np.asarray(groups)
     if groups.shape[:2] != (reps, steps) or groups.ndim > 3:

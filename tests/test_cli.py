@@ -348,6 +348,80 @@ class TestStream:
         assert all(handle.closed for handle in opened)
 
 
+# (method, extra flags, [(p, groups), ...]) of two-layer streams
+REPLY_CASES = {
+    "ml-LORD": (
+        [],
+        [((t * 7919) % 1000 / 1000 if t % 5 else 0.0004 * t, (t, t % 9)) for t in range(1, 121)],
+    ),
+    # halts at t = 17; later replies are untested and carry empty lists
+    "ml-GAI": ([], [(0.5 if t % 2 else 0.001, (t, t % 8)) for t in range(1, 41)]),
+    # both ids repeat, so some arrivals find every layer's group decided
+    "ml-LOND_m": (
+        ["--untested", "accept"],
+        [(0.001 if t % 4 == 1 else 0.6, (t % 5, t % 3)) for t in range(1, 61)],
+    ),
+}
+# error lines inserted before the event at this index, with their exact replies
+ERROR_LINES = {
+    2: ('{"p": 0.5}', "field 'groups' must be an array of integers"),
+    9: ("{oops", "malformed record: Expecting property name enclosed in double quotes"),
+    20: ('{"p": 1.5, "groups": [1, 2]}', "p-value outside [0, 1]: 1.5"),
+    21: ('{"p": 0.5, "groups": [1]}', "event carries 1 group ids, expected 2"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(REPLY_CASES))
+def test_replies_are_json_dumps_of_the_replayed_records(method):
+    from layerfdr import HypothesisEvent, make_procedure, replay
+    from layerfdr.cli import build_parser, cmd_stream
+
+    flags, pairs = REPLY_CASES[method]
+    eta = ["--eta", "5"] if method == "ml-GAI" else []
+    args = build_parser().parse_args(["stream", "--method", method, "--layers", "2", *eta, *flags])
+    procedure = make_procedure(method, 2, args.alpha, args.eta, untested=args.untested)
+    events = [HypothesisEvent(t=t, p=p, group_index=g) for t, (p, g) in enumerate(pairs, 1)]
+    lines, expected = [], []
+    for event, record in zip(events, replay(procedure, events)):
+        if event.t in ERROR_LINES:
+            line, error = ERROR_LINES[event.t]
+            lines.append(line)
+            expected.append(json.dumps({"line": len(lines), "error": error}))
+        lines.append(json.dumps({"p": event.p, "groups": list(event.group_index)}))
+        tested = record.tested_layers()
+        reply = {
+            "t": record.t,
+            "reject": record.rejected,
+            "tested_layers": tested,
+            "thresholds": [record.layers[m].threshold for m in tested],
+            "halted": record.halted,
+        }
+        expected.append(json.dumps(reply))
+    sink = io.StringIO()
+    assert cmd_stream(args, source=io.StringIO("\n".join(lines) + "\n"), sink=sink) == 0
+    assert sink.getvalue().splitlines() == expected
+    untested = '"tested_layers": [], "thresholds": []'
+    if method == "ml-GAI":
+        assert f'{untested}, "halted": true' in expected[-1]
+    if method == "ml-LOND_m":
+        assert any(f'"reject": false, {untested}, "halted": false' in e for e in expected)
+
+
+def test_readme_wire_format_example(tmp_path, capsys):
+    line = '{"p": 0.004, "groups": [1, 7]}'
+    command = "layerfdr stream --method ml-LORD --layers 2"
+    reply = (
+        '{"t": 1, "reject": true, "tested_layers": [0, 1], '
+        '"thresholds": [0.06079271018540268, 0.06079271018540268], "halted": false}'
+    )
+    path = tmp_path / "events.jsonl"
+    path.write_text(line + "\n")
+    assert main(command.split()[1:] + ["--input", str(path)]) == 0
+    assert capsys.readouterr().out == reply + "\n"
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert all(text in readme for text in (line, command, reply))
+
+
 class TestValidate:
     def test_simple_choice_is_admissible(self, capsys):
         assert main(["validate", "--alpha", "0.1", "--horizon", "100"]) == 0

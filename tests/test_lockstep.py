@@ -1,5 +1,6 @@
 """The replicate-lockstep kernel against the step engine, decision for decision."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -249,6 +250,17 @@ def test_empty_and_validation():
         lockstep_rejections("ml-LORD", np.zeros((2, 3)), np.ones((2, 4, 2), dtype=int), ALPHA)
     with pytest.raises(ValueError, match="non-negative"):
         lockstep_rejections("ml-LORD", np.zeros((1, 2)), np.array([[1, -1]]), ALPHA)
+    with pytest.raises(ValueError, match=r"shape \(4,\), not \(R, N\)"):
+        lockstep_rejections("LORD", np.zeros(4), None, ALPHA)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("bad", [math.nan, 2.0, -1.0, -math.inf])
+def test_pvalues_outside_the_unit_interval_raise(method, bad):
+    pvalues = np.array([[0.5, 0.0, 1.0, 0.2], [0.3, 0.0, 0.9, 0.1]])
+    pvalues[1, 2] = bad
+    with pytest.raises(ValueError, match=rf"p-value outside \[0, 1\]: {bad}"):
+        lockstep_rejections(method, pvalues, np.zeros((2, 4), dtype=int), ALPHA)
 
 
 def test_run_cell_equals_run_replicate_tallies():

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from layerfdr.core import HypothesisEvent, LayerConfig, StreamHalted
+from layerfdr.harness import standard_scenarios, stream_events
 from layerfdr.procedures import (
     METHODS,
     AlphaInvesting,
@@ -20,6 +23,7 @@ from layerfdr.procedures import (
     simple_choice,
     validate_policy,
 )
+from layerfdr.simgen import make_stream
 
 ALPHA = 0.1
 PHI = ALPHA / (1.0 - ALPHA)  # 0.111111...
@@ -568,3 +572,44 @@ class TestLayerConfigs:
 
         with pytest.raises(ValueError, match="one layer config"):
             make_procedure("ml-LORD", 2, ALPHA, layer_configs=[LayerConfig()])
+
+
+# any change to a decision or to a record field's value or repr changes this
+RECORD_DIGEST = "6ee57590e044feaf795caf32a4f4ee852338a0e04711e314b012827d17f33c34"
+
+
+def record_digest():
+    """SHA-256 over the record reprs of a fixed set of replays: every method
+    on every standard panel (two seeds, both untested modes), a 3-layer
+    stream and an ml-GAI stream that halts part-way."""
+    digest = hashlib.sha256()
+
+    def add(procedure, events):
+        records = replay(procedure, events)
+        for record in records:
+            digest.update(repr(record).encode() + b"\n")
+        return records
+
+    for panel in standard_scenarios().values():
+        for seed in (11, 12):
+            data = make_stream(replace(panel, beta=2.0, seed=seed))
+            for method in METHODS:
+                layers = 2 if method.startswith("ml-") else 1
+                for untested in ("literal", "accept"):
+                    add(make_procedure(method, layers, ALPHA, untested=untested),
+                        stream_events(data, layers))
+    data = make_stream(replace(standard_scenarios()["interleaved-random-constant"], seed=5))
+    three = [
+        event(t, float(p), (t, int(g), int(g) % 3))
+        for t, (p, g) in enumerate(zip(data.pvalues, data.groups), 1)
+    ]
+    for method in METHODS:
+        add(make_procedure(method, 3, ALPHA), three)
+    halting = [event(t, 0.5 if t % 2 else 0.001, (t, t % 8)) for t in range(1, 41)]
+    records = add(make_procedure("ml-GAI", 2, ALPHA, eta=5.0), halting)
+    assert not records[15].halted and records[16].halted
+    return digest.hexdigest()
+
+
+def test_record_reprs_match_the_golden_digest():
+    assert record_digest() == RECORD_DIGEST
