@@ -30,10 +30,7 @@ from .metrics import (
 )
 from .procedures import (
     METHODS,
-    AlphaInvesting,
     BetaSequence,
-    Lond,
-    Lord,
     OnlineProcedure,
     PolicyReport,
     SpendingPolicy,
@@ -57,7 +54,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateResult",
-    "AlphaInvesting",
     "BetaSequence",
     "DEFAULT_BETA_GRID",
     "DecisionRecord",
@@ -67,8 +63,6 @@ __all__ = [
     "LayerOutcome",
     "LayerState",
     "LayerTally",
-    "Lond",
-    "Lord",
     "METHODS",
     "OnlineProcedure",
     "PolicyReport",

@@ -4,6 +4,9 @@ Configuration files are flat ``key = value`` documents ('#' starts a
 comment).  Scenario keys: structure, pattern, strength, G, n, N, s, k, beta,
 alpha, eta, seed, p1.  Sweep extras: methods and beta_grid (comma-separated),
 replicates, master_seed.  Flags always take precedence over file values.
+A method is one of the seven ``METHODS`` names.  ``simulate`` runs a
+one-cell sweep (one method, the scenario's beta) and prints the rows that
+sweep's results.csv would hold.
 
 Stream mode reads one JSON object per line with fields ``p`` (number) and
 ``groups`` (array of M integers in layer order) and answers each with
@@ -26,15 +29,12 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from .harness import (
-    LAYER_NAMES,
     RESULTS_HEADER,
     SweepSpec,
     emit_results,
     format_result_row,
-    run_cell,
     run_sweep,
 )
-from .metrics import aggregate
 from .procedures import (
     METHODS,
     constant_policy,
@@ -70,8 +70,12 @@ def parse_config(path) -> dict[str, tuple[int, str]]:
     path = Path(path)
     if not path.exists():
         raise ConfigError(path, None, "config file not found")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(path, None, f"cannot read config file: {exc}")
     entries: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -131,43 +135,36 @@ def _config_value(path, entries, key: str, default=None):
 
 
 def cmd_simulate(args) -> int:
+    """One (method, beta) cell: the rows a one-cell sweep writes to results.csv."""
     entries = parse_config(args.config)
     scenario = scenario_from_config(args.config, entries)
-    methods = _config_value(args.config, entries, "methods", default=())
     method = args.method
     if method is None:
-        if len(methods) == 1:
-            method = methods[0]
-        else:
+        methods = _config_value(args.config, entries, "methods", default=())
+        if len(methods) != 1:
             print("simulate: --method is required", file=sys.stderr)
             return EXIT_USAGE
-    if method not in METHODS:
-        print(f"simulate: unknown method {method!r}", file=sys.stderr)
-        return EXIT_USAGE
+        method = methods[0]
     overrides = {"alpha": args.alpha, "eta": args.eta, "beta": args.beta}
+    replicates = args.replicates
+    if replicates is None:
+        replicates = _config_value(args.config, entries, "replicates", default=100)
     try:
         scenario = replace(
             scenario, **{key: value for key, value in overrides.items() if value is not None}
         )
+        sweep = SweepSpec(
+            scenario,
+            beta_grid=(scenario.beta,),
+            methods=(method,),
+            replicates=replicates,
+            master_seed=scenario.seed if args.seed is None else args.seed,
+        )
     except ValueError as exc:
         print(f"simulate: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    beta = scenario.beta
-    replicates = args.replicates
-    if replicates is None:
-        replicates = _config_value(args.config, entries, "replicates", default=100)
-    if replicates < 1:
-        print("simulate: at least one replicate is required", file=sys.stderr)
-        return EXIT_USAGE
-    seed = args.seed
-    if seed is None:
-        seed = scenario.seed
-    per_layer = run_cell(scenario, method, beta, replicates, seed)
     print(RESULTS_HEADER)
-    for layer in LAYER_NAMES:
-        row = aggregate(
-            per_layer[layer], scenario.eta, method=method, beta=beta, layer=layer
-        )
+    for row in run_sweep(sweep):
         print(format_result_row(row))
     return EXIT_OK
 
@@ -215,9 +212,6 @@ def _stream_error(line_number: int, message: str, sink: TextIO) -> None:
 
 def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = None) -> int:
     sink = sink or sys.stdout
-    if args.method not in METHODS:
-        print(f"stream: unknown method {args.method!r}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         procedure = make_procedure(
             args.method, args.layers, args.alpha, args.eta, untested=args.untested

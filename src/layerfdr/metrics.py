@@ -122,23 +122,26 @@ def _mean_se(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / np.sqrt(len(values)))
 
 
+#: resamples and seed of the mFDR bootstrap
+BOOTSTRAP_RESAMPLES = 1000
+BOOTSTRAP_SEED = 0
+
+
 @lru_cache(maxsize=4)
-def _bootstrap_indices(n: int, resamples: int, seed: int) -> np.ndarray:
+def _bootstrap_indices(n: int) -> np.ndarray:
     """The seeded (resamples, n) resampling index matrix, shared read-only:
     every cell of a sweep has the same replicate count, so it is drawn once."""
-    idx = np.random.default_rng(seed).integers(0, n, size=(resamples, n))
+    idx = np.random.default_rng(BOOTSTRAP_SEED).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
     idx.flags.writeable = False
     return idx
 
 
-def _bootstrap_ratio_se(
-    v: np.ndarray, r: np.ndarray, eta: float, resamples: int, seed: int
-) -> float:
+def _bootstrap_ratio_se(v: np.ndarray, r: np.ndarray, eta: float) -> float:
     """Nonparametric bootstrap SE of mean(V) / (mean(R) + eta) over replicates."""
     n = len(v)
-    if n < 2 or resamples < 2:
+    if n < 2:
         return 0.0
-    idx = _bootstrap_indices(n, resamples, seed)
+    idx = _bootstrap_indices(n)
     ratios = v[idx].mean(axis=1) / (r[idx].mean(axis=1) + eta)
     return float(ratios.std(ddof=1))
 
@@ -150,15 +153,14 @@ def aggregate(
     method: str = "",
     beta: float = 0.0,
     layer: str = "",
-    bootstrap: int = 1000,
-    bootstrap_seed: int = 0,
 ) -> AggregateResult:
     """Aggregate replicate tallies sharing one (method, beta, layer) cell.
 
     FDR and power are means of per-replicate ratios with plain standard
     errors; mFDR is a ratio of means, so its SE comes from a seeded
     nonparametric bootstrap over replicates (ratio-of-means has no clean
-    closed form).
+    closed form) with ``BOOTSTRAP_RESAMPLES`` resamples drawn from
+    ``BOOTSTRAP_SEED``.
     """
     if not tallies:
         raise ValueError("at least one replicate is required")
@@ -175,7 +177,7 @@ def aggregate(
         fdr=float(fdps.mean()),
         fdr_se=_mean_se(fdps),
         mfdr=float(v.mean() / (r.mean() + eta)),
-        mfdr_se=_bootstrap_ratio_se(v, r, eta, bootstrap, bootstrap_seed),
+        mfdr_se=_bootstrap_ratio_se(v, r, eta),
         power=float(powers.mean()),
         power_se=_mean_se(powers),
         replicates=len(tallies),

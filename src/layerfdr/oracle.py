@@ -10,15 +10,16 @@ therefore evidence of correctness rather than a tautology.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DecisionRecord, HypothesisEvent
+from .core import DecisionRecord, HypothesisEvent, LayerOutcome, LayerState
 from .harness import stream_events
 from .metrics import TallyTracker
-from .procedures import AlphaInvesting, replay
+from .procedures import make_procedure, replay
 from .simgen import ScenarioSpec, make_stream
 
 
@@ -85,6 +86,110 @@ def single_layer_lord_reference(
             decisions.append(0)
             gap += 1
     return decisions, thresholds
+
+
+def multilayer_reference(
+    method: str,
+    events: Sequence[HypothesisEvent],
+    alpha: float,
+    eta: float = 1.0,
+    *,
+    untested: str = "literal",
+    schedules: Optional[Sequence] = None,
+) -> list[DecisionRecord]:
+    """Records of a multi-layer run, recomputed from the whole history.
+
+    At every step each layer's state before the arrival (discovered groups,
+    arrival counts, effective-test count, LORD gap, wealth) is rebuilt by
+    scanning every earlier event and decision, O(t) per step.  ``schedules``
+    holds one level sequence (anything with ``value(j)``) per LOND/LORD
+    layer, or one spending policy per GAI layer; None means inverse-square
+    levels and simple-choice spending, written out here.  A policy is called
+    with a ``LayerState`` this function builds, never with the engine's.
+    """
+    rule = method[3:] if method.startswith("ml-") else method
+    layers = len(events[0].group_index) if events else 0
+    schedules = [None] * layers if schedules is None else list(schedules)
+    log: list[tuple] = []  # per step: groups, tested layers, rejected, charges
+    records = []
+    halted = False
+    for t, event in enumerate(events, 1):
+        groups = event.group_index
+        before = [_history_state(rule, log, m, alpha * eta) for m in range(layers)]
+        tested = [] if halted else [
+            m for m in range(layers) if groups[m] not in before[m].rejected_groups
+        ]
+        thresholds, charges = {}, {}
+        for m in tested:
+            state, schedule = before[m], schedules[m]
+            if rule == "GAI":
+                if schedule is None:
+                    spend = alpha / (1.0 - alpha)
+                    thresholds[m], charges[m] = alpha, (spend, spend + alpha)
+                else:
+                    thresholds[m] = schedule.alpha_level(t, state)
+                    charges[m] = (schedule.spend(t, state), schedule.reward(t, state))
+                continue
+            if rule == "LORD":
+                thresholds[m] = _level(schedule, alpha, state.since_last_discovery)
+            else:
+                # the effective-test count as of t, before the arrival is counted
+                index = t - state.seen_in_rejected + state.rejections if rule == "LOND_m" else t
+                thresholds[m] = min(1.0, _level(schedule, alpha, index) * (state.rejections + 1))
+        if halted:
+            rejected = False
+        elif tested:
+            rejected = all(event.p < thresholds[m] for m in tested)
+        else:
+            rejected = untested == "literal"
+        log.append((groups, tested, rejected, charges))
+        after = [_history_state(rule, log, m, alpha * eta) for m in range(layers)]
+        halted = rule == "GAI" and min(state.wealth for state in after) <= 0.0
+        outcomes = tuple(
+            LayerOutcome(
+                m in tested,
+                thresholds.get(m),
+                m in tested and rejected,
+                state.wealth,
+                state.rejections,
+                t - state.seen_in_rejected + state.rejections,
+                state.since_last_discovery,
+            )
+            for m, state in enumerate(after)
+        )
+        records.append(DecisionRecord(t, rejected, groups, outcomes, halted))
+    return records
+
+
+def _level(schedule, alpha: float, j: int) -> float:
+    if schedule is None:
+        return alpha * 6.0 / (math.pi ** 2 * j * j)
+    return schedule.value(j)
+
+
+def _history_state(rule: str, log: Sequence[tuple], layer: int, wealth: float) -> LayerState:
+    """One layer's state after the logged steps, rebuilt from the first step."""
+    rejected_groups: set[int] = set()
+    gap = 1
+    for groups, tested, rejected, charges in log:
+        if layer not in tested:
+            continue
+        if rule == "GAI":
+            spend, reward = charges[layer]
+            wealth = wealth + reward - spend if rejected else wealth - spend
+        if rejected:
+            rejected_groups.add(groups[layer])
+        gap = 1 if rejected else gap + 1
+    arrivals = [groups[layer] for groups, _, _, _ in log]
+    undecided = [group for group in arrivals if group not in rejected_groups]
+    return LayerState(
+        wealth=wealth if rule == "GAI" else None,
+        rejections=len(rejected_groups),
+        since_last_discovery=gap if rule == "LORD" else None,
+        rejected_groups=rejected_groups,
+        seen_per_group=dict(Counter(undecided)),
+        seen_in_rejected=len(arrivals) - len(undecided),
+    )
 
 
 def kappa_direct(records: Sequence[DecisionRecord], layer: int, i: int) -> int:
@@ -206,7 +311,7 @@ def submartingale_probe(
     rep_seeds = np.random.SeedSequence(seed).generate_state(n_rep, dtype=np.uint64)
     for rep_seed in rep_seeds:
         events = stream_events(make_stream(replace(scenario, seed=int(rep_seed))), 2)
-        procedure = AlphaInvesting(2, scenario.alpha, scenario.eta)
+        procedure = make_procedure("ml-GAI", 2, scenario.alpha, scenario.eta)
         records = replay(procedure, events)
         paths = balance_trajectories(events, records, scenario.alpha, scenario.eta)
         sums += paths

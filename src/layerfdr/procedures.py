@@ -114,6 +114,8 @@ def simple_choice(alpha: float) -> SpendingPolicy:
     The reward sits exactly on the admissibility bound with power bound 1,
     the most conservative choice.
     """
+    if not 0.0 < alpha < 1.0:  # NaN included
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     spend = alpha / (1.0 - alpha)
     return constant_policy(alpha, spend, spend + alpha)
 
@@ -197,19 +199,12 @@ class OnlineProcedure:
     identical records.
     """
 
-    def __init__(
-        self,
-        layers: int,
-        alpha: float,
-        eta: float = 1.0,
-        untested: str = UNTESTED_LITERAL,
-    ):
+    def __init__(self, layers: int, alpha: float, eta: float, untested: str):
         if layers < 1:
             raise ValueError(f"at least one layer is required, got {layers}")
         if not 0.0 < alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        if not (math.isfinite(eta) and eta > 0.0):
-            raise ValueError(f"eta must be positive and finite, got {eta}")
+        _check_eta(eta)
         if untested not in (UNTESTED_LITERAL, UNTESTED_ACCEPT):
             raise ValueError(f"unknown untested-hypothesis mode: {untested!r}")
         self.layers = layers
@@ -229,7 +224,7 @@ class OnlineProcedure:
         """
         raise NotImplementedError
 
-    def _settle(self, t: int, pending: list[int], rejected: bool, charges) -> None:
+    def _settle(self, pending: list[int], rejected: bool, charges) -> None:
         pass
 
     def _exhausted(self) -> bool:
@@ -265,7 +260,7 @@ class OnlineProcedure:
         if rejected:
             for m in pending:
                 states[m].mark_rejected(groups[m])
-        self._settle(t, pending, rejected, charges)
+        self._settle(pending, rejected, charges)
         return self._finish(t, event, rejected, thresholds)
 
     def skip(self, event: HypothesisEvent) -> DecisionRecord:
@@ -338,19 +333,11 @@ class AlphaInvesting(OnlineProcedure):
     """
 
     def __init__(
-        self,
-        layers: int,
-        alpha: float,
-        eta: float = 1.0,
-        policies: Optional[Sequence[SpendingPolicy]] = None,
-        **kwargs,
+        self, layers: int, alpha: float, eta: float, untested: str,
+        policies: tuple[SpendingPolicy, ...],
     ):
-        super().__init__(layers, alpha, eta, **kwargs)
-        if policies is None:
-            policies = (simple_choice(alpha),) * layers
-        if len(policies) != layers:
-            raise ValueError("one spending policy per layer is required")
-        self.policies = tuple(policies)
+        super().__init__(layers, alpha, eta, untested)
+        self.policies = policies
         for state in self.states:
             state.wealth = alpha * eta
 
@@ -366,7 +353,7 @@ class AlphaInvesting(OnlineProcedure):
             _check_charges(t, *charges[m])
         return levels, charges
 
-    def _settle(self, t: int, pending: list[int], rejected: bool, charges) -> None:
+    def _settle(self, pending: list[int], rejected: bool, charges) -> None:
         # evaluate the update exactly as written (W + reward - spend) so the
         # halt comparison is reproducible across independent implementations
         for m in pending:
@@ -392,16 +379,11 @@ class Lond(OnlineProcedure):
     """
 
     def __init__(
-        self,
-        layers: int,
-        alpha: float,
-        eta: float = 1.0,
-        betas: Optional[Sequence[BetaSequence]] = None,
-        modified: bool = False,
-        **kwargs,
+        self, layers: int, alpha: float, eta: float, untested: str,
+        betas: tuple[BetaSequence, ...], modified: bool,
     ):
-        super().__init__(layers, alpha, eta, **kwargs)
-        self.betas = _layer_betas(betas, layers, alpha)
+        super().__init__(layers, alpha, eta, untested)
+        self.betas = betas
         self.modified = modified
 
     def _thresholds(self, t: int, pending: list[int]):
@@ -423,15 +405,11 @@ class Lord(OnlineProcedure):
     """
 
     def __init__(
-        self,
-        layers: int,
-        alpha: float,
-        eta: float = 1.0,
-        betas: Optional[Sequence[BetaSequence]] = None,
-        **kwargs,
+        self, layers: int, alpha: float, eta: float, untested: str,
+        betas: tuple[BetaSequence, ...],
     ):
-        super().__init__(layers, alpha, eta, **kwargs)
-        self.betas = _layer_betas(betas, layers, alpha)
+        super().__init__(layers, alpha, eta, untested)
+        self.betas = betas
         for state in self.states:
             state.since_last_discovery = 1
 
@@ -439,7 +417,7 @@ class Lord(OnlineProcedure):
         betas, states = self.betas, self.states
         return {m: betas[m].value(states[m].since_last_discovery) for m in pending}, None
 
-    def _settle(self, t: int, pending: list[int], rejected: bool, charges) -> None:
+    def _settle(self, pending: list[int], rejected: bool, charges) -> None:
         if rejected:
             for m in pending:
                 self.states[m].since_last_discovery = 1
@@ -448,14 +426,17 @@ class Lord(OnlineProcedure):
                 self.states[m].since_last_discovery += 1
 
 
-def _layer_betas(
-    betas: Optional[Sequence[BetaSequence]], layers: int, alpha: float
-) -> tuple[BetaSequence, ...]:
-    if betas is None:
-        return (BetaSequence(alpha),) * layers
-    if len(betas) != layers:
-        raise ValueError("one beta sequence per layer is required")
-    return tuple(betas)
+def _check_eta(eta: float) -> None:
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+
+
+def _rule(method: str) -> str:
+    """The decision rule a method name runs; the ``ml-`` prefix only
+    documents intent, the engine is the same."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method name: {method!r}")
+    return method[3:] if method.startswith("ml-") else method
 
 
 def make_procedure(
@@ -467,38 +448,27 @@ def make_procedure(
     untested: str = UNTESTED_LITERAL,
     layer_configs: Optional[Sequence[LayerConfig]] = None,
 ) -> OnlineProcedure:
-    """Instantiate a procedure by method name.
+    """Instantiate a procedure by method name, one of ``METHODS``.
 
-    The ``ml-`` prefix only documents intent — the engine is the same; the
-    multi-layer character comes from the layer count and the group ids the
-    events carry.  ``layer_configs``, one per layer, is the way to set a
-    layer's level sequence or spending policy; unset entries fall back to
-    ``BetaSequence(alpha)`` and ``simple_choice(alpha)``.
+    The multi-layer character comes from the layer count and the group ids
+    the events carry.  ``layer_configs``, one per layer, is the way to set a
+    layer's level sequence (LOND, LORD) or spending policy (GAI); an unset
+    entry falls back to ``BetaSequence(alpha)`` or ``simple_choice(alpha)``.
     """
-    name = method[3:] if method.startswith("ml-") else method
-    default_policy = simple_choice(alpha)
-    default_beta = BetaSequence(alpha)
+    rule = _rule(method)
     if layer_configs is None:
         layer_configs = (LayerConfig(),) * layers
     elif len(layer_configs) != layers:
         raise ValueError("one layer config per layer is required")
-    betas = tuple(
-        config.beta_sequence if config.beta_sequence is not None else default_beta
-        for config in layer_configs
-    )
-    policies = tuple(
-        config.spending_policy if config.spending_policy is not None else default_policy
-        for config in layer_configs
-    )
-    if name == "GAI":
-        return AlphaInvesting(layers, alpha, eta, policies=policies, untested=untested)
-    if name == "LOND":
-        return Lond(layers, alpha, eta, betas=betas, modified=False, untested=untested)
-    if name == "LOND_m":
-        return Lond(layers, alpha, eta, betas=betas, modified=True, untested=untested)
-    if name == "LORD":
-        return Lord(layers, alpha, eta, betas=betas, untested=untested)
-    raise ValueError(f"unknown method name: {method!r}")
+    if rule == "GAI":
+        default = simple_choice(alpha)
+        policies = tuple(config.spending_policy or default for config in layer_configs)
+        return AlphaInvesting(layers, alpha, eta, untested, policies)
+    default = BetaSequence(alpha)
+    betas = tuple(config.beta_sequence or default for config in layer_configs)
+    if rule == "LORD":
+        return Lord(layers, alpha, eta, untested, betas)
+    return Lond(layers, alpha, eta, untested, betas, modified=rule == "LOND_m")
 
 
 def replay(
@@ -535,12 +505,12 @@ def lockstep_rejections(
     update, and each rule keeps only the state it reads: discovery counts for
     LOND, plus per-group arrival counts for LOND_m, gaps for LORD, wealth for
     GAI.  After an alpha-investing halt a row is neither tested nor rejected.
-    A p-value outside [0, 1] (NaN included) or a ``pvalues`` that is not 2-D
+    A method outside ``METHODS``, an eta that is not positive and finite, a
+    p-value outside [0, 1] (NaN included) or a ``pvalues`` that is not 2-D
     raises ValueError.
     """
-    rule = method[3:] if method.startswith("ml-") else method
-    if rule not in ("GAI", "LOND", "LOND_m", "LORD"):
-        raise ValueError(f"unknown method name: {method!r}")
+    rule = _rule(method)
+    _check_eta(eta)
     pvalues = np.asarray(pvalues, dtype=float)
     if pvalues.ndim != 2:
         raise ValueError(f"pvalues has shape {pvalues.shape}, not (R, N)")

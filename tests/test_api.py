@@ -1,9 +1,18 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
 import layerfdr
+from layerfdr import cli
+from layerfdr.core import HypothesisEvent
+from layerfdr.harness import SweepSpec
+from layerfdr.procedures import METHODS, lockstep_rejections, make_procedure
+from layerfdr.simgen import ScenarioSpec
 
 # the public API, sorted; adding or removing a name must show up in this list
 PUBLIC_NAMES = [
     "AggregateResult",
-    "AlphaInvesting",
     "BetaSequence",
     "DEFAULT_BETA_GRID",
     "DecisionRecord",
@@ -13,8 +22,6 @@ PUBLIC_NAMES = [
     "LayerOutcome",
     "LayerState",
     "LayerTally",
-    "Lond",
-    "Lord",
     "METHODS",
     "OnlineProcedure",
     "PolicyReport",
@@ -54,3 +61,47 @@ def test_every_public_name_imports():
     exec("from layerfdr import *", namespace)
     for name in PUBLIC_NAMES:
         assert namespace[name] is getattr(layerfdr, name)
+
+
+def test_benchmark_entry_points():
+    """Exactly the package calls ``perfbench/workloads.py`` makes, so that a
+    change to any of them fails this suite and not only a benchmark run."""
+    args = cli.build_parser().parse_args(["stream", "--method", "ml-LORD", "--layers", "2"])
+    procedure = make_procedure(
+        args.method, args.layers, args.alpha, args.eta, untested=args.untested
+    )
+    # the stream workload wraps these two module attributes and both methods
+    assert cli.make_procedure is make_procedure
+    assert cli.HypothesisEvent is HypothesisEvent
+    step, skip = procedure.step, procedure.skip
+    procedure.step = lambda event: step(event)
+    procedure.skip = lambda event: skip(event)
+    record = procedure.step(HypothesisEvent(t=1, p=0.001, group_index=(1, 3)))
+    assert record.rejected and record.layers[1].threshold == record.layers[0].threshold
+    assert dataclasses.replace(record, rejected=False).rejected is False
+
+
+REJECTED_NAMES = ["LOND_m", "ml-BH", "BH", "ml-", "lord"]
+
+
+@pytest.mark.parametrize("name", list(METHODS) + REJECTED_NAMES)
+def test_every_entry_point_accepts_exactly_the_method_names(name, tmp_path, capsys):
+    accepted = name in METHODS
+    config = tmp_path / "base.cfg"
+    config.write_text("G = 2\nn = 3\nreplicates = 2\n")
+    stream = ["stream", "--method", name, "--input", str(tmp_path / "empty.jsonl")]
+    (tmp_path / "empty.jsonl").write_text("")
+    calls = [
+        lambda: make_procedure(name, 2, 0.1),
+        lambda: lockstep_rejections(name, np.full((1, 3), 0.5), None, 0.1),
+        lambda: SweepSpec(ScenarioSpec(), methods=(name,)),
+    ]
+    for call in calls:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(ValueError, match="unknown method"):
+                call()
+    for argv in (stream, ["simulate", "--config", str(config), "--method", name]):
+        assert cli.main(argv) == (0 if accepted else 2)
+        assert accepted or "unknown method" in capsys.readouterr().err

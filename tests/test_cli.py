@@ -206,6 +206,22 @@ class TestSweep:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+@pytest.mark.parametrize("unreadable", ["directory", "not utf-8"])
+def test_unreadable_config_exits_2_and_names_the_path(tmp_path, capsys, command, unreadable):
+    path = tmp_path / "config"
+    if unreadable == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe" + BASE_CONFIG.encode())
+    argv = [command, "--config", str(path)]
+    argv += ["--method", "LORD"] if command == "simulate" else ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{path}: cannot read config file" in captured.err
+
+
 def run_stream(argv, lines):
     from layerfdr.cli import build_parser, cmd_stream
 
@@ -328,6 +344,14 @@ class TestStream:
         assert cmd_stream(build_parser().parse_args(argv), source=source, sink=sink) == 2
         assert source.tell() == 0 and sink.getvalue() == ""
         assert "eta must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("alpha", ["1", "0", "1.5", "nan"])
+    @pytest.mark.parametrize("method", ["GAI", "LORD", "ml-LOND_m"])
+    def test_alpha_outside_the_unit_interval_exits_2(self, method, alpha, capsys):
+        argv = ["--method", method, "--alpha", alpha]
+        code, out = run_stream(argv, ['{"p": 0.01, "groups": [1]}'])
+        assert code == 2 and out == []
+        assert "alpha must lie in (0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method, code", [("ml-LORD", 0), ("BH", 2)])
     def test_input_file_is_closed(self, tmp_path, monkeypatch, capsys, method, code):

@@ -152,6 +152,16 @@ def test_investing_halt_in_mid_stream(method):
         assert not got[1].any()
 
 
+@pytest.mark.parametrize("method", ["GAI", "ml-GAI"])
+def test_wealth_of_exactly_zero_halts(method):
+    # alpha 0.5 makes the spend exactly 1 and eta 2 the starting wealth 1,
+    # so one miss leaves a wealth of exactly 0: the stream halts there
+    pvalues = np.array([[0.9, 0.0, 0.0]])
+    groups = np.array([[1, 2, 3]]) if grouped(method) else None
+    got = assert_matches_replay(method, pvalues, groups, alpha=0.5, eta=2.0)
+    assert not got.any()
+
+
 def test_investing_rows_halt_at_different_steps():
     rng = np.random.default_rng(9)
     pvalues = rng.random((25, 80)) ** 4
@@ -261,6 +271,15 @@ def test_pvalues_outside_the_unit_interval_raise(method, bad):
     pvalues[1, 2] = bad
     with pytest.raises(ValueError, match=rf"p-value outside \[0, 1\]: {bad}"):
         lockstep_rejections(method, pvalues, np.zeros((2, 4), dtype=int), ALPHA)
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("eta", [math.nan, 0.0, -1.0, math.inf])
+def test_eta_must_be_positive_and_finite(method, eta):
+    # the engine's check: with eta = nan the wealth is NaN and never halts
+    pvalues = np.random.default_rng(0).random((1, 200)) ** 3
+    with pytest.raises(ValueError, match="eta must be positive and finite"):
+        lockstep_rejections(method, pvalues, None, ALPHA, eta)
 
 
 def test_run_cell_equals_run_replicate_tallies():

@@ -69,10 +69,10 @@ class TestAggregate:
     def test_bootstrap_indices_are_shared_read_only(self):
         from layerfdr.metrics import _bootstrap_indices
 
-        idx = _bootstrap_indices(7, 50, 0)
-        assert idx is _bootstrap_indices(7, 50, 0)
+        idx = _bootstrap_indices(7)
+        assert idx is _bootstrap_indices(7)
         assert not idx.flags.writeable
-        assert np.array_equal(idx, np.random.default_rng(0).integers(0, 7, size=(50, 7)))
+        assert np.array_equal(idx, np.random.default_rng(0).integers(0, 7, size=(1000, 7)))
 
     def test_estimates_stay_in_unit_interval(self):
         rng = np.random.default_rng(31)

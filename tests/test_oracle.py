@@ -3,18 +3,26 @@ import math
 import numpy as np
 import pytest
 
-from layerfdr.core import HypothesisEvent
+from layerfdr.core import HypothesisEvent, LayerConfig
 from layerfdr.oracle import (
     balance_trajectories,
     kappa_direct,
     kappa_direct_trajectory,
+    multilayer_reference,
     per_discovery_fdp,
     single_layer_gai_reference,
     single_layer_lond_reference,
     single_layer_lord_reference,
     submartingale_probe,
 )
-from layerfdr.procedures import AlphaInvesting, make_procedure, replay
+from layerfdr.procedures import (
+    METHODS,
+    BetaSequence,
+    SpendingPolicy,
+    lockstep_rejections,
+    make_procedure,
+    replay,
+)
 from layerfdr.simgen import ScenarioSpec
 
 ALPHA = 0.1
@@ -148,7 +156,7 @@ class TestPerDiscoveryFdp:
 class TestBalanceTrajectories:
     def test_deterministic_all_ones_stream_grows_by_the_spend(self):
         events = [event(i, 1.0, (i,)) for i in range(1, 6)]
-        proc = AlphaInvesting(1, ALPHA, 1.0)
+        proc = make_procedure("ml-GAI", 1, ALPHA, 1.0)
         records = replay(proc, [e for e in events])
         labeled = [
             HypothesisEvent(t=e.t, p=e.p, group_index=e.group_index, truth=0)
@@ -172,3 +180,104 @@ class TestBalanceTrajectories:
         a = submartingale_probe(scenario, n_rep=20, seed=3)
         b = submartingale_probe(scenario, n_rep=20, seed=3)
         assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+# p-values the thresholds take at the start of a stream, plus 0, 1 and alpha,
+# so that ties with an issued threshold are common
+TIE_POOL = [0.0, 1.0, ALPHA] + [
+    min(1.0, BetaSequence(ALPHA).value(j) * k) for j in range(1, 41) for k in (1, 2, 3)
+]
+
+
+def random_stream(rng, layers, n, individual):
+    """n events in ``layers`` layers with small group ids, so groups repeat and
+    get decided; with ``individual`` layer 0's id is the arrival index."""
+    events = []
+    for t in range(1, n + 1):
+        p = float(rng.choice(TIE_POOL)) if rng.random() < 0.5 else float(rng.random() ** 3)
+        ids = [int(rng.integers(0, 2 + 3 * m)) for m in range(layers)]
+        if individual:
+            ids[0] = t
+        events.append(event(t, p, ids))
+    return events
+
+
+def ties(records, events):
+    return sum(
+        any(out.threshold == ev.p for out in record.layers if out.tested)
+        for record, ev in zip(records, events)
+    )
+
+
+class TestMultilayerReference:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_replay_on_random_grouped_streams(self, method):
+        rng = np.random.default_rng(METHODS.index(method))
+        tied = halted = 0
+        for layers in (1, 2, 3, 4):
+            for untested in ("literal", "accept"):
+                for eta in (1.0, 10.0):
+                    for trial in range(2):
+                        events = random_stream(rng, layers, 30, individual=trial == 0)
+                        want = multilayer_reference(method, events, ALPHA, eta, untested=untested)
+                        procedure = make_procedure(method, layers, ALPHA, eta, untested=untested)
+                        assert replay(procedure, events) == want
+                        tied += ties(want, events)
+                        halted += want[-1].halted
+        assert tied
+        assert (halted > 0) == method.endswith("GAI")
+
+    @pytest.mark.parametrize("method", ["LOND", "ml-LOND_m", "ml-LORD"])
+    def test_per_layer_level_sequences(self, method):
+        sequences = [
+            BetaSequence(ALPHA),
+            BetaSequence(0.05, kind="geometric", ratio=0.7),
+            BetaSequence(0.3),
+        ]
+        configs = [LayerConfig(beta_sequence=sequence) for sequence in sequences]
+        rng = np.random.default_rng(3)
+        for trial in range(4):
+            events = random_stream(rng, 3, 40, individual=trial % 2 == 0)
+            procedure = make_procedure(method, 3, ALPHA, layer_configs=configs)
+            want = multilayer_reference(method, events, ALPHA, schedules=sequences)
+            assert replay(procedure, events) == want
+
+    def test_state_dependent_spending_policy(self):
+        # every rule reads the state the policy is handed, so a snapshot that
+        # differed from the engine's state would change a threshold or a charge
+        policy = SpendingPolicy(
+            alpha_level=lambda t, s: min(1.0, s.wealth),
+            spend=lambda t, s: 0.01 * (1 + len(s.seen_per_group) + s.seen_in_rejected % 3),
+            reward=lambda t, s: 0.05 + 0.01 * s.rejections + 0.001 * len(s.rejected_groups),
+            power_bound=lambda t, s: 1.0,
+        )
+        rng = np.random.default_rng(4)
+        halted = 0
+        for layers in (1, 2, 3):
+            for trial in range(4):
+                events = random_stream(rng, layers, 40, individual=trial % 2 == 0)
+                configs = [LayerConfig(spending_policy=policy)] * layers
+                procedure = make_procedure("ml-GAI", layers, ALPHA, 2.0, layer_configs=configs)
+                schedules = [policy] * layers
+                want = multilayer_reference("ml-GAI", events, ALPHA, 2.0, schedules=schedules)
+                assert replay(procedure, events) == want
+                halted += want[-1].halted
+        assert halted
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_the_lockstep_kernel(self, method):
+        rng = np.random.default_rng(40 + METHODS.index(method))
+        for partitions in (1, 2, 3):
+            pvalues = np.where(
+                rng.random((4, 30)) < 0.5,
+                rng.choice(np.array(TIE_POOL), size=(4, 30)),
+                rng.random((4, 30)) ** 3,
+            )
+            groups = rng.integers(0, 5, size=(4, 30, partitions))
+            want = []
+            for row, ids in zip(pvalues, groups.tolist()):
+                events = [event(t, float(p), (t, *g)) for t, (p, g) in enumerate(zip(row, ids), 1)]
+                records = multilayer_reference(method, events, ALPHA)
+                want.append([record.rejected for record in records])
+            got = lockstep_rejections(method, pvalues, groups, ALPHA)
+            assert got.tolist() == want

@@ -12,10 +12,7 @@ from layerfdr.core import HypothesisEvent, LayerConfig, StreamHalted
 from layerfdr.harness import standard_scenarios, stream_events
 from layerfdr.procedures import (
     METHODS,
-    AlphaInvesting,
     BetaSequence,
-    Lond,
-    Lord,
     SpendingPolicy,
     constant_policy,
     make_procedure,
@@ -105,7 +102,7 @@ class TestBetaSequence:
 
 class TestAlphaInvesting:
     def test_two_layer_rejection_pays_both_layers(self):
-        proc = AlphaInvesting(2, ALPHA, 1.0)
+        proc = make_procedure("ml-GAI", 2, ALPHA, 1.0)
         record = proc.step(event(1, 0.05, (1, 1)))
         assert record.rejected
         for outcome in record.layers:
@@ -116,7 +113,7 @@ class TestAlphaInvesting:
         assert not record.halted
 
     def test_decided_layer_is_not_tested_or_charged(self):
-        proc = AlphaInvesting(2, ALPHA, 1.0)
+        proc = make_procedure("ml-GAI", 2, ALPHA, 1.0)
         proc.step(event(1, 0.05, (1, 1)))
         record = proc.step(event(2, 0.5, (2, 1)))
         assert not record.rejected
@@ -127,7 +124,7 @@ class TestAlphaInvesting:
         assert second.threshold is None
 
     def test_final_charge_may_cross_zero_then_halt(self):
-        proc = AlphaInvesting(1, ALPHA, 1.0)
+        proc = make_procedure("ml-GAI", 1, ALPHA, 1.0)
         record = proc.step(event(1, 0.5, (1,)))
         assert not record.rejected
         assert record.layers[0].wealth == pytest.approx(0.1 - PHI, abs=1e-12)
@@ -136,7 +133,7 @@ class TestAlphaInvesting:
             proc.step(event(2, 0.5, (2,)))
 
     def test_skip_records_after_halt(self):
-        proc = AlphaInvesting(1, ALPHA, 1.0)
+        proc = make_procedure("ml-GAI", 1, ALPHA, 1.0)
         records = replay(proc, [event(1, 0.5, (1,)), event(2, 0.01, (2,))])
         assert records[1].halted
         assert not records[1].rejected
@@ -147,7 +144,7 @@ class TestAlphaInvesting:
         # with the constant schedule: W = alpha*eta - phi * tests + (phi+alpha) * R
         rng = np.random.default_rng(99)
         for trial in range(5):
-            proc = AlphaInvesting(2, ALPHA, 2.0)
+            proc = make_procedure("ml-GAI", 2, ALPHA, 2.0)
             tests = [0, 0]
             for i in range(1, 300):
                 if proc.halted:
@@ -165,7 +162,7 @@ class TestAlphaInvesting:
 
 class TestLond:
     def test_first_two_thresholds(self):
-        proc = Lond(1, ALPHA)
+        proc = make_procedure("ml-LOND", 1, ALPHA)
         r1 = proc.step(event(1, 0.05, (1,)))
         assert r1.rejected
         assert r1.layers[0].threshold == pytest.approx(BETA_1, abs=1e-9)
@@ -174,7 +171,7 @@ class TestLond:
         assert r2.layers[0].threshold == pytest.approx(2 * BETA_2, abs=1e-9)
 
     def test_modified_indexing_recovers_collapsed_tests(self):
-        proc = Lond(1, ALPHA, modified=True)
+        proc = make_procedure("ml-LOND_m", 1, ALPHA)
         replay(
             proc,
             [event(1, 0.5, (7,)), event(2, 0.5, (7,)), event(3, 1e-5, (7,))],
@@ -187,7 +184,7 @@ class TestLond:
         assert record.layers[0].effective_tests == 2
 
     def test_plain_indexing_uses_raw_time(self):
-        proc = Lond(1, ALPHA, modified=False)
+        proc = make_procedure("ml-LOND", 1, ALPHA)
         replay(
             proc,
             [event(1, 0.5, (7,)), event(2, 0.5, (7,)), event(3, 1e-5, (7,))],
@@ -206,12 +203,12 @@ class TestLond:
             previous = threshold
 
     def test_threshold_clamped_at_one(self):
-        proc = Lond(1, ALPHA)
+        proc = make_procedure("ml-LOND", 1, ALPHA)
         proc.states[0].rejections = 10 ** 6
         record = proc.step(event(1, 0.9999, (1,)))
         assert record.layers[0].threshold == 1.0
         assert record.rejected
-        proc = Lond(1, ALPHA)
+        proc = make_procedure("ml-LOND", 1, ALPHA)
         proc.states[0].rejections = 10 ** 6
         tie = proc.step(event(1, 1.0, (1,)))
         assert tie.layers[0].threshold == 1.0
@@ -220,7 +217,7 @@ class TestLond:
 
 class TestLord:
     def test_counter_advances_on_miss(self):
-        proc = Lord(1, ALPHA)
+        proc = make_procedure("ml-LORD", 1, ALPHA)
         r1 = proc.step(event(1, 0.2, (1,)))
         assert not r1.rejected
         assert r1.layers[0].threshold == pytest.approx(BETA_1, abs=1e-9)
@@ -229,7 +226,7 @@ class TestLord:
         assert r2.layers[0].threshold == pytest.approx(BETA_2, abs=1e-9)
 
     def test_counter_resets_on_discovery(self):
-        proc = Lord(1, ALPHA)
+        proc = make_procedure("ml-LORD", 1, ALPHA)
         for i in range(1, 5):
             proc.step(event(i, 0.9, (i,)))
         assert proc.states[0].since_last_discovery == 5
@@ -240,7 +237,7 @@ class TestLord:
         assert after.layers[0].threshold == pytest.approx(BETA_1, abs=1e-9)
 
     def test_decided_layer_is_frozen(self):
-        proc = Lord(2, ALPHA)
+        proc = make_procedure("ml-LORD", 2, ALPHA)
         proc.step(event(1, 1e-7, (1, 1)))
         before = copy.deepcopy(proc.states[1])
         record = proc.step(event(2, 0.5, (2, 1)))
@@ -254,7 +251,7 @@ class TestLord:
 
 class TestUntestedPolicy:
     def exhaust_both_layers(self, untested):
-        proc = Lond(2, ALPHA, untested=untested)
+        proc = make_procedure("ml-LOND", 2, ALPHA, untested=untested)
         proc.step(event(1, 1e-7, (1, 1)))
         return proc, proc.step(event(2, 0.5, (1, 1)))
 
@@ -367,7 +364,8 @@ def test_records_carry_wealth_and_gap_only_where_the_rule_keeps_them(method):
 
 def test_rejection_requires_every_pending_layer():
     # p = 0.01 clears layer 0's first level (BETA_1) but not layer 1's (~6e-4)
-    proc = Lond(2, ALPHA, betas=(BetaSequence(ALPHA), BetaSequence(0.001)))
+    configs = [LayerConfig(), LayerConfig(beta_sequence=BetaSequence(0.001))]
+    proc = make_procedure("ml-LOND", 2, ALPHA, layer_configs=configs)
     record = proc.step(event(1, 0.01, (1, 1)))
     assert not record.rejected
     assert record.layers[0].tested and record.layers[1].tested
@@ -526,7 +524,7 @@ def test_a_prefix_replays_to_a_prefix_of_the_records(method, stream, options, da
 
 
 def test_event_layer_count_is_checked():
-    proc = Lond(2, ALPHA)
+    proc = make_procedure("ml-LOND", 2, ALPHA)
     with pytest.raises(ValueError, match="expected 2"):
         proc.step(event(1, 0.5, (1,)))
 
@@ -537,10 +535,24 @@ def test_make_procedure_unknown_method():
 
 
 @pytest.mark.parametrize("eta", [0.0, -1.0, math.nan, math.inf])
-@pytest.mark.parametrize("method", ["GAI", "LOND", "LOND_m", "LORD"])
+@pytest.mark.parametrize("method", ["GAI", "LOND", "ml-LOND_m", "LORD"])
 def test_eta_must_be_positive_and_finite(method, eta):
     with pytest.raises(ValueError, match="eta must be positive and finite"):
         make_procedure(method, 1, ALPHA, eta)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, math.nan])
+@pytest.mark.parametrize("method", METHODS)
+def test_alpha_must_lie_in_the_unit_interval(method, alpha):
+    with pytest.raises(ValueError, match="alpha must lie in"):
+        make_procedure(method, 2, alpha)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
+def test_simple_choice_rejects_alpha_outside_the_unit_interval(alpha):
+    # at alpha = 1 the spend divides by zero; above it spend and reward turn negative
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        simple_choice(alpha)
 
 
 class TestLayerConfigs:
