@@ -43,10 +43,8 @@ from .procedures import (
 from .simgen import (
     ScenarioSpec,
     StreamData,
-    gen_pvalues,
     make_stream,
     signal_means,
-    two_sided_p,
     two_sided_p_array,
 )
 
@@ -76,7 +74,6 @@ __all__ = [
     "aggregate",
     "constant_policy",
     "emit_results",
-    "gen_pvalues",
     "make_procedure",
     "make_stream",
     "replay",
@@ -87,7 +84,6 @@ __all__ = [
     "simple_choice",
     "standard_scenarios",
     "tally_from_sets",
-    "two_sided_p",
     "two_sided_p_array",
     "validate_policy",
 ]

@@ -3,10 +3,11 @@
 Configuration files are flat ``key = value`` documents ('#' starts a
 comment).  Scenario keys: structure, pattern, strength, G, n, N, s, k, beta,
 alpha, eta, seed, p1.  Sweep extras: methods and beta_grid (comma-separated),
-replicates, master_seed.  Flags always take precedence over file values.
-A method is one of the seven ``METHODS`` names.  ``simulate`` runs a
-one-cell sweep (one method, the scenario's beta) and prints the rows that
-sweep's results.csv would hold.
+replicates, master_seed.  Flags always take precedence over file values; the
+master seed of ``simulate`` and ``sweep`` is the flag, then master_seed, then
+seed, then 0.  A method is one of the seven ``METHODS`` names.  ``simulate``
+runs a one-cell sweep (one method, the scenario's beta) and prints the rows
+that sweep's results.csv holds for that cell.
 
 Stream mode reads one JSON object per line with fields ``p`` (number) and
 ``groups`` (array of M integers in layer order) and answers each with
@@ -29,6 +30,7 @@ from pathlib import Path
 from typing import Optional, TextIO
 
 from .harness import (
+    DEFAULT_BETA_GRID,
     RESULTS_HEADER,
     SweepSpec,
     emit_results,
@@ -42,7 +44,7 @@ from .procedures import (
     simple_choice,
     validate_policy,
 )
-from .core import HypothesisEvent
+from .core import HypothesisEvent, LayerState
 from .simgen import ScenarioSpec
 
 EXIT_OK = 0
@@ -134,10 +136,40 @@ def _config_value(path, entries, key: str, default=None):
 # ---------------------------------------------------------------------------
 
 
+def _sweep_spec(args, entries, methods, beta_grid=None, **overrides) -> Optional[SweepSpec]:
+    """The grid ``simulate`` and ``sweep`` run, or None once the reason it
+    cannot be built is on stderr.
+
+    The replicate count is the flag, then the config's ``replicates``, then
+    100.  The master seed is the flag, then the config's ``master_seed``, then
+    its ``seed``, then 0.  ``overrides`` that are not None replace scenario
+    fields, and an unset ``beta_grid`` means the scenario's own beta.
+    """
+    path = args.config
+    replicates, master_seed = args.replicates, args.master_seed
+    if replicates is None:
+        replicates = _config_value(path, entries, "replicates", default=100)
+    if master_seed is None:
+        seed = _config_value(path, entries, "seed", default=0)
+        master_seed = _config_value(path, entries, "master_seed", default=seed)
+    overrides = {key: value for key, value in overrides.items() if value is not None}
+    try:
+        scenario = replace(scenario_from_config(path, entries), **overrides)
+        return SweepSpec(
+            scenario,
+            beta_grid=beta_grid or (scenario.beta,),
+            methods=methods,
+            replicates=replicates,
+            master_seed=master_seed,
+        )
+    except ValueError as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return None
+
+
 def cmd_simulate(args) -> int:
     """One (method, beta) cell: the rows a one-cell sweep writes to results.csv."""
     entries = parse_config(args.config)
-    scenario = scenario_from_config(args.config, entries)
     method = args.method
     if method is None:
         methods = _config_value(args.config, entries, "methods", default=())
@@ -145,23 +177,10 @@ def cmd_simulate(args) -> int:
             print("simulate: --method is required", file=sys.stderr)
             return EXIT_USAGE
         method = methods[0]
-    overrides = {"alpha": args.alpha, "eta": args.eta, "beta": args.beta}
-    replicates = args.replicates
-    if replicates is None:
-        replicates = _config_value(args.config, entries, "replicates", default=100)
-    try:
-        scenario = replace(
-            scenario, **{key: value for key, value in overrides.items() if value is not None}
-        )
-        sweep = SweepSpec(
-            scenario,
-            beta_grid=(scenario.beta,),
-            methods=(method,),
-            replicates=replicates,
-            master_seed=scenario.seed if args.seed is None else args.seed,
-        )
-    except ValueError as exc:
-        print(f"simulate: {exc}", file=sys.stderr)
+    sweep = _sweep_spec(
+        args, entries, (method,), alpha=args.alpha, eta=args.eta, beta=args.beta
+    )
+    if sweep is None:
         return EXIT_USAGE
     print(RESULTS_HEADER)
     for row in run_sweep(sweep):
@@ -171,34 +190,14 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     entries = parse_config(args.config)
-    scenario = scenario_from_config(args.config, entries)
     methods = args.methods
     if methods is None:
         methods = _config_value(args.config, entries, "methods", default=METHODS)
     else:
         methods = tuple(item.strip() for item in methods.split(",") if item.strip())
-    beta_grid = _config_value(args.config, entries, "beta_grid")
-    replicates = args.replicates
-    if replicates is None:
-        replicates = _config_value(args.config, entries, "replicates", default=100)
-    master_seed = args.master_seed
-    if master_seed is None:
-        master_seed = _config_value(
-            args.config, entries, "master_seed",
-            default=_config_value(args.config, entries, "seed", default=0),
-        )
-    kwargs = {
-        "scenario": scenario,
-        "methods": tuple(methods),
-        "replicates": replicates,
-        "master_seed": master_seed,
-    }
-    if beta_grid:
-        kwargs["beta_grid"] = beta_grid
-    try:
-        sweep = SweepSpec(**kwargs)
-    except ValueError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
+    beta_grid = _config_value(args.config, entries, "beta_grid") or DEFAULT_BETA_GRID
+    sweep = _sweep_spec(args, entries, methods, beta_grid)
+    if sweep is None:
         return EXIT_USAGE
     rows = run_sweep(sweep)
     for path in emit_results(rows, args.out):
@@ -282,24 +281,16 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
 
 def cmd_validate(args) -> int:
     alpha = args.alpha
-    if not 0.0 < alpha < 1.0:
-        print(f"validate: alpha must lie in (0, 1), got {alpha}", file=sys.stderr)
-        return EXIT_USAGE
-    default_spend = alpha / (1.0 - alpha)
-    overridden = any(
-        value is not None for value in (args.level, args.phi, args.psi, args.rho)
-    )
-    if overridden:
-        spend = args.phi if args.phi is not None else default_spend
-        policy = constant_policy(
-            alpha_level=args.level if args.level is not None else alpha,
-            spend=spend,
-            reward=args.psi if args.psi is not None else spend + alpha,
-            power_bound=args.rho if args.rho is not None else 1.0,
-        )
-    else:
-        policy = simple_choice(alpha)
     try:
+        # simple_choice checks alpha and gives the spend a flag may override
+        default_spend = simple_choice(alpha).spend(1, LayerState())
+        spend = default_spend if args.phi is None else args.phi
+        policy = constant_policy(
+            alpha_level=alpha if args.level is None else args.level,
+            spend=spend,
+            reward=spend + alpha if args.psi is None else args.psi,
+            power_bound=1.0 if args.rho is None else args.rho,
+        )
         report = validate_policy(policy, alpha, args.horizon)
     except ValueError as exc:
         print(f"validate: {exc}", file=sys.stderr)
@@ -332,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--alpha", type=float, help="override target level")
     simulate.add_argument("--eta", type=float, help="override discovery offset")
     simulate.add_argument("--replicates", type=int, help="override replicate count")
-    simulate.add_argument("--seed", type=int, help="override master seed")
+    simulate.add_argument("--seed", type=int, dest="master_seed", help="override master seed")
     simulate.set_defaults(func=cmd_simulate)
 
     sweep = sub.add_parser("sweep", help="run a method x beta grid and emit CSVs")

@@ -127,11 +127,9 @@ def run_replicate(scenario: ScenarioSpec, method: str, seed: int) -> ReplicateRu
 
     An alpha-investing halt is recorded in the log, not raised.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method name: {method!r}")
-    data = make_streams(scenario, [seed])
     layers = 2 if method.startswith("ml-") else 1
     procedure = make_procedure(method, layers, scenario.alpha, scenario.eta)
+    data = make_streams(scenario, [seed])
     records = replay(procedure, stream_events(data.row(0), layers))
     rejected = np.array([[record.rejected for record in records]], dtype=bool)
     tallies = {name: per_row[0] for name, per_row in stream_tallies(data, rejected).items()}
@@ -148,8 +146,6 @@ def run_cell(
     replicates in lockstep, and the tallies equal ``run_replicate``'s
     replicate for replicate.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method name: {method!r}")
     seeds = [replicate_seed(master_seed, method, beta, r) for r in range(replicates)]
     data = make_streams(replace(scenario, beta=beta), seeds)
     rejected = lockstep_rejections(

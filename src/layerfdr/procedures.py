@@ -28,9 +28,9 @@ therefore leaves the procedure unchanged.
 many independent simulated streams side by side as numpy arrays over the
 replicate axis, for the default configurations only, and reaches the same
 decisions.  It takes the group ids of any number of partitions, shape
-(R, N, P), and treats the individual level as one more layer whose groups
-are the arrivals, so every layer shares one per-group update; each rule
-keeps only the state it reads (discovery counts, arrival counts for the
+(R, N, P), and runs the individual level as one more layer whose groups, the
+arrivals, never recur, so only the partitions keep per-group tables; each
+rule keeps only the state it reads (discovery counts, arrival counts for the
 modified LOND, LORD gaps or wealth).
 """
 
@@ -500,11 +500,11 @@ def lockstep_rejections(
     with simple-choice spending and inverse-square levels, on events with
     group_index (t, *groups[r, t - 1]); the mask equals replay's, row for row.
 
-    Layer 0 is the individual layer, whose group id is the arrival index.
-    All 1 + P layers share state of shape (1 + P, R) and one per-group
-    update, and each rule keeps only the state it reads: discovery counts for
-    LOND, plus per-group arrival counts for LOND_m, gaps for LORD, wealth for
-    GAI.  After an alpha-investing halt a row is neither tested nor rejected.
+    Layer 0 is the individual layer, whose groups (the arrivals) never recur,
+    so only the P partitions keep per-group tables.  Each rule keeps only the
+    (1 + P, R) state it reads: discovery counts for LOND, plus per-group
+    arrival counts for LOND_m, gaps for LORD, wealth for GAI.  After an
+    alpha-investing halt a row is neither tested nor rejected.
     A method outside ``METHODS``, an eta that is not positive and finite, a
     p-value outside [0, 1] (NaN included) or a ``pvalues`` that is not 2-D
     raises ValueError.
@@ -525,14 +525,15 @@ def lockstep_rejections(
         raise ValueError(f"groups has shape {groups.shape}, not ({reps}, {steps}[, P])")
     if groups.size and groups.min() < 0:
         raise ValueError("group ids must be non-negative")
-    partitions = np.moveaxis(np.atleast_3d(groups).astype(np.int64), 2, 0)
-    individual = np.broadcast_to(np.arange(steps), (reps, steps))
-    ids = np.stack([individual, *map(_dense_ids, partitions)])
-    layers = len(ids)
-    # flat (layer, replicate, group) cell of each arrival, one (M, R) block per step
-    offsets = steps * np.arange(layers * reps).reshape(layers, reps, 1)
-    cells = np.ascontiguousarray((ids + offsets).transpose(2, 0, 1))
-    decided_groups = np.zeros(ids.size, dtype=bool)
+    partitions = _dense_ids(np.moveaxis(np.atleast_3d(groups).astype(np.int64), 2, 0))
+    layers = 1 + len(partitions)
+    # flat (partition, replicate, group) cell of each arrival, one (P, R) block per step
+    offsets = steps * np.arange((layers - 1) * reps).reshape(layers - 1, reps, 1)
+    cells = np.ascontiguousarray((partitions + offsets).transpose(2, 0, 1))
+    decided_groups = np.zeros(partitions.size, dtype=bool)
+    # row 0 is the individual layer: its group is the arrival, never decided before
+    decided = np.zeros((layers, reps), dtype=bool)
+    partition_rows = decided[1:]
     rejected = np.zeros((steps, 1, reps), dtype=bool)
     # levels[j] is the j-th element of the level sequence; no index (t, an
     # effective-test count or a LORD gap) exceeds the number of steps
@@ -550,23 +551,24 @@ def lockstep_rejections(
         rejections = np.zeros((layers, reps), dtype=np.int64)
         if rule == "LOND_m":
             seen = np.zeros(decided_groups.size, dtype=np.int64)
-            seen_in_rejected = np.zeros((layers, reps), dtype=np.int64)
+            # arrivals in rejected groups beyond each group's one test
+            excess = np.zeros((layers, reps), dtype=np.int64)
 
     for t, (p, cell) in enumerate(zip(p_by_step, cells), 1):
-        decided = decided_groups[cell]
+        partition_rows[...] = decided_groups[cell]
         if rule == "GAI":
             threshold = level
         elif rule == "LORD":
             threshold = levels[gap]
         else:
-            index = t - seen_in_rejected + rejections if rule == "LOND_m" else t
+            index = t - excess if rule == "LOND_m" else t
             threshold = np.minimum(1.0, levels[index] * (rejections + 1))
         hit = ((p < threshold) | decided).all(axis=0, keepdims=True)
         if rule == "GAI":
             hit &= ~halted
         rejected[t - 1] = hit
         newly = hit & ~decided
-        decided_groups[cell] = decided | hit
+        decided_groups[cell] = partition_rows | hit
         if rule == "GAI":
             spent = np.where(decided | halted, wealth, wealth - spend)
             wealth = np.where(newly, wealth + reward - spend, spent)
@@ -579,17 +581,17 @@ def lockstep_rejections(
         else:
             rejections += newly
             if rule == "LOND_m":
-                # a decided group's arrivals, past and future, are its one test
                 seen[cell] += 1
-                seen_in_rejected += np.where(newly, seen[cell], decided)
+                excess[1:] += np.where(newly[1:], seen[cell] - 1, partition_rows)
     return rejected[:, 0].T
 
 
 def _dense_ids(ids: np.ndarray) -> np.ndarray:
-    """Ids of shape (R, N) renumbered densely per row once any reaches N."""
-    reps, steps = ids.shape
+    """Ids of shape (..., N) renumbered densely per row once any reaches N."""
+    steps = ids.shape[-1]
     if not ids.size or ids.max() < steps:
         return ids
-    pairs = np.column_stack([np.repeat(np.arange(reps), steps), ids.ravel()])
-    pair = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(reps, steps)
-    return pair - pair.min(axis=1, keepdims=True)
+    rows = ids.reshape(-1, steps)
+    pairs = np.column_stack([np.repeat(np.arange(len(rows)), steps), rows.ravel()])
+    pair = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(rows.shape)
+    return (pair - pair.min(axis=1, keepdims=True)).reshape(ids.shape)

@@ -6,7 +6,7 @@ import pytest
 import layerfdr
 from layerfdr import cli
 from layerfdr.core import HypothesisEvent
-from layerfdr.harness import SweepSpec
+from layerfdr.harness import SweepSpec, run_cell, run_replicate
 from layerfdr.procedures import METHODS, lockstep_rejections, make_procedure
 from layerfdr.simgen import ScenarioSpec
 
@@ -35,7 +35,6 @@ PUBLIC_NAMES = [
     "aggregate",
     "constant_policy",
     "emit_results",
-    "gen_pvalues",
     "make_procedure",
     "make_stream",
     "replay",
@@ -46,7 +45,6 @@ PUBLIC_NAMES = [
     "simple_choice",
     "standard_scenarios",
     "tally_from_sets",
-    "two_sided_p",
     "two_sided_p_array",
     "validate_policy",
 ]
@@ -95,6 +93,8 @@ def test_every_entry_point_accepts_exactly_the_method_names(name, tmp_path, caps
         lambda: make_procedure(name, 2, 0.1),
         lambda: lockstep_rejections(name, np.full((1, 3), 0.5), None, 0.1),
         lambda: SweepSpec(ScenarioSpec(), methods=(name,)),
+        lambda: run_replicate(ScenarioSpec(G=2, n=3), name, 0),
+        lambda: run_cell(ScenarioSpec(G=2, n=3), name, 1.0, 1, 0),
     ]
     for call in calls:
         if accepted:

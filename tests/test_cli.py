@@ -138,6 +138,21 @@ class TestSimulate:
         assert main(argv) == 0
         assert capsys.readouterr().out == first
 
+    def test_rows_equal_the_sweep_cell(self, sweep_cfg, tmp_path, capsys):
+        # both commands take the master seed from master_seed, not from seed
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
+        cell = [
+            line
+            for line in (out / "results.csv").read_text().splitlines()
+            if line.startswith("GAI,2,")
+        ]
+        capsys.readouterr()
+        argv = ["simulate", "--config", str(sweep_cfg), "--method", "GAI", "--beta", "2.0"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == cell
+        assert len(cell) == 2
+
 
 class TestSweep:
     def test_emits_panels(self, sweep_cfg, tmp_path, capsys):

@@ -1,5 +1,6 @@
 """The replicate-lockstep kernel against the step engine, decision for decision."""
 
+import hashlib
 import math
 import tracemalloc
 from dataclasses import replace
@@ -26,7 +27,7 @@ from layerfdr.procedures import (
     make_procedure,
     replay,
 )
-from layerfdr.simgen import make_stream
+from layerfdr.simgen import make_stream, make_streams
 
 ALPHA = 0.1
 
@@ -89,6 +90,29 @@ def test_matches_replay_on_every_panel(panel, method):
         pvalues = np.stack([data.pvalues for data in streams])
         groups = np.stack([data.groups for data in streams]) if grouped(method) else None
         assert_matches_replay(method, pvalues, groups, spec.alpha, spec.eta)
+
+
+# SHA-256 of the masks below as the kernel wrote them when this test was added
+MASK_DIGEST = "a1e2ce09cb9b659b33bfd87aee594a67a1ab505070152c362dd9dfcf5455e95e"
+
+
+def test_masks_match_the_golden_digest():
+    # 140 cells of 20 replicates with groups as run_cell passes them, and the
+    # ml rules once more under a second partition crossing the first, t mod 7
+    digest = hashlib.sha256()
+    for method in METHODS:
+        for spec in standard_scenarios().values():
+            for beta in (0.0, 2.5):
+                seeds = [replicate_seed(0, method, beta, r) for r in range(20)]
+                data = make_streams(replace(spec, beta=beta), seeds)
+                crossed = np.broadcast_to(
+                    np.arange(1, data.groups.shape[1] + 1) % 7, data.groups.shape
+                )
+                for partitions in partition_counts(method):
+                    groups = partitioned(partitions, data.groups, crossed)
+                    mask = lockstep_rejections(method, data.pvalues, groups, spec.alpha, spec.eta)
+                    digest.update(mask.tobytes())
+    assert digest.hexdigest() == MASK_DIGEST
 
 
 @pytest.mark.parametrize("method", METHODS)
