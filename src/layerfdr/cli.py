@@ -157,7 +157,7 @@ def _sweep_spec(args, entries, methods, beta_grid=None, **overrides) -> Optional
         scenario = replace(scenario_from_config(path, entries), **overrides)
         return SweepSpec(
             scenario,
-            beta_grid=beta_grid or (scenario.beta,),
+            beta_grid=(scenario.beta,) if beta_grid is None else beta_grid,
             methods=methods,
             replicates=replicates,
             master_seed=master_seed,
@@ -190,12 +190,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     entries = parse_config(args.config)
-    methods = args.methods
-    if methods is None:
+    if args.methods is None:
         methods = _config_value(args.config, entries, "methods", default=METHODS)
     else:
-        methods = tuple(item.strip() for item in methods.split(",") if item.strip())
-    beta_grid = _config_value(args.config, entries, "beta_grid") or DEFAULT_BETA_GRID
+        methods = _convert(args.config, "methods", None, args.methods)
+    beta_grid = _config_value(args.config, entries, "beta_grid", default=DEFAULT_BETA_GRID)
     sweep = _sweep_spec(args, entries, methods, beta_grid)
     if sweep is None:
         return EXIT_USAGE

@@ -1,9 +1,12 @@
 """Multi-layer online testing procedures and their threshold schedules.
 
-Three decision rules share one skeleton: each arriving hypothesis is tested
-only in the layers whose group is still undecided ("pending"), it is rejected
-iff its p-value clears every pending layer's threshold, and a rejection flips
-every pending layer's group to discovered.
+One engine, ``OnlineProcedure``, runs three decision rules, held as a value
+(``"GAI"``, ``"LOND"``, ``"LOND_m"`` or ``"LORD"``) on one skeleton: each
+arriving hypothesis is tested only in the layers whose group is still
+undecided ("pending"), it is rejected iff its p-value clears every pending
+layer's threshold, and a rejection flips every pending layer's group to
+discovered.  The rules differ only in how a threshold is computed and in the
+per-layer state a step updates afterwards.
 
 * Alpha-investing: each layer holds a wealth budget, pays a spend charge for
   every test and earns a reward on discovery; the stream halts once any
@@ -19,10 +22,11 @@ every pending layer's group to discovered.
 Rejection requires strict inequality p < threshold; ties are accepts.
 
 A step computes first and commits after: the pending layers, their
-thresholds and charges and the decision are worked out from the state as it
-was before the arrival, and only then are the clock, the arrival counts, the
-discovered groups and the per-rule state updated.  A step that raises
-therefore leaves the procedure unchanged.
+thresholds (a list indexed by layer, None where a layer is not tested) and
+charges and the decision are worked out from the state as it was before the
+arrival, and only then are the clock, the arrival counts, the discovered
+groups and the per-rule state updated.  A step that raises therefore leaves
+the procedure unchanged.
 
 ``replay`` drives one stream event by event.  ``lockstep_rejections`` runs
 many independent simulated streams side by side as numpy arrays over the
@@ -190,16 +194,40 @@ def _check_charges(t: int, spend: float, reward: float) -> None:
 
 
 class OnlineProcedure:
-    """Shared skeleton of the sequential multi-layer decision engines.
+    """The sequential multi-layer decision engine; one instance owns one stream.
 
-    One instance owns one stream.  ``step`` consumes the next event and
-    returns a DecisionRecord; after an alpha-investing halt further ``step``
-    calls raise StreamHalted while ``skip`` records the event as not tested.
-    Replaying the same events through a freshly configured instance yields
-    identical records.
+    ``rule`` is the decision rule, ``"GAI"``, ``"LORD"``, ``"LOND"`` or
+    ``"LOND_m"``, and ``schedules`` holds one schedule per layer: a level
+    sequence (anything with ``value(j)``) for LOND and LORD, or a
+    SpendingPolicy for GAI.  ``make_procedure`` builds both from a method name.
+
+    * GAI (alpha-investing): every layer starts with wealth alpha * eta.  Each
+      pending layer pays the spend charge whether or not the hypothesis is
+      rejected and earns the reward only on rejection; a layer whose group is
+      already decided is neither tested nor charged.  The stream halts once
+      min wealth <= 0, so the final charged step may push wealth below zero.
+    * LOND: the pending threshold at step t is min(1, beta(idx) * (R + 1))
+      with R the layer's current discovery count; idx is the raw time t, or
+      for LOND_m the layer's effective test count, which treats every
+      hypothesis landing in an already-rejected group as part of that group's
+      single collapsed test.
+    * LORD: each layer counts tests since its last discovery (starting at 1)
+      and uses the level sequence at that index.  On rejection every pending
+      layer's counter resets to 1; otherwise every pending layer's counter
+      advances, including layers the failing comparison short-circuited past.
+
+    ``step`` consumes the next event and returns a DecisionRecord; after an
+    alpha-investing halt further ``step`` calls raise StreamHalted while
+    ``skip`` records the event as not tested.  Replaying the same events
+    through a freshly configured instance yields identical records.
     """
 
-    def __init__(self, layers: int, alpha: float, eta: float, untested: str):
+    def __init__(
+        self, rule: str, layers: int, alpha: float, eta: float, untested: str,
+        schedules: Sequence,
+    ):
+        if rule not in ("GAI", "LORD", "LOND", "LOND_m"):
+            raise ValueError(f"unknown decision rule: {rule!r}")
         if layers < 1:
             raise ValueError(f"at least one layer is required, got {layers}")
         if not 0.0 < alpha < 1.0:
@@ -207,30 +235,17 @@ class OnlineProcedure:
         _check_eta(eta)
         if untested not in (UNTESTED_LITERAL, UNTESTED_ACCEPT):
             raise ValueError(f"unknown untested-hypothesis mode: {untested!r}")
+        self.rule = rule
         self.layers = layers
         self.alpha = alpha
         self.eta = eta
         self.untested = untested
-        self.states = [LayerState() for _ in range(layers)]
+        self.schedules = tuple(schedules)
+        wealth = alpha * eta if rule == "GAI" else None
+        gap = 1 if rule == "LORD" else None
+        self.states = [LayerState(wealth=wealth, since_last_discovery=gap) for _ in range(layers)]
         self.t = 0
         self.halted = False
-
-    # -- method-specific hooks -------------------------------------------
-
-    def _thresholds(self, t: int, pending: list[int]):
-        """Return (thresholds by pending layer, charges handed to ``_settle``).
-
-        Runs before anything is committed and must not change the state.
-        """
-        raise NotImplementedError
-
-    def _settle(self, pending: list[int], rejected: bool, charges) -> None:
-        pass
-
-    def _exhausted(self) -> bool:
-        return False
-
-    # -- stream driving ---------------------------------------------------
 
     def step(self, event: HypothesisEvent) -> DecisionRecord:
         # everything that can raise runs before the state is touched, so a
@@ -240,10 +255,28 @@ class OnlineProcedure:
         self._check_event(event)
         t = self.t + 1
         groups = event.group_index
-        states = self.states
+        rule, schedules, states = self.rule, self.schedules, self.states
         pending = [m for m, state in enumerate(states) if groups[m] not in state.rejected_groups]
+        thresholds = [None] * self.layers
+        if rule == "GAI":
+            charges = []
+            for m in pending:
+                policy, state = schedules[m], states[m]
+                thresholds[m] = level = policy.alpha_level(t, state)
+                if not 0.0 < level <= 1.0:
+                    raise ValueError(f"significance level outside (0, 1]: {level}")
+                charges.append((policy.spend(t, state), policy.reward(t, state)))
+                _check_charges(t, *charges[-1])
+        elif rule == "LORD":
+            for m in pending:
+                thresholds[m] = schedules[m].value(states[m].since_last_discovery)
+        else:
+            modified = rule == "LOND_m"
+            for m in pending:
+                state = states[m]
+                index = state.effective_tests(t) if modified else t
+                thresholds[m] = min(1.0, schedules[m].value(index) * (state.rejections + 1))
         if pending:
-            thresholds, charges = self._thresholds(t, pending)
             p = event.p
             rejected = True
             for m in pending:
@@ -252,7 +285,6 @@ class OnlineProcedure:
                     break
         else:
             # every layer's group is already decided; nothing to test or charge
-            thresholds, charges = {}, None
             rejected = self.untested == UNTESTED_LITERAL
         self.t = t
         for state, group in zip(states, groups):
@@ -260,7 +292,16 @@ class OnlineProcedure:
         if rejected:
             for m in pending:
                 states[m].mark_rejected(groups[m])
-        self._settle(pending, rejected, charges)
+        if rule == "GAI":
+            # evaluate the update exactly as written (W + reward - spend) so the
+            # halt comparison is reproducible across independent implementations
+            for m, (spend, reward) in zip(pending, charges):
+                state = states[m]
+                state.wealth = state.wealth + reward - spend if rejected else state.wealth - spend
+        elif rule == "LORD":
+            for m in pending:
+                state = states[m]
+                state.since_last_discovery = 1 if rejected else state.since_last_discovery + 1
         return self._finish(t, event, rejected, thresholds)
 
     def skip(self, event: HypothesisEvent) -> DecisionRecord:
@@ -271,7 +312,7 @@ class OnlineProcedure:
         self.t += 1
         for state, group in zip(self.states, event.group_index):
             state.observe(group)
-        return self._finish(self.t, event, False, {})
+        return self._finish(self.t, event, False, [None] * self.layers)
 
     def run_pvalues(self, pvalues: Sequence[float]) -> list[DecisionRecord]:
         """Feed bare p-values as fresh singleton-group events."""
@@ -285,8 +326,6 @@ class OnlineProcedure:
         ]
         return replay(self, events)
 
-    # -- internals ---------------------------------------------------------
-
     def _check_event(self, event: HypothesisEvent) -> None:
         if len(event.group_index) != self.layers:
             raise ValueError(
@@ -299,131 +338,24 @@ class OnlineProcedure:
         t: int,
         event: HypothesisEvent,
         rejected: bool,
-        thresholds: dict[int, float],
+        thresholds: list[Optional[float]],
     ) -> DecisionRecord:
-        halted = self._exhausted()
         outcomes = []
-        for m, state in enumerate(self.states):
-            threshold = thresholds.get(m)
+        for state, threshold in zip(self.states, thresholds):
             tested = threshold is not None
-            rejections = state.rejections
             outcomes.append(
                 LayerOutcome(
                     tested,
                     threshold,
                     tested and rejected,
                     state.wealth,
-                    rejections,
-                    t - state.seen_in_rejected + rejections,
+                    state.rejections,
+                    state.effective_tests(t),
                     state.since_last_discovery,
                 )
             )
-        self.halted = halted
-        return DecisionRecord(t, rejected, event.group_index, tuple(outcomes), halted)
-
-
-class AlphaInvesting(OnlineProcedure):
-    """Multi-layer alpha-investing.
-
-    Every layer starts with wealth alpha * eta.  Each pending layer pays the
-    spend charge whether or not the hypothesis is rejected and earns the
-    reward only on rejection; a layer whose group is already decided is
-    neither tested nor charged.  The stream halts once min wealth <= 0 —
-    the final charged step may push wealth below zero.
-    """
-
-    def __init__(
-        self, layers: int, alpha: float, eta: float, untested: str,
-        policies: tuple[SpendingPolicy, ...],
-    ):
-        super().__init__(layers, alpha, eta, untested)
-        self.policies = policies
-        for state in self.states:
-            state.wealth = alpha * eta
-
-    def _thresholds(self, t: int, pending: list[int]):
-        levels, charges = {}, {}
-        for m in pending:
-            policy, state = self.policies[m], self.states[m]
-            level = policy.alpha_level(t, state)
-            if not 0.0 < level <= 1.0:
-                raise ValueError(f"significance level outside (0, 1]: {level}")
-            levels[m] = level
-            charges[m] = (policy.spend(t, state), policy.reward(t, state))
-            _check_charges(t, *charges[m])
-        return levels, charges
-
-    def _settle(self, pending: list[int], rejected: bool, charges) -> None:
-        # evaluate the update exactly as written (W + reward - spend) so the
-        # halt comparison is reproducible across independent implementations
-        for m in pending:
-            spend, reward = charges[m]
-            state = self.states[m]
-            if rejected:
-                state.wealth = state.wealth + reward - spend
-            else:
-                state.wealth = state.wealth - spend
-
-    def _exhausted(self) -> bool:
-        return min(state.wealth for state in self.states) <= 0.0
-
-
-class Lond(OnlineProcedure):
-    """Multi-layer LOND, optionally indexed by effective test counts.
-
-    The pending threshold at step t is min(1, beta(idx) * (R + 1)) with R the
-    layer's current discovery count; idx is the raw time t, or with
-    ``modified=True`` the layer's effective test count, which treats every
-    hypothesis landing in an already-rejected group as part of that group's
-    single collapsed test.
-    """
-
-    def __init__(
-        self, layers: int, alpha: float, eta: float, untested: str,
-        betas: tuple[BetaSequence, ...], modified: bool,
-    ):
-        super().__init__(layers, alpha, eta, untested)
-        self.betas = betas
-        self.modified = modified
-
-    def _thresholds(self, t: int, pending: list[int]):
-        out = {}
-        for m in pending:
-            state = self.states[m]
-            index = state.effective_tests(t) if self.modified else t
-            out[m] = min(1.0, self.betas[m].value(index) * (state.rejections + 1))
-        return out, None
-
-
-class Lord(OnlineProcedure):
-    """Multi-layer LORD: thresholds reset on each discovery.
-
-    Each layer counts tests since its last discovery (starting at 1) and uses
-    the level sequence at that index.  On rejection every pending layer's
-    counter resets to 1; otherwise every pending layer's counter advances,
-    including layers the failing comparison short-circuited past.
-    """
-
-    def __init__(
-        self, layers: int, alpha: float, eta: float, untested: str,
-        betas: tuple[BetaSequence, ...],
-    ):
-        super().__init__(layers, alpha, eta, untested)
-        self.betas = betas
-        for state in self.states:
-            state.since_last_discovery = 1
-
-    def _thresholds(self, t: int, pending: list[int]):
-        betas, states = self.betas, self.states
-        return {m: betas[m].value(states[m].since_last_discovery) for m in pending}, None
-
-    def _settle(self, pending: list[int], rejected: bool, charges) -> None:
-        if rejected:
-            for m in pending:
-                self.states[m].since_last_discovery = 1
-        else:
-            for m in pending:
-                self.states[m].since_last_discovery += 1
+        self.halted = self.rule == "GAI" and min(state.wealth for state in self.states) <= 0.0
+        return DecisionRecord(t, rejected, event.group_index, tuple(outcomes), self.halted)
 
 
 def _check_eta(eta: float) -> None:
@@ -462,13 +394,11 @@ def make_procedure(
         raise ValueError("one layer config per layer is required")
     if rule == "GAI":
         default = simple_choice(alpha)
-        policies = tuple(config.spending_policy or default for config in layer_configs)
-        return AlphaInvesting(layers, alpha, eta, untested, policies)
-    default = BetaSequence(alpha)
-    betas = tuple(config.beta_sequence or default for config in layer_configs)
-    if rule == "LORD":
-        return Lord(layers, alpha, eta, untested, betas)
-    return Lond(layers, alpha, eta, untested, betas, modified=rule == "LOND_m")
+        schedules = [config.spending_policy or default for config in layer_configs]
+    else:
+        default = BetaSequence(alpha)
+        schedules = [config.beta_sequence or default for config in layer_configs]
+    return OnlineProcedure(rule, layers, alpha, eta, untested, schedules)
 
 
 def replay(

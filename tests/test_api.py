@@ -5,7 +5,7 @@ import pytest
 
 import layerfdr
 from layerfdr import cli
-from layerfdr.core import HypothesisEvent
+from layerfdr.core import HypothesisEvent, LayerState
 from layerfdr.harness import SweepSpec, run_cell, run_replicate
 from layerfdr.procedures import METHODS, lockstep_rejections, make_procedure
 from layerfdr.simgen import ScenarioSpec
@@ -76,6 +76,11 @@ def test_benchmark_entry_points():
     procedure.skip = lambda event: skip(event)
     record = procedure.step(HypothesisEvent(t=1, p=0.001, group_index=(1, 3)))
     assert record.rejected and record.layers[1].threshold == record.layers[0].threshold
+    # the stream workload's state_entries counters read these two tables;
+    # the rejection moved each layer's one arrival out of seen_per_group
+    assert [type(state) for state in procedure.states] == [LayerState, LayerState]
+    assert [state.seen_per_group for state in procedure.states] == [{}, {}]
+    assert [state.rejected_groups for state in procedure.states] == [{1}, {3}]
     assert dataclasses.replace(record, rejected=False).rejected is False
 
 

@@ -181,6 +181,16 @@ class TestSweep:
         results = (out / "results.csv").read_text()
         assert "ml-GAI" not in results
 
+    def test_blank_padded_method_list_writes_the_same_files(self, sweep_cfg, tmp_path):
+        plain, padded = tmp_path / "plain", tmp_path / "padded"
+        for out, methods in ((plain, "GAI"), (padded, " GAI , ,")):
+            argv = ["sweep", "--config", str(sweep_cfg), "--out", str(out), "--methods", methods]
+            assert main(argv) == 0
+        names = sorted(path.name for path in plain.iterdir())
+        assert names == sorted(path.name for path in padded.iterdir())
+        for name in names:
+            assert (padded / name).read_bytes() == (plain / name).read_bytes()
+
     def test_rerun_identical_bytes(self, sweep_cfg, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -210,6 +220,7 @@ class TestSweep:
             ("1,1.0", "duplicate beta values"),
             ("nan", "beta must be non-negative and finite"),
             ("1.0,inf", "beta must be non-negative and finite"),
+            (",", "beta grid must be nonempty"),
         ],
     )
     def test_bad_beta_grid_exits_2_before_any_work(self, tmp_path, capsys, grid, message):

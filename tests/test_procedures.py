@@ -13,6 +13,7 @@ from layerfdr.harness import standard_scenarios, stream_events
 from layerfdr.procedures import (
     METHODS,
     BetaSequence,
+    OnlineProcedure,
     SpendingPolicy,
     constant_policy,
     make_procedure,
@@ -307,6 +308,18 @@ class TestSingleLayerFactory:
             make_procedure("BONF", 1, ALPHA)
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_every_method_runs_on_the_one_engine_class(method):
+    proc = make_procedure(method, 2, ALPHA)
+    assert type(proc) is OnlineProcedure
+    assert proc.rule == method.removeprefix("ml-")
+
+
+def test_engine_rejects_an_unknown_rule():
+    with pytest.raises(ValueError, match="unknown decision rule: 'ml-LORD'"):
+        OnlineProcedure("ml-LORD", 1, ALPHA, 1.0, "literal", [BetaSequence(ALPHA)])
+
+
 @pytest.mark.parametrize("method", ["ml-GAI", "ml-LOND", "ml-LOND_m", "ml-LORD"])
 def test_issued_thresholds_live_in_unit_interval(method):
     rng = np.random.default_rng(7)
@@ -451,6 +464,32 @@ class TestFailedStepLeavesStreamUnchanged:
         assert proc.t == 4
         assert proc.states == before
         assert proc.step(event(5, 0.04, (5, 1))) == reference.step(event(5, 0.04, (5, 1)))
+
+
+class TestSkipContract:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_skip_on_a_live_stream_raises_and_changes_nothing(self, method):
+        layers = 2 if method.startswith("ml-") else 1
+        proc = make_procedure(method, layers, ALPHA)
+        proc.step(event(1, 0.01, (1,) * layers))
+        assert not proc.halted
+        before = copy.deepcopy(proc.states)
+        with pytest.raises(RuntimeError, match="only valid after the stream has halted"):
+            proc.skip(event(2, 0.5, (2,) * layers))
+        assert proc.t == 1
+        assert proc.states == before
+
+    def test_wrong_group_count_on_a_halted_stream_does_not_advance(self):
+        # the first accept costs the whole initial wealth alpha < spend
+        proc = make_procedure("ml-GAI", 2, ALPHA)
+        assert proc.step(event(1, 0.5, (1, 1))).halted
+        before = copy.deepcopy(proc.states)
+        with pytest.raises(ValueError, match="expected 2"):
+            proc.skip(event(2, 0.5, (2,)))
+        assert proc.t == 1
+        assert proc.states == before
+        record = proc.skip(event(2, 0.5, (2, 1)))
+        assert (record.t, record.rejected, record.tested_layers()) == (2, False, [])
 
 
 @st.composite
