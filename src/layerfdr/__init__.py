@@ -5,7 +5,6 @@ error metrics, and a seeded experiment harness."""
 from .core import (
     DecisionRecord,
     HypothesisEvent,
-    LayerConfig,
     LayerOutcome,
     LayerState,
     StreamHalted,
@@ -24,9 +23,7 @@ from .harness import (
 from .metrics import (
     AggregateResult,
     LayerTally,
-    TallyTracker,
     aggregate,
-    tally_from_sets,
 )
 from .procedures import (
     METHODS,
@@ -57,7 +54,6 @@ __all__ = [
     "DecisionRecord",
     "HypothesisEvent",
     "LAYER_NAMES",
-    "LayerConfig",
     "LayerOutcome",
     "LayerState",
     "LayerTally",
@@ -70,7 +66,6 @@ __all__ = [
     "StreamData",
     "StreamHalted",
     "SweepSpec",
-    "TallyTracker",
     "aggregate",
     "constant_policy",
     "emit_results",
@@ -83,7 +78,6 @@ __all__ = [
     "signal_means",
     "simple_choice",
     "standard_scenarios",
-    "tally_from_sets",
     "two_sided_p_array",
     "validate_policy",
 ]

@@ -3,11 +3,13 @@
 Configuration files are flat ``key = value`` documents ('#' starts a
 comment).  Scenario keys: structure, pattern, strength, G, n, N, s, k, beta,
 alpha, eta, seed, p1.  Sweep extras: methods and beta_grid (comma-separated),
-replicates, master_seed.  Flags always take precedence over file values; the
-master seed of ``simulate`` and ``sweep`` is the flag, then master_seed, then
-seed, then 0.  A method is one of the seven ``METHODS`` names.  ``simulate``
-runs a one-cell sweep (one method, the scenario's beta) and prints the rows
-that sweep's results.csv holds for that cell.
+replicates, master_seed.  Every value is checked as its line is read, so a
+bad value is an error even where a flag overrides it.  Flags always take
+precedence over file values; the master seed of ``simulate`` and ``sweep``
+is the flag, then master_seed, then seed, then 0.  A method is one of the
+seven ``METHODS`` names.  ``simulate`` runs a one-cell sweep (one method,
+the scenario's beta) and prints the rows that sweep's results.csv holds for
+that cell.
 
 Stream mode reads one JSON object per line with fields ``p`` (number) and
 ``groups`` (array of M integers in layer order) and answers each with
@@ -39,6 +41,8 @@ from .harness import (
 )
 from .procedures import (
     METHODS,
+    UNTESTED_ACCEPT,
+    UNTESTED_LITERAL,
     constant_policy,
     make_procedure,
     simple_choice,
@@ -53,12 +57,11 @@ EXIT_USAGE = 2
 
 _INT_KEYS = {"G", "n", "N", "seed", "replicates", "master_seed"}
 _FLOAT_KEYS = {"s", "k", "beta", "alpha", "eta", "p1"}
-_CHOICE_KEYS = {"structure", "pattern", "strength"}
-_LIST_KEYS = {"methods", "beta_grid"}
-_SCENARIO_KEYS = _CHOICE_KEYS | {
-    "G", "n", "N", "s", "k", "beta", "alpha", "eta", "seed", "p1",
+_SCENARIO_KEYS = {
+    "structure", "pattern", "strength", "G", "n", "N", "s", "k", "beta", "alpha", "eta",
+    "seed", "p1",
 }
-_ALL_KEYS = _SCENARIO_KEYS | _LIST_KEYS | {"replicates", "master_seed"}
+_ALL_KEYS = _SCENARIO_KEYS | {"methods", "beta_grid", "replicates", "master_seed"}
 
 
 class ConfigError(Exception):
@@ -67,8 +70,12 @@ class ConfigError(Exception):
         super().__init__(f"{location}: {message}")
 
 
-def parse_config(path) -> dict[str, tuple[int, str]]:
-    """Parse a flat key = value file into {key: (line number, raw value)}."""
+def parse_config(path) -> dict[str, object]:
+    """Parse a flat key = value file into {key: value}.
+
+    Each value is converted to its key's type as its line is read, so a bad
+    value fails whether or not a flag later overrides it.
+    """
     path = Path(path)
     if not path.exists():
         raise ConfigError(path, None, "config file not found")
@@ -76,7 +83,7 @@ def parse_config(path) -> dict[str, tuple[int, str]]:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(path, None, f"cannot read config file: {exc}")
-    entries: dict[str, tuple[int, str]] = {}
+    entries: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -92,11 +99,11 @@ def parse_config(path) -> dict[str, tuple[int, str]]:
             raise ConfigError(path, lineno, f"duplicate key {key!r}")
         if not value:
             raise ConfigError(path, lineno, f"empty value for {key!r}")
-        entries[key] = (lineno, value)
+        entries[key] = _convert(path, key, lineno, value)
     return entries
 
 
-def _convert(path, key: str, lineno: int, value: str):
+def _convert(path, key: str, lineno: Optional[int], value: str):
     try:
         if key in _INT_KEYS:
             return int(value)
@@ -115,22 +122,12 @@ def _convert(path, key: str, lineno: int, value: str):
     return value
 
 
-def scenario_from_config(path, entries: dict[str, tuple[int, str]]) -> ScenarioSpec:
-    fields = {}
-    for key, (lineno, value) in entries.items():
-        if key in _SCENARIO_KEYS:
-            fields[key] = _convert(path, key, lineno, value)
+def scenario_from_config(path, entries: dict[str, object]) -> ScenarioSpec:
+    fields = {key: value for key, value in entries.items() if key in _SCENARIO_KEYS}
     try:
         return ScenarioSpec(**fields)
     except ValueError as exc:
         raise ConfigError(path, None, str(exc))
-
-
-def _config_value(path, entries, key: str, default=None):
-    if key not in entries:
-        return default
-    lineno, value = entries[key]
-    return _convert(path, key, lineno, value)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +145,9 @@ def _sweep_spec(args, entries, methods, beta_grid=None, **overrides) -> Optional
     path = args.config
     replicates, master_seed = args.replicates, args.master_seed
     if replicates is None:
-        replicates = _config_value(path, entries, "replicates", default=100)
+        replicates = entries.get("replicates", 100)
     if master_seed is None:
-        seed = _config_value(path, entries, "seed", default=0)
-        master_seed = _config_value(path, entries, "master_seed", default=seed)
+        master_seed = entries.get("master_seed", entries.get("seed", 0))
     overrides = {key: value for key, value in overrides.items() if value is not None}
     try:
         scenario = replace(scenario_from_config(path, entries), **overrides)
@@ -172,7 +168,7 @@ def cmd_simulate(args) -> int:
     entries = parse_config(args.config)
     method = args.method
     if method is None:
-        methods = _config_value(args.config, entries, "methods", default=())
+        methods = entries.get("methods", ())
         if len(methods) != 1:
             print("simulate: --method is required", file=sys.stderr)
             return EXIT_USAGE
@@ -191,10 +187,10 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     entries = parse_config(args.config)
     if args.methods is None:
-        methods = _config_value(args.config, entries, "methods", default=METHODS)
+        methods = entries.get("methods", METHODS)
     else:
         methods = _convert(args.config, "methods", None, args.methods)
-    beta_grid = _config_value(args.config, entries, "beta_grid", default=DEFAULT_BETA_GRID)
+    beta_grid = entries.get("beta_grid", DEFAULT_BETA_GRID)
     sweep = _sweep_spec(args, entries, methods, beta_grid)
     if sweep is None:
         return EXIT_USAGE
@@ -338,7 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--layers", type=int, default=1, help="number of layers M")
     stream.add_argument("--alpha", type=float, default=0.1)
     stream.add_argument("--eta", type=float, default=1.0)
-    stream.add_argument("--untested", choices=("literal", "accept"), default="literal")
+    stream.add_argument(
+        "--untested", choices=(UNTESTED_LITERAL, UNTESTED_ACCEPT), default=UNTESTED_LITERAL
+    )
     stream.add_argument("--input", default="-", help="input file or '-' for stdin")
     stream.set_defaults(func=cmd_stream)
 

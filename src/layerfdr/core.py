@@ -8,17 +8,16 @@ The individual level itself is just a layer whose groups are singletons
 (group id equal to the arrival index), so every layer is handled uniformly.
 
 Time is implicit in arrival order; events carry a ``t`` field for audit
-output only.  One stream is one strictly sequential state machine — distinct
-streams are independent and safe to process in parallel.
+output only.  An event carries no ground-truth label: only a simulation
+knows which hypotheses are true, and the tallies take those labels beside
+the decision records.  One stream is one strictly sequential state
+machine — distinct streams are independent and safe to process in parallel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - type-only imports
-    from .procedures import BetaSequence, SpendingPolicy
+from typing import NamedTuple, Optional
 
 
 class StreamHalted(RuntimeError):
@@ -29,14 +28,12 @@ class StreamHalted(RuntimeError):
 class HypothesisEvent:
     """One element of the hypothesis stream.
 
-    ``group_index[m]`` is the group of this hypothesis in layer m.  ``truth``
-    is the 0/1 ground-truth label, present only in simulation or replay.
+    ``group_index[m]`` is the group of this hypothesis in layer m.
     """
 
     t: int
     p: float
     group_index: tuple[int, ...]
-    truth: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.t < 1:
@@ -45,22 +42,6 @@ class HypothesisEvent:
             raise ValueError(f"p-value outside [0, 1]: {self.p}")
         if self.group_index and min(self.group_index) < 0:
             raise ValueError("group ids must be non-negative")
-        if self.truth not in (None, 0, 1):
-            raise ValueError(f"truth label must be 0 or 1, got {self.truth}")
-
-
-@dataclass(frozen=True)
-class LayerConfig:
-    """Declarative configuration for one layer of a procedure.
-
-    ``beta_sequence`` drives threshold schedules (LOND/LORD layers) and
-    ``spending_policy`` drives wealth dynamics (alpha-investing layers);
-    whichever the chosen method ignores may be left unset.  Every layer
-    tests the event's own p-value.
-    """
-
-    beta_sequence: Optional["BetaSequence"] = None
-    spending_policy: Optional["SpendingPolicy"] = None
 
 
 @dataclass

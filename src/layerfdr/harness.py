@@ -81,11 +81,12 @@ def replicate_seed(master_seed: int, method: str, beta: float, r: int) -> int:
 
 
 def stream_events(data: StreamData, layers: int) -> list[HypothesisEvent]:
-    """Labeled events of one stream: the individual singleton layer first
-    and, with ``layers=2``, the scenario's group layer second."""
+    """Events of one stream: the individual singleton layer first and, with
+    ``layers=2``, the scenario's group layer second.  The truth labels stay
+    in ``data.truths``."""
     return [
-        HypothesisEvent(t=i + 1, p=float(p), group_index=(i + 1, int(g))[:layers], truth=int(th))
-        for i, (p, g, th) in enumerate(zip(data.pvalues, data.groups, data.truths))
+        HypothesisEvent(t=i + 1, p=float(p), group_index=(i + 1, int(g))[:layers])
+        for i, (p, g) in enumerate(zip(data.pvalues, data.groups))
     ]
 
 

@@ -6,6 +6,12 @@ realized false fraction V / max(R, 1) of a single run; FDR averages FDP over
 replicates, while mFDR is the ratio of mean false discoveries to mean
 discoveries plus eta.  Group-level power is reported as the mean of
 per-replicate ratios TD / max(T, 1).
+
+Ground truth comes from the simulation as 0/1 labels passed beside the
+decisions; events do not carry it.  ``tally_from_sets`` and
+``TallyTracker`` count one stream from Python sets, at the end or record by
+record.  They are the references the tests hold the harness's stacked tally
+route to, and are not among the package's top-level names.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import DecisionRecord, HypothesisEvent
+from .core import DecisionRecord
 
 
 @dataclass(frozen=True)
@@ -63,10 +69,10 @@ def tally_from_sets(selected: set[int], true_groups: set[int]) -> LayerTally:
 class TallyTracker:
     """Incrementally maintained tallies across a stream.
 
-    Feeding each (event, record) pair keeps per-layer counts identical to
-    ``tally_from_sets`` over the selected and true groups of every prefix.
-    A group discovered while null is reclassified as true the moment a true
-    hypothesis inside it arrives.
+    Feeding each decision record with its hypothesis's 0/1 ground-truth
+    label keeps per-layer counts identical to ``tally_from_sets`` over the
+    selected and true groups of every prefix.  A group discovered while null
+    is reclassified as true the moment a true hypothesis inside it arrives.
     """
 
     def __init__(self, layers: int):
@@ -77,12 +83,12 @@ class TallyTracker:
         self._false_count = [0] * layers
         self.layers = layers
 
-    def update(self, event: HypothesisEvent, record: DecisionRecord) -> None:
-        if event.truth is None:
-            raise ValueError("truth required")
+    def update(self, record: DecisionRecord, truth: int) -> None:
+        if truth not in (0, 1):
+            raise ValueError(f"truth label must be 0 or 1, got {truth!r}")
         for m in range(self.layers):
-            group = event.group_index[m]
-            if event.truth == 1 and group not in self._true[m]:
+            group = record.group_index[m]
+            if truth == 1 and group not in self._true[m]:
                 self._true[m].add(group)
                 if group in self._selected[m]:
                     self._false_count[m] -= 1

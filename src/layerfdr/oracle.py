@@ -244,32 +244,27 @@ def per_discovery_fdp(
     evaluated at the step of the k-th group discovery (truth accumulated
     through that same step).
     """
-    selected: set[int] = set()
-    true_groups: set[int] = set()
-    false_count = 0
+    tracker = TallyTracker(layer + 1)  # layers 0..layer; only ``layer`` is read
     out: list[float] = []
+    discoveries = 0
     for record, truth in zip(records, truths):
-        group = record.group_index[layer]
-        if truth == 1 and group not in true_groups:
-            true_groups.add(group)
-            if group in selected:
-                false_count -= 1
-        if record.rejected and group not in selected:
-            selected.add(group)
-            if group not in true_groups:
-                false_count += 1
-            out.append(false_count / len(selected))
+        tracker.update(record, truth)
+        tally = tracker.tally(layer)
+        if tally.discoveries > discoveries:
+            discoveries = tally.discoveries
+            out.append(tally.fdp)
     return out
 
 
 def balance_trajectories(
-    events: Sequence[HypothesisEvent],
     records: Sequence[DecisionRecord],
+    truths: Sequence[int],
     alpha: float,
     eta: float,
 ) -> np.ndarray:
     """Per-layer path of alpha*R - V + alpha*eta - W over one investing run.
 
+    ``truths`` holds the 0/1 ground-truth label of each record's hypothesis.
     Index j of the returned (layers, N+1) array is the value after j steps;
     index 0 is exactly zero because R = V = 0 and W = alpha * eta at start.
     The path freezes once the stream halts.
@@ -277,8 +272,8 @@ def balance_trajectories(
     layers = len(records[0].layers) if records else 0
     tracker = TallyTracker(layers)
     out = np.zeros((layers, len(records) + 1))
-    for j, (event, record) in enumerate(zip(events, records), start=1):
-        tracker.update(event, record)
+    for j, (record, truth) in enumerate(zip(records, truths), start=1):
+        tracker.update(record, truth)
         for m in range(layers):
             snapshot = record.layers[m]
             if snapshot.wealth is None:
@@ -310,10 +305,10 @@ def submartingale_probe(
     squares = np.zeros((2, total + 1))
     rep_seeds = np.random.SeedSequence(seed).generate_state(n_rep, dtype=np.uint64)
     for rep_seed in rep_seeds:
-        events = stream_events(make_stream(replace(scenario, seed=int(rep_seed))), 2)
+        data = make_stream(replace(scenario, seed=int(rep_seed)))
         procedure = make_procedure("ml-GAI", 2, scenario.alpha, scenario.eta)
-        records = replay(procedure, events)
-        paths = balance_trajectories(events, records, scenario.alpha, scenario.eta)
+        records = replay(procedure, stream_events(data, 2))
+        paths = balance_trajectories(records, data.truths.tolist(), scenario.alpha, scenario.eta)
         sums += paths
         squares += paths ** 2
     means = sums / n_rep

@@ -49,7 +49,6 @@ import numpy as np
 from .core import (
     DecisionRecord,
     HypothesisEvent,
-    LayerConfig,
     LayerOutcome,
     LayerState,
     StreamHalted,
@@ -199,7 +198,10 @@ class OnlineProcedure:
     ``rule`` is the decision rule, ``"GAI"``, ``"LORD"``, ``"LOND"`` or
     ``"LOND_m"``, and ``schedules`` holds one schedule per layer: a level
     sequence (anything with ``value(j)``) for LOND and LORD, or a
-    SpendingPolicy for GAI.  ``make_procedure`` builds both from a method name.
+    SpendingPolicy for GAI.  None, for the list or for one entry, means
+    ``BetaSequence(alpha)`` or ``simple_choice(alpha)``; a list of the wrong
+    length or an entry of the wrong kind raises ValueError.
+    ``make_procedure`` builds the rule from a method name.
 
     * GAI (alpha-investing): every layer starts with wealth alpha * eta.  Each
       pending layer pays the spend charge whether or not the hypothesis is
@@ -224,7 +226,7 @@ class OnlineProcedure:
 
     def __init__(
         self, rule: str, layers: int, alpha: float, eta: float, untested: str,
-        schedules: Sequence,
+        schedules: Optional[Sequence] = None,
     ):
         if rule not in ("GAI", "LORD", "LOND", "LOND_m"):
             raise ValueError(f"unknown decision rule: {rule!r}")
@@ -235,12 +237,24 @@ class OnlineProcedure:
         _check_eta(eta)
         if untested not in (UNTESTED_LITERAL, UNTESTED_ACCEPT):
             raise ValueError(f"unknown untested-hypothesis mode: {untested!r}")
+        if schedules is None:
+            schedules = (None,) * layers
+        elif len(schedules) != layers:
+            raise ValueError(f"one schedule per layer is required, got {len(schedules)}")
+        gai = rule == "GAI"
+        default = simple_choice(alpha) if gai else BetaSequence(alpha)
+        schedules = tuple(default if schedule is None else schedule for schedule in schedules)
+        for m, schedule in enumerate(schedules):
+            if not (isinstance(schedule, SpendingPolicy) if gai else hasattr(schedule, "value")):
+                wanted = "a SpendingPolicy" if gai else "a level sequence with value(j)"
+                got = type(schedule).__name__
+                raise ValueError(f"layer {m} schedule must be {wanted} under {rule}, got {got}")
         self.rule = rule
         self.layers = layers
         self.alpha = alpha
         self.eta = eta
         self.untested = untested
-        self.schedules = tuple(schedules)
+        self.schedules = schedules
         wealth = alpha * eta if rule == "GAI" else None
         gap = 1 if rule == "LORD" else None
         self.states = [LayerState(wealth=wealth, since_last_discovery=gap) for _ in range(layers)]
@@ -378,27 +392,15 @@ def make_procedure(
     eta: float = 1.0,
     *,
     untested: str = UNTESTED_LITERAL,
-    layer_configs: Optional[Sequence[LayerConfig]] = None,
+    schedules: Optional[Sequence] = None,
 ) -> OnlineProcedure:
     """Instantiate a procedure by method name, one of ``METHODS``.
 
     The multi-layer character comes from the layer count and the group ids
-    the events carry.  ``layer_configs``, one per layer, is the way to set a
-    layer's level sequence (LOND, LORD) or spending policy (GAI); an unset
-    entry falls back to ``BetaSequence(alpha)`` or ``simple_choice(alpha)``.
+    the events carry.  ``schedules`` sets each layer's level sequence (LOND,
+    LORD) or spending policy (GAI), as ``OnlineProcedure`` takes it.
     """
-    rule = _rule(method)
-    if layer_configs is None:
-        layer_configs = (LayerConfig(),) * layers
-    elif len(layer_configs) != layers:
-        raise ValueError("one layer config per layer is required")
-    if rule == "GAI":
-        default = simple_choice(alpha)
-        schedules = [config.spending_policy or default for config in layer_configs]
-    else:
-        default = BetaSequence(alpha)
-        schedules = [config.beta_sequence or default for config in layer_configs]
-    return OnlineProcedure(rule, layers, alpha, eta, untested, schedules)
+    return OnlineProcedure(_rule(method), layers, alpha, eta, untested, schedules)
 
 
 def replay(

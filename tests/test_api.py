@@ -18,7 +18,6 @@ PUBLIC_NAMES = [
     "DecisionRecord",
     "HypothesisEvent",
     "LAYER_NAMES",
-    "LayerConfig",
     "LayerOutcome",
     "LayerState",
     "LayerTally",
@@ -31,7 +30,6 @@ PUBLIC_NAMES = [
     "StreamData",
     "StreamHalted",
     "SweepSpec",
-    "TallyTracker",
     "aggregate",
     "constant_policy",
     "emit_results",
@@ -44,7 +42,6 @@ PUBLIC_NAMES = [
     "signal_means",
     "simple_choice",
     "standard_scenarios",
-    "tally_from_sets",
     "two_sided_p_array",
     "validate_policy",
 ]

@@ -46,8 +46,9 @@ def sweep_cfg(tmp_path):
 class TestConfigParsing:
     def test_round_trip(self, base_cfg):
         entries = parse_config(base_cfg)
-        assert entries["G"] == (5, "20")
-        assert entries["beta"] == (9, "2.0")
+        assert entries["G"] == 20 and type(entries["G"]) is int
+        assert entries["beta"] == 2.0 and type(entries["beta"]) is float
+        assert entries["structure"] == "block"
 
     def test_unknown_key_names_the_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
@@ -116,6 +117,24 @@ class TestSimulate:
         code = main(["simulate", "--config", str(base_cfg), "--method", "BH"])
         assert code == 2
         assert "unknown method" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, flags, message",
+        [
+            ("replicates = abc", ["--replicates", "3"], "'replicates' must be an integer"),
+            ("master_seed = x", ["--seed", "3"], "'master_seed' must be an integer"),
+            ("beta_grid = 1,x", [], "beta_grid must be comma-separated numbers"),
+        ],
+    )
+    def test_bad_config_value_exits_2_whatever_the_flags(
+        self, tmp_path, capsys, line, flags, message
+    ):
+        path = tmp_path / "small.cfg"
+        path.write_text(f"G = 4\nn = 5\n{line}\n")
+        assert main(["simulate", "--config", str(path), "--method", "LORD", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path}:3: {message}" in captured.err
 
     def test_method_required_without_unique_config_entry(self, base_cfg, capsys):
         code = main(["simulate", "--config", str(base_cfg)])

@@ -10,8 +10,8 @@ from layerfdr.procedures import make_procedure, replay
 from layerfdr.simgen import StreamData
 
 
-def event(t, p, groups, truth=None):
-    return HypothesisEvent(t=t, p=p, group_index=tuple(groups), truth=truth)
+def event(t, p, groups):
+    return HypothesisEvent(t=t, p=p, group_index=tuple(groups))
 
 
 def selection_sets(records, layers):
@@ -19,9 +19,12 @@ def selection_sets(records, layers):
     return [{r.group_index[m] for r in records if r.rejected} for m in range(layers)]
 
 
-def true_group_sets(events, layers):
+def true_group_sets(events, truths, layers):
     """Per-layer groups holding a true hypothesis."""
-    return [{e.group_index[m] for e in events if e.truth == 1} for m in range(layers)]
+    return [
+        {e.group_index[m] for e, truth in zip(events, truths) if truth == 1}
+        for m in range(layers)
+    ]
 
 
 class TestHypothesisEvent:
@@ -75,20 +78,22 @@ class TestSelectionSets:
 
 
 def random_events(seed, n=120, layers=2, groups=8):
+    """Events of a random stream and their 0/1 truth labels."""
     rng = np.random.default_rng(seed)
-    events = []
+    events, truths = [], []
     for i in range(n):
         gids = (i + 1,) + tuple(
             int(rng.integers(1, groups + 1)) for _ in range(layers - 1)
         )
         p = float(rng.random() ** 3)
-        events.append(event(i + 1, p, gids, truth=int(rng.random() < 0.3)))
-    return events
+        events.append(event(i + 1, p, gids))
+        truths.append(int(rng.random() < 0.3))
+    return events, truths
 
 
 @pytest.mark.parametrize("method", ["ml-GAI", "ml-LOND", "ml-LOND_m", "ml-LORD"])
 def test_group_decisions_monotone_and_match_rejection_counts(method):
-    events = random_events(11)
+    events, _ = random_events(11)
     proc = make_procedure(method, 2, 0.1)
     records = replay(proc, events)
     for m in range(2):
@@ -102,25 +107,24 @@ def test_group_decisions_monotone_and_match_rejection_counts(method):
 
 @pytest.mark.parametrize("method", ["ml-GAI", "ml-LOND", "ml-LOND_m", "ml-LORD"])
 def test_replay_is_bit_identical(method):
-    events = random_events(23)
+    events, _ = random_events(23)
     first = replay(make_procedure(method, 2, 0.1), events)
     second = replay(make_procedure(method, 2, 0.1), events)
     assert first == second
 
 
 def test_truth_and_selection_ignore_layer_order():
-    events = random_events(5, layers=3, groups=5)
+    events, truths = random_events(5, layers=3, groups=5)
     swapped = [
         HypothesisEvent(
             t=e.t,
             p=e.p,
             group_index=(e.group_index[0], e.group_index[2], e.group_index[1]),
-            truth=e.truth,
         )
         for e in events
     ]
-    truth = true_group_sets(events, 3)
-    truth_swapped = true_group_sets(swapped, 3)
+    truth = true_group_sets(events, truths, 3)
+    truth_swapped = true_group_sets(swapped, truths, 3)
     assert truth[1] == truth_swapped[2]
     assert truth[2] == truth_swapped[1]
 
@@ -134,7 +138,7 @@ def test_truth_and_selection_ignore_layer_order():
 
 def test_layer_state_snapshot_copies_cleanly():
     proc = make_procedure("ml-LORD", 2, 0.1)
-    replay(proc, random_events(3)[:40])
+    replay(proc, random_events(3)[0][:40])
     snapshot = copy.deepcopy(proc.states[1])
     assert snapshot == proc.states[1]
     snapshot.rejected_groups.add(999)

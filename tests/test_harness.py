@@ -103,10 +103,12 @@ class TestRunReplicate:
         for method in METHODS:
             for seed in (3, 8):
                 run = run_replicate(scenario, method, seed)
-                events = stream_events(make_stream(replace(scenario, seed=seed)), 2)
+                data = make_stream(replace(scenario, seed=seed))
                 tracker = TallyTracker(2)
-                for event, record in zip(events, run.records):
-                    tracker.update(event, record)
+                for event, record, truth in zip(stream_events(data, 2), run.records, data.truths):
+                    # a single-layer record holds the individual id only; the
+                    # group layer is tallied post hoc from the same rejection
+                    tracker.update(replace(record, group_index=event.group_index), int(truth))
                 assert run.tallies == {
                     "individual": tracker.tally(0),
                     "group": tracker.tally(1),

@@ -6,8 +6,8 @@ from layerfdr.metrics import LayerTally, TallyTracker, aggregate, tally_from_set
 from layerfdr.procedures import make_procedure, replay
 
 
-def event(t, p, groups, truth):
-    return HypothesisEvent(t=t, p=p, group_index=tuple(groups), truth=truth)
+def event(t, p, groups):
+    return HypothesisEvent(t=t, p=p, group_index=tuple(groups))
 
 
 class TestLayerTally:
@@ -111,17 +111,16 @@ class TestAggregate:
 def test_tracker_matches_recomputation_on_random_streams():
     rng = np.random.default_rng(44)
     for trial in range(6):
-        events = []
+        events, truths = [], []
         for i in range(150):
             gids = (i + 1, int(rng.integers(1, 7)))
-            events.append(
-                event(i + 1, float(rng.random() ** 3), gids, int(rng.random() < 0.3))
-            )
+            events.append(event(i + 1, float(rng.random() ** 3), gids))
+            truths.append(int(rng.random() < 0.3))
         proc = make_procedure("ml-LOND", 2, 0.1)
         records = replay(proc, events)
         tracker = TallyTracker(2)
-        for prefix_end, (ev, record) in enumerate(zip(events, records), start=1):
-            tracker.update(ev, record)
+        for prefix_end, (record, truth) in enumerate(zip(records, truths), start=1):
+            tracker.update(record, truth)
             for m in range(2):
                 selected = {
                     e.group_index[m]
@@ -129,30 +128,34 @@ def test_tracker_matches_recomputation_on_random_streams():
                     if r.rejected
                 }
                 true_groups = {
-                    e.group_index[m] for e in events[:prefix_end] if e.truth == 1
+                    e.group_index[m]
+                    for e, label in zip(events[:prefix_end], truths)
+                    if label == 1
                 }
                 assert tracker.tally(m) == tally_from_sets(selected, true_groups)
 
 
 def test_tracker_requires_truth_labels():
-    unlabeled = HypothesisEvent(t=1, p=1e-9, group_index=(1, 5))
-    record = replay(make_procedure("ml-LOND", 2, 0.1), [unlabeled])[0]
-    with pytest.raises(ValueError, match="truth required"):
-        TallyTracker(2).update(unlabeled, record)
+    record = replay(make_procedure("ml-LOND", 2, 0.1), [event(1, 1e-9, (1, 5))])[0]
+    tracker = TallyTracker(2)
+    for truth in (None, 2, -1, 0.5):
+        with pytest.raises(ValueError, match="truth label must be 0 or 1"):
+            tracker.update(record, truth)
+    assert tracker.tally(1) == LayerTally(0, 0, 0)
 
 
 def test_tracker_reclassifies_groups_that_become_true():
     # group 5 is discovered while null, then a true member arrives
     events = [
-        event(1, 1e-9, (1, 5), 0),
-        event(2, 0.9, (2, 5), 1),
+        event(1, 1e-9, (1, 5)),
+        event(2, 0.9, (2, 5)),
     ]
     proc = make_procedure("ml-LOND", 2, 0.1)
     records = replay(proc, events)
     tracker = TallyTracker(2)
-    tracker.update(events[0], records[0])
+    tracker.update(records[0], 0)
     assert tracker.tally(1).false_discoveries == 1
-    tracker.update(events[1], records[1])
+    tracker.update(records[1], 1)
     after = tracker.tally(1)
     assert after.false_discoveries == 0
     assert after.true_discoveries == 1

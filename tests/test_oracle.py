@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from layerfdr.core import HypothesisEvent, LayerConfig
+from layerfdr.core import HypothesisEvent
 from layerfdr.oracle import (
     balance_trajectories,
     kappa_direct,
@@ -30,8 +30,8 @@ PHI = ALPHA / (1.0 - ALPHA)
 BETA_1 = 0.6 / math.pi ** 2
 
 
-def event(t, p, groups, truth=None):
-    return HypothesisEvent(t=t, p=p, group_index=tuple(groups), truth=truth)
+def event(t, p, groups):
+    return HypothesisEvent(t=t, p=p, group_index=tuple(groups))
 
 
 class TestReferences:
@@ -157,12 +157,8 @@ class TestBalanceTrajectories:
     def test_deterministic_all_ones_stream_grows_by_the_spend(self):
         events = [event(i, 1.0, (i,)) for i in range(1, 6)]
         proc = make_procedure("ml-GAI", 1, ALPHA, 1.0)
-        records = replay(proc, [e for e in events])
-        labeled = [
-            HypothesisEvent(t=e.t, p=e.p, group_index=e.group_index, truth=0)
-            for e in events
-        ]
-        paths = balance_trajectories(labeled, records, ALPHA, 1.0)
+        records = replay(proc, events)
+        paths = balance_trajectories(records, [0] * len(records), ALPHA, 1.0)
         assert paths[0, 0] == 0.0
         assert paths[0, 1] == pytest.approx(PHI, abs=1e-12)
         # frozen after the halt at step one
@@ -234,11 +230,10 @@ class TestMultilayerReference:
             BetaSequence(0.05, kind="geometric", ratio=0.7),
             BetaSequence(0.3),
         ]
-        configs = [LayerConfig(beta_sequence=sequence) for sequence in sequences]
         rng = np.random.default_rng(3)
         for trial in range(4):
             events = random_stream(rng, 3, 40, individual=trial % 2 == 0)
-            procedure = make_procedure(method, 3, ALPHA, layer_configs=configs)
+            procedure = make_procedure(method, 3, ALPHA, schedules=sequences)
             want = multilayer_reference(method, events, ALPHA, schedules=sequences)
             assert replay(procedure, events) == want
 
@@ -256,9 +251,8 @@ class TestMultilayerReference:
         for layers in (1, 2, 3):
             for trial in range(4):
                 events = random_stream(rng, layers, 40, individual=trial % 2 == 0)
-                configs = [LayerConfig(spending_policy=policy)] * layers
-                procedure = make_procedure("ml-GAI", layers, ALPHA, 2.0, layer_configs=configs)
                 schedules = [policy] * layers
+                procedure = make_procedure("ml-GAI", layers, ALPHA, 2.0, schedules=schedules)
                 want = multilayer_reference("ml-GAI", events, ALPHA, 2.0, schedules=schedules)
                 assert replay(procedure, events) == want
                 halted += want[-1].halted

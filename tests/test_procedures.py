@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerfdr.core import HypothesisEvent, LayerConfig, StreamHalted
+from layerfdr.core import HypothesisEvent, StreamHalted
 from layerfdr.harness import standard_scenarios, stream_events
 from layerfdr.procedures import (
     METHODS,
@@ -377,8 +377,7 @@ def test_records_carry_wealth_and_gap_only_where_the_rule_keeps_them(method):
 
 def test_rejection_requires_every_pending_layer():
     # p = 0.01 clears layer 0's first level (BETA_1) but not layer 1's (~6e-4)
-    configs = [LayerConfig(), LayerConfig(beta_sequence=BetaSequence(0.001))]
-    proc = make_procedure("ml-LOND", 2, ALPHA, layer_configs=configs)
+    proc = make_procedure("ml-LOND", 2, ALPHA, schedules=[None, BetaSequence(0.001)])
     record = proc.step(event(1, 0.01, (1, 1)))
     assert not record.rejected
     assert record.layers[0].tested and record.layers[1].tested
@@ -409,20 +408,18 @@ class Tripwire:
 
 def wired_procedure(method, layers, wire, layer, **kwargs):
     """``make_procedure(method, layers, ALPHA)`` with ``wire`` feeding one layer's levels."""
+    wired = wire
     if method.endswith("GAI"):
         simple = simple_choice(ALPHA)
-        policy = SpendingPolicy(wire.level, simple.spend, simple.reward, simple.power_bound)
-        wired = LayerConfig(spending_policy=policy)
-    else:
-        wired = LayerConfig(beta_sequence=wire)
-    configs = [wired if m == layer else LayerConfig() for m in range(layers)]
-    return make_procedure(method, layers, ALPHA, layer_configs=configs, **kwargs)
+        wired = SpendingPolicy(wire.level, simple.spend, simple.reward, simple.power_bound)
+    schedules = [wired if m == layer else None for m in range(layers)]
+    return make_procedure(method, layers, ALPHA, schedules=schedules, **kwargs)
 
 
 class TestFailedStepLeavesStreamUnchanged:
     def test_invalid_level_rolls_back_the_arrival(self):
-        config = LayerConfig(spending_policy=constant_policy(1.5, ALPHA, 0.2))
-        proc = make_procedure("ml-GAI", 2, ALPHA, layer_configs=[config] * 2)
+        policy = constant_policy(1.5, ALPHA, 0.2)
+        proc = make_procedure("ml-GAI", 2, ALPHA, schedules=[policy] * 2)
         fresh = make_procedure("ml-GAI", 2, ALPHA)
         with pytest.raises(ValueError, match="significance level"):
             proc.step(event(1, 0.01, (1, 1)))
@@ -432,8 +429,8 @@ class TestFailedStepLeavesStreamUnchanged:
     @pytest.mark.parametrize("spend, reward", [(math.nan, 0.2), (ALPHA, math.inf)])
     def test_non_finite_charge_leaves_the_state_unchanged(self, spend, reward):
         # a NaN wealth never compares <= 0, so the stream would never halt
-        config = LayerConfig(spending_policy=constant_policy(0.1, spend, reward))
-        proc = make_procedure("GAI", 1, ALPHA, layer_configs=[config])
+        policy = constant_policy(0.1, spend, reward)
+        proc = make_procedure("GAI", 1, ALPHA, schedules=[policy])
         with pytest.raises(ValueError, match="non-finite spend or reward"):
             proc.step(event(1, 0.01, (1,)))
         assert proc.t == 0
@@ -594,35 +591,56 @@ def test_simple_choice_rejects_alpha_outside_the_unit_interval(alpha):
         simple_choice(alpha)
 
 
-class TestLayerConfigs:
+class TestLayerSchedules:
     def test_per_layer_beta_sequences(self):
-        from layerfdr.core import LayerConfig
-
-        configs = [
-            LayerConfig(),
-            LayerConfig(beta_sequence=BetaSequence(ALPHA, kind="geometric")),
-        ]
-        proc = make_procedure("ml-LORD", 2, ALPHA, layer_configs=configs)
+        schedules = [None, BetaSequence(ALPHA, kind="geometric")]
+        proc = make_procedure("ml-LORD", 2, ALPHA, schedules=schedules)
         record = proc.step(event(1, 0.5, (1, 1)))
         assert record.layers[0].threshold == pytest.approx(BETA_1, abs=1e-9)
         assert record.layers[1].threshold == pytest.approx(ALPHA * 0.5, abs=1e-12)
 
     def test_per_layer_spending_policies(self):
-        from layerfdr.core import LayerConfig
-
         strict = constant_policy(0.01, PHI, PSI, 1.0)
-        configs = [LayerConfig(), LayerConfig(spending_policy=strict)]
-        proc = make_procedure("ml-GAI", 2, ALPHA, layer_configs=configs)
+        proc = make_procedure("ml-GAI", 2, ALPHA, schedules=[None, strict])
         record = proc.step(event(1, 0.05, (1, 1)))
         assert record.layers[0].threshold == pytest.approx(ALPHA)
         assert record.layers[1].threshold == pytest.approx(0.01)
         assert not record.rejected  # 0.05 fails the strict layer
 
-    def test_config_count_must_match_layers(self):
-        from layerfdr.core import LayerConfig
+    def test_schedule_count_must_match_layers(self):
+        with pytest.raises(ValueError, match="one schedule per layer"):
+            make_procedure("ml-LORD", 2, ALPHA, schedules=[None])
+        with pytest.raises(ValueError, match="one schedule per layer"):
+            OnlineProcedure("LORD", 2, ALPHA, 1.0, "literal", [None] * 3)
 
-        with pytest.raises(ValueError, match="one layer config"):
-            make_procedure("ml-LORD", 2, ALPHA, layer_configs=[LayerConfig()])
+    @pytest.mark.parametrize(
+        "method, wrong",
+        [
+            ("ml-LORD", simple_choice(ALPHA)),
+            ("ml-LOND", simple_choice(ALPHA)),
+            ("ml-LOND_m", constant_policy(0.01, PHI, PSI)),
+            ("ml-GAI", BetaSequence(0.001)),
+            ("ml-GAI", Tripwire()),
+        ],
+    )
+    def test_a_schedule_of_the_wrong_kind_raises_when_built(self, method, wrong):
+        # the entry is refused, not dropped in favour of the default schedule
+        with pytest.raises(ValueError, match="layer 1 schedule must be"):
+            make_procedure(method, 2, ALPHA, schedules=[None, wrong])
+        rule = method.removeprefix("ml-")
+        with pytest.raises(ValueError, match="layer 1 schedule must be"):
+            OnlineProcedure(rule, 2, ALPHA, 1.0, "literal", [None, wrong])
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_none_means_the_default_schedule(self, method):
+        layers = 2 if method.startswith("ml-") else 1
+        default = simple_choice(ALPHA) if method.endswith("GAI") else BetaSequence(ALPHA)
+        events = [event(t, 0.5 if t % 3 else 0.001, (t, t % 4)[:layers]) for t in range(1, 30)]
+        want = replay(make_procedure(method, layers, ALPHA, schedules=[default] * layers), events)
+        rule = method.removeprefix("ml-")
+        for schedules in (None, [None] * layers):
+            proc = OnlineProcedure(rule, layers, ALPHA, 1.0, "literal", schedules)
+            assert replay(proc, events) == want
 
 
 # any change to a decision or to a record field's value or repr changes this
