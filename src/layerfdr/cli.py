@@ -7,9 +7,9 @@ replicates, master_seed.  Every value is checked as its line is read, so a
 bad value is an error even where a flag overrides it.  Flags always take
 precedence over file values; the master seed of ``simulate`` and ``sweep``
 is the flag, then master_seed, then seed, then 0.  A method is one of the
-seven ``METHODS`` names.  ``simulate`` runs a one-cell sweep (one method,
-the scenario's beta) and prints the rows that sweep's results.csv holds for
-that cell.
+seven ``METHODS`` names.  ``simulate`` runs a one-method sweep (``--beta``,
+else the config's beta_grid, else the scenario's beta) and prints the rows
+that sweep's results.csv holds for those cells.
 
 Stream mode reads one JSON object per line with fields ``p`` (number) and
 ``groups`` (array of M integers in layer order) and answers each with
@@ -164,7 +164,7 @@ def _sweep_spec(args, entries, methods, beta_grid=None, **overrides) -> Optional
 
 
 def cmd_simulate(args) -> int:
-    """One (method, beta) cell: the rows a one-cell sweep writes to results.csv."""
+    """One method's cells: the rows a one-method sweep writes to results.csv."""
     entries = parse_config(args.config)
     method = args.method
     if method is None:
@@ -173,8 +173,9 @@ def cmd_simulate(args) -> int:
             print("simulate: --method is required", file=sys.stderr)
             return EXIT_USAGE
         method = methods[0]
+    beta_grid = entries.get("beta_grid") if args.beta is None else None
     sweep = _sweep_spec(
-        args, entries, (method,), alpha=args.alpha, eta=args.eta, beta=args.beta
+        args, entries, (method,), beta_grid, alpha=args.alpha, eta=args.eta, beta=args.beta
     )
     if sweep is None:
         return EXIT_USAGE

@@ -134,21 +134,29 @@ BOOTSTRAP_SEED = 0
 
 
 @lru_cache(maxsize=4)
-def _bootstrap_indices(n: int) -> np.ndarray:
-    """The seeded (resamples, n) resampling index matrix, shared read-only:
-    every cell of a sweep has the same replicate count, so it is drawn once."""
+def _bootstrap_counts(n: int) -> np.ndarray:
+    """How often each replicate appears in each of the seeded resamples, a
+    (resamples, n) matrix shared read-only: every cell of a sweep has the same
+    replicate count, so it is drawn once."""
     idx = np.random.default_rng(BOOTSTRAP_SEED).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
-    idx.flags.writeable = False
-    return idx
+    idx += n * np.arange(BOOTSTRAP_RESAMPLES)[:, None]
+    counts = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape).astype(float)
+    counts.flags.writeable = False
+    return counts
 
 
 def _bootstrap_ratio_se(v: np.ndarray, r: np.ndarray, eta: float) -> float:
-    """Nonparametric bootstrap SE of mean(V) / (mean(R) + eta) over replicates."""
+    """Nonparametric bootstrap SE of mean(V) / (mean(R) + eta) over replicates.
+
+    Each resample's sums are one product with its count matrix; tallies are
+    integers, so every partial sum is exact and the means equal the gathered
+    ``v[idx].mean(axis=1)`` bit for bit.
+    """
     n = len(v)
     if n < 2:
         return 0.0
-    idx = _bootstrap_indices(n)
-    ratios = v[idx].mean(axis=1) / (r[idx].mean(axis=1) + eta)
+    sums = _bootstrap_counts(n) @ np.column_stack([v, r])
+    ratios = (sums[:, 0] / n) / (sums[:, 1] / n + eta)
     return float(ratios.std(ddof=1))
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .core import DecisionRecord, HypothesisEvent, LayerOutcome, LayerState
 from .harness import stream_events
 from .metrics import TallyTracker
-from .procedures import make_procedure, replay
+from .procedures import SpendingPolicy, make_procedure, replay
 from .simgen import ScenarioSpec, make_stream
 
 
@@ -105,11 +105,24 @@ def multilayer_reference(
     holds one level sequence (anything with ``value(j)``) per LOND/LORD
     layer, or one spending policy per GAI layer; None means inverse-square
     levels and simple-choice spending, written out here.  A policy is called
-    with a ``LayerState`` this function builds, never with the engine's.
+    with a ``LayerState`` this function builds, never with the engine's.  A
+    list of the wrong length or an entry of the wrong kind raises ValueError
+    before the first step, as the engine does.
     """
     rule = method[3:] if method.startswith("ml-") else method
     layers = len(events[0].group_index) if events else 0
     schedules = [None] * layers if schedules is None else list(schedules)
+    if events and len(schedules) != layers:
+        raise ValueError(f"one schedule per layer is required, got {len(schedules)}")
+    gai = rule == "GAI"
+    for m, schedule in enumerate(schedules):
+        if schedule is None or (
+            isinstance(schedule, SpendingPolicy) if gai else hasattr(schedule, "value")
+        ):
+            continue
+        wanted = "a SpendingPolicy" if gai else "a level sequence with value(j)"
+        got = type(schedule).__name__
+        raise ValueError(f"layer {m} schedule must be {wanted} under {rule}, got {got}")
     log: list[tuple] = []  # per step: groups, tested layers, rejected, charges
     records = []
     halted = False
@@ -269,7 +282,9 @@ def balance_trajectories(
     index 0 is exactly zero because R = V = 0 and W = alpha * eta at start.
     The path freezes once the stream halts.
     """
-    layers = len(records[0].layers) if records else 0
+    if not records:
+        return np.zeros((0, 1))
+    layers = len(records[0].layers)
     tracker = TallyTracker(layers)
     out = np.zeros((layers, len(records) + 1))
     for j, (record, truth) in enumerate(zip(records, truths), start=1):

@@ -459,6 +459,7 @@ def lockstep_rejections(
         raise ValueError("group ids must be non-negative")
     partitions = _dense_ids(np.moveaxis(np.atleast_3d(groups).astype(np.int64), 2, 0))
     layers = 1 + len(partitions)
+    grouped = layers > 1  # with no partitions there is no group table to read or write
     # flat (partition, replicate, group) cell of each arrival, one (P, R) block per step
     offsets = steps * np.arange((layers - 1) * reps).reshape(layers - 1, reps, 1)
     cells = np.ascontiguousarray((partitions + offsets).transpose(2, 0, 1))
@@ -487,7 +488,8 @@ def lockstep_rejections(
             excess = np.zeros((layers, reps), dtype=np.int64)
 
     for t, (p, cell) in enumerate(zip(p_by_step, cells), 1):
-        partition_rows[...] = decided_groups[cell]
+        if grouped:
+            partition_rows[...] = decided_groups[cell]
         if rule == "GAI":
             threshold = level
         elif rule == "LORD":
@@ -500,7 +502,8 @@ def lockstep_rejections(
             hit &= ~halted
         rejected[t - 1] = hit
         newly = hit & ~decided
-        decided_groups[cell] = partition_rows | hit
+        if grouped:
+            decided_groups[cell] = partition_rows | hit
         if rule == "GAI":
             spent = np.where(decided | halted, wealth, wealth - spend)
             wealth = np.where(newly, wealth + reward - spend, spent)

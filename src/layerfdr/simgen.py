@@ -9,10 +9,10 @@ whose mean is set by the strength profile.
 ``make_streams`` realizes one scenario under many seeds at once, as arrays
 stacked (R, N); ``make_stream`` is its single-seed case.  Work that draws no
 randomness (balanced structures, fixed-pattern truths, group layouts) is done
-once per call.  The markov pattern's per-arrival loop is replaced by one block
-draw, and the unbalanced walk is replayed per stream from raw PCG64 words;
-both reproduce numpy's stream bit for bit and leave each generator in the
-state the scalar loops would.
+once per call.  The markov pattern draws one block per stream, the unbalanced
+walk is replayed per stream from raw PCG64 words, and the random pattern's
+``choice`` calls are replayed from the same words for all streams at once; each
+reproduces numpy's stream bit for bit and leaves the generators where it would.
 """
 
 from __future__ import annotations
@@ -144,8 +144,7 @@ def _structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
                 current = (current - 1 + int(rng.integers(1, G))) % G + 1
             groups[i] = current
 
-    The unbalanced walk replays numpy's PCG64 stream from raw words, so it
-    needs PCG64 generators and raises TypeError for any other.
+    The unbalanced walk replays raw PCG64 words; other bit generators raise TypeError.
     """
     if spec.structure == "block":
         return np.tile(np.repeat(np.arange(1, spec.G + 1), spec.n), (len(rngs), 1))
@@ -153,18 +152,24 @@ def _structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
         return np.tile(np.arange(1, spec.G + 1), (len(rngs), spec.n))
     if spec.G < 2:
         raise ValueError("unbalanced structure requires at least two groups")
-    return _unbalanced_structures(spec, rngs)
+    return np.array([_walk(spec, bit_gen) for bit_gen in _pcg64(rngs)], dtype=np.int64) + 1
 
 
-def _unbalanced_structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
+def _pcg64(rngs: list) -> list:
+    """The generators' bit generators, which the replays need to be PCG64."""
     bit_gens = [rng.bit_generator for rng in rngs]
-    for bit_gen in bit_gens:
-        if not isinstance(bit_gen, np.random.PCG64):
-            raise TypeError(
-                "the unbalanced structure replays numpy's PCG64 stream; "
-                f"got a {type(bit_gen).__name__} bit generator"
-            )
-    return np.array([_walk(spec, bit_gen) for bit_gen in bit_gens], dtype=np.int64) + 1
+    other = [type(b).__name__ for b in bit_gens if not isinstance(b, np.random.PCG64)]
+    if other:
+        raise TypeError(f"the replay reads numpy's PCG64 stream; got a {other[0]} bit generator")
+    return bit_gens
+
+
+def _settle(bit_gen: np.random.PCG64, state: dict, words: int, held: int, half: int) -> None:
+    """Put ``bit_gen`` ``words`` raw words past ``state``, holding ``half`` if ``held``."""
+    state["has_uint32"], state["uinteger"] = held, half
+    bit_gen.state = state
+    # advance() would clear the half-word buffer just restored
+    bit_gen.random_raw(words)
 
 
 def _walk(spec: ScenarioSpec, bit_gen: np.random.PCG64) -> list:
@@ -211,10 +216,7 @@ def _walk(spec: ScenarioSpec, bit_gen: np.random.PCG64) -> list:
                     break
             current = (current + offset + 1) % G
         walk[i] = current
-    state["has_uint32"], state["uinteger"] = held, half
-    bit_gen.state = state
-    # advance() would clear the half-word buffer just restored
-    bit_gen.random_raw(total - 1 + drawn)
+    _settle(bit_gen, state, total - 1 + drawn, held, half)
     return walk
 
 
@@ -225,7 +227,8 @@ def _truths(spec: ScenarioSpec, groups: np.ndarray, rngs: list) -> np.ndarray:
     randomness.  The markov pattern assigns labels from a hidden two-state
     chain (stationary: independent fair coin; eruption: sticky labels with
     persistence 0.9) and ignores the group structure entirely; each arrival
-    draws two uniforms, one for its label and one for switching the chain.
+    draws two uniforms, one for its label and one for switching the chain.  The
+    random pattern's ``choice`` calls are replayed from raw PCG64 words.
     """
     rows, total = groups.shape
     if spec.pattern == "markov":
@@ -252,32 +255,89 @@ def _truths(spec: ScenarioSpec, groups: np.ndarray, rngs: list) -> np.ndarray:
     # runs row by row, each row's in the order its groups first appear
     appearance = np.lexsort((order[starts], run_row))
     row_start = np.searchsorted(run_row, np.arange(len(layout) + 1))
+    unique_sizes, inverse = np.unique(sizes, return_inverse=True)
+    picks = np.array([_percent_count(spec.k, int(n)) for n in unique_sizes])[inverse]
     if spec.pattern == "fixed":
         rank = np.empty(len(starts), dtype=np.intp)
         rank[appearance] = np.arange(len(starts)) - row_start[run_row[appearance]]
-        unique_sizes, inverse = np.unique(sizes, return_inverse=True)
-        picks = np.array([_percent_count(spec.k, int(n)) for n in unique_sizes])[inverse]
-        limit = np.where(rank < count, picks.reshape(sizes.shape), 0)
+        limit = np.where(rank < count, picks, 0)
         hit = np.arange(len(ordered)) - np.repeat(starts, sizes) < np.repeat(limit, sizes)
         fixed = np.zeros(layout.shape, dtype=np.int8)
         np.put_along_axis(fixed, order.reshape(layout.shape), hit.reshape(layout.shape), axis=1)
         truths[:] = fixed
         return truths
-    for r, rng in enumerate(rngs):
-        lr = r if len(layout) > 1 else 0
-        runs = appearance[row_start[lr] : row_start[lr + 1]]
-        present = ordered[starts[runs]]
-        chosen = rng.choice(present, size=min(count, len(runs)), replace=False)
-        chosen = set(chosen.tolist())
-        for run, group in zip(runs, present):
-            if group not in chosen:
-                continue
-            picks = _percent_count(spec.k, int(sizes[run]))
-            if picks == 0:
-                continue
-            positions = order[starts[run] : starts[run] + sizes[run]]
-            truths[r, rng.choice(positions, size=picks, replace=False)] = 1
+    # random: choice(groups by first appearance, count), then choice(positions,
+    # picks) per chosen group in that order; grid holds each row's chosen runs
+    present = np.diff(row_start)[np.arange(rows) % len(layout)]
+    count = np.minimum(count, present)
+    words = _HalfWords(_pcg64(rngs))
+    row, rank = np.nonzero(_choices(words, present[:, None], count[:, None]))
+    slot = np.arange(len(row)) - np.searchsorted(row, row)
+    grid = np.full((rows, slot.max() + 1), len(sizes))  # run len(sizes) is empty
+    grid[row, slot] = appearance[row_start[row % len(layout)] + rank]
+    call, index = np.nonzero(_choices(words, np.append(sizes, 0)[grid], np.append(picks, 0)[grid]))
+    truths[call // grid.shape[1], order[starts[grid.ravel()[call]] + index]] = 1
+    words.settle()
     return truths
+
+
+class _HalfWords:
+    """R PCG64 streams' 32-bit half-words, drawn from by Lemire's method as numpy does:
+    column 0 holds each buffered half (read first if held), then raw words, low half first."""
+
+    def __init__(self, bit_gens: list):
+        self.bit_gens, self.states = bit_gens, [bit_gen.state for bit_gen in bit_gens]
+        self.halves = np.array([[state["uinteger"]] for state in self.states], dtype=np.uint64)
+        self.at = np.array([1 - state["has_uint32"] for state in self.states])
+
+    def draw(self, bounds: np.ndarray) -> np.ndarray:
+        """Draws from [0, bound] for each row of (R, D) bounds in turn; 0 reads nothing."""
+        span = bounds.astype(np.uint64) + 1
+        draws, threshold = bounds > 0, (2**32 - span) % span
+        index = self.at[:, None] - 1 + np.cumsum(draws, axis=1)
+        while True:
+            while index.max() >= self.halves.shape[1]:  # read D more words per row
+                raw = np.array([b.random_raw(bounds.shape[1]) for b in self.bit_gens], "<u8")
+                self.halves = np.hstack([self.halves, raw.view("<u4")])
+            product = np.take_along_axis(self.halves, index, axis=1) * span
+            rejected = draws & (product & 0xFFFFFFFF < threshold)
+            if not rejected.any():
+                self.at = index[:, -1] + 1
+                return np.where(draws, product >> 32, 0).astype(np.int64)
+            # redraw each row's first rejection from its next half, and shift the rest
+            index += np.cumsum(rejected & (np.cumsum(rejected, axis=1) == 1), axis=1)
+
+    def settle(self) -> None:
+        held = self.halves[np.arange(len(self.at)), self.at // 2 * 2].tolist()
+        for bit_gen, state, at, half in zip(self.bit_gens, self.states, self.at.tolist(), held):
+            _settle(bit_gen, state, at // 2, 1 - at % 2, half)
+
+
+def _choices(words: _HalfWords, pops: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The sets numpy's ``choice(pop, size, replace=False)`` picks for (R, K) calls, as a
+    (R * K, max pop) mask; row r's calls draw in turn from stream r.  For pop <= 10000 or
+    size <= pop // 50 that is Floyd's algorithm over the bounds pop - size .. pop - 1, then a
+    shuffle over size - 1 .. 1 (draws consumed, order unused); otherwise a shuffle of the
+    tail of range(pop) over pop - 1 .. max(pop - size, 1)."""
+    pops, sizes = pops.ravel(), sizes.ravel()
+    tail, first = (pops > 10000) & (sizes > pops // 50), pops - sizes
+    lengths = np.where(tail, np.minimum(sizes, pops - 1), 2 * sizes - 1)
+    col, pop, size = np.arange(max(lengths.max(), 1)), pops[:, None], sizes[:, None]
+    bounds = np.where(col < size, pop - size + col, 2 * size - 1 - col)
+    bounds = np.where(col < lengths[:, None], np.where(tail[:, None], pop - 1 - col, bounds), 0)
+    values = words.draw(bounds.reshape(len(words.at), -1)).reshape(bounds.shape)
+    chosen, calls = np.zeros((len(pops), pops.max()), dtype=bool), np.arange(len(pops))
+    for c in range(np.where(tail, 0, sizes).max()):
+        # Floyd: j = first + c joins the set when its draw is already in it
+        pick = np.where(chosen[calls, values[:, c]], first + c, values[:, c])
+        live = (c < sizes) & ~tail
+        chosen[calls[live], pick[live]] = True
+    for call in np.flatnonzero(tail):
+        deck = list(range(pops[call]))
+        for i, j in zip(range(pops[call] - 1, 0, -1), values[call, : lengths[call]].tolist()):
+            deck[i], deck[j] = deck[j], deck[i]
+        chosen[call, deck[first[call] :]] = True
+    return chosen
 
 
 def _markov_truths(uniforms: np.ndarray) -> np.ndarray:

@@ -97,6 +97,31 @@ class TestSimulate:
         assert lines[1].startswith("ml-LORD,2,individual")
         assert lines[2].startswith("ml-LORD,2,group")
 
+    def test_config_beta_grid_runs_unless_beta_is_set(self, tmp_path, capsys):
+        path = tmp_path / "small.cfg"
+        path.write_text("G = 4\nn = 5\nbeta_grid = 1,3\n")
+        argv = ["simulate", "--config", str(path), "--method", "LORD", "--replicates", "2"]
+        assert main(argv) == 0
+        rows = capsys.readouterr().out.splitlines()
+        # the rows sweep writes for the same method and grid, byte for byte
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(path), "--out", str(out), "--methods", "LORD",
+                     "--replicates", "2"]) == 0
+        capsys.readouterr()
+        assert rows == (out / "results.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["1", "1", "3", "3"]
+        assert main([*argv, "--beta", "2"]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split(",")[1] for row in rows[1:]] == ["2", "2"]
+
+    def test_empty_config_beta_grid_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "small.cfg"
+        path.write_text("G = 4\nn = 5\nbeta_grid = ,\n")
+        assert main(["simulate", "--config", str(path), "--method", "LORD"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "beta grid must be nonempty" in captured.err
+
     def test_missing_config_exits_2_and_names_path(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         code = main(["simulate", "--config", str(missing), "--method", "GAI"])

@@ -66,13 +66,27 @@ class TestAggregate:
         with pytest.raises(ValueError, match="finite"):
             aggregate([LayerTally(0, 0, 0)], eta=eta)
 
-    def test_bootstrap_indices_are_shared_read_only(self):
-        from layerfdr.metrics import _bootstrap_indices
+    def test_bootstrap_counts_are_shared_read_only(self):
+        from layerfdr.metrics import _bootstrap_counts
 
-        idx = _bootstrap_indices(7)
-        assert idx is _bootstrap_indices(7)
-        assert not idx.flags.writeable
-        assert np.array_equal(idx, np.random.default_rng(0).integers(0, 7, size=(1000, 7)))
+        counts = _bootstrap_counts(7)
+        assert counts is _bootstrap_counts(7)
+        assert not counts.flags.writeable
+        idx = np.random.default_rng(0).integers(0, 7, size=(1000, 7))
+        assert np.array_equal(counts, [np.bincount(row, minlength=7) for row in idx])
+
+    def test_bootstrap_se_equals_the_gathered_resamples(self):
+        from layerfdr.metrics import _bootstrap_ratio_se
+
+        rng = np.random.default_rng(17)
+        for trial in range(200):
+            n = int(rng.integers(2, 150))
+            v = rng.integers(0, 40, n).astype(float)
+            r = v + rng.integers(0, 200, n)
+            eta = (1.0, 0.25, 7.5)[trial % 3]
+            idx = np.random.default_rng(0).integers(0, n, size=(1000, n))
+            want = (v[idx].mean(axis=1) / (r[idx].mean(axis=1) + eta)).std(ddof=1)
+            assert _bootstrap_ratio_se(v, r, eta) == float(want)
 
     def test_estimates_stay_in_unit_interval(self):
         rng = np.random.default_rng(31)

@@ -22,6 +22,7 @@ from layerfdr.procedures import (
     lockstep_rejections,
     make_procedure,
     replay,
+    simple_choice,
 )
 from layerfdr.simgen import ScenarioSpec
 
@@ -164,6 +165,10 @@ class TestBalanceTrajectories:
         # frozen after the halt at step one
         assert paths[0, 1:].tolist() == pytest.approx([PHI] * 5, abs=1e-12)
 
+    def test_an_empty_run_has_the_empty_path(self):
+        paths = balance_trajectories([], [], ALPHA, 1.0)
+        assert paths.shape == (0, 1)
+
     def test_probe_starts_at_zero_exactly(self):
         scenario = ScenarioSpec(s=0.0, seed=5)
         means, ses = submartingale_probe(scenario, n_rep=50, seed=21)
@@ -236,6 +241,32 @@ class TestMultilayerReference:
             procedure = make_procedure(method, 3, ALPHA, schedules=sequences)
             want = multilayer_reference(method, events, ALPHA, schedules=sequences)
             assert replay(procedure, events) == want
+
+    @pytest.mark.parametrize(
+        "method, schedules, message",
+        [
+            ("LORD", [simple_choice(ALPHA)], "layer 0 schedule must be a level sequence"),
+            ("ml-LOND_m", [None, simple_choice(ALPHA)], "layer 1 schedule must be a level"),
+            ("ml-GAI", [BetaSequence(ALPHA), None], "layer 0 schedule must be a SpendingPolicy"),
+            ("ml-LORD", ["Tripwire"], "one schedule per layer is required, got 1"),
+            ("ml-GAI", [None, None, None], "one schedule per layer is required, got 3"),
+        ],
+    )
+    def test_schedules_are_checked_before_the_first_step(self, method, schedules, message):
+        class Tripwire:
+            """A level sequence that fails the test if any step reads it."""
+
+            def value(self, j):
+                raise AssertionError("a step ran before the schedules were checked")
+
+        schedules = [Tripwire() if entry == "Tripwire" else entry for entry in schedules]
+        layers = 1 if method == "LORD" else 2
+        events = [event(1, 0.5, (1, 1)[:layers])]
+        with pytest.raises(ValueError, match=message):
+            multilayer_reference(method, events, ALPHA, schedules=schedules)
+        # the engine refuses the same list with the same message
+        with pytest.raises(ValueError, match=message):
+            make_procedure(method, layers, ALPHA, schedules=schedules)
 
     def test_state_dependent_spending_policy(self):
         # every rule reads the state the policy is handed, so a snapshot that

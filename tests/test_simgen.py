@@ -11,6 +11,7 @@ from scipy.special import erfc
 from layerfdr.harness import standard_scenarios
 from layerfdr.simgen import (
     ScenarioSpec,
+    _HalfWords,
     _structures,
     _truths,
     gen_pvalues,
@@ -398,6 +399,12 @@ EDGE_CASES = {
     "k=0-random": ScenarioSpec(structure="interleaved", pattern="random", k=0.0),
     "unbalanced-s=0": replace(UNBALANCED, s=0.0, N=90),
     "unbalanced-k=0": replace(UNBALANCED, k=0.0, N=90),
+    # choice over every group or every position: Floyd's first bound is 0
+    "interleaved-random": ScenarioSpec(structure="interleaved", pattern="random"),
+    "interleaved-random-s=100": ScenarioSpec(
+        structure="interleaved", pattern="random", s=100.0, k=30.0
+    ),
+    "block-random-k50": ScenarioSpec(pattern="random", s=50.0, k=50.0),
 }
 
 
@@ -423,6 +430,10 @@ def test_edge_cases_match_the_scalar_loops(case):
         "G=2**62+2",
         "unbalanced-random",
         "unbalanced-markov",
+        "interleaved-random",
+        "interleaved-random-s=100",
+        "block-random-k50",
+        "k=0-random",
     ],
 )
 def test_generator_is_left_where_the_scalar_loops_leave_it(case, buffered):
@@ -441,6 +452,115 @@ def test_generator_is_left_where_the_scalar_loops_leave_it(case, buffered):
         assert ours.bit_generator.state == theirs.bit_generator.state
         assert np.array_equal(ours.standard_normal(9), theirs.standard_normal(9))
         assert np.array_equal(ours.integers(1, 7, 5), theirs.integers(1, 7, 5))
+
+
+CHOICE_BRANCHES = {
+    # numpy's choice(pop, size, replace=False) shuffles the tail of range(pop)
+    # when pop > 10000 and size > pop // 50: for the groups ...
+    "tail-groups": ScenarioSpec(structure="interleaved", pattern="random", G=10050, n=1, s=50.0),
+    # ... and for the positions inside a group
+    "tail-positions": ScenarioSpec(structure="block", pattern="random", G=2, n=10050, k=50.0),
+    # at size == pop // 50 it keeps Floyd's algorithm
+    "floyd-edge-groups": ScenarioSpec(
+        structure="interleaved", pattern="random", G=10050, n=1, s=2.0
+    ),
+    "floyd-edge-positions": ScenarioSpec(
+        structure="block", pattern="random", G=2, n=10050, k=2.0
+    ),
+    # every stream has groups of just over and just under 10000 arrivals, so
+    # one round of position draws mixes the tail shuffle and Floyd's algorithm
+    "unbalanced-tail": ScenarioSpec(
+        structure="unbalanced", pattern="random", G=3, N=30000, s=70.0
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CHOICE_BRANCHES))
+def test_both_choice_branches_match_the_scalar_loops(case):
+    spec = CHOICE_BRANCHES[case]
+    # with no half-word held, seed 50's tail-groups draw meets a Lemire rejection
+    seeds = (0, 1, 50, 67)
+    ours = [np.random.default_rng(seed) for seed in seeds]
+    theirs = [np.random.default_rng(seed) for seed in seeds]
+    for r, (mine, reference) in enumerate(zip(ours, theirs)):
+        # odd rows start with a half-word held in the generator's buffer
+        mine.integers(1, 7, r % 2)
+        reference.integers(1, 7, r % 2)
+    groups = _structures(spec, ours)
+    truths = _truths(spec, groups, ours)
+    for r, (mine, reference) in enumerate(zip(ours, theirs)):
+        expected_groups = reference_structure(spec, reference)
+        expected_truths = reference_truth(spec, expected_groups, reference)
+        assert np.array_equal(groups[r], expected_groups)
+        assert truths.dtype == expected_truths.dtype and np.array_equal(truths[r], expected_truths)
+        assert mine.bit_generator.state == reference.bit_generator.state
+    batch = make_streams(spec, seeds[:2])
+    for r, seed in enumerate(seeds[:2]):
+        assert_same_stream(batch.row(r), reference_stream(replace(spec, seed=seed)))
+
+
+MASK32 = 0xFFFFFFFF
+
+
+class CraftedWords:
+    """Stands in for a PCG64 bit generator, handing out the raw words given."""
+
+    def __init__(self, words, held=0, half=0):
+        self.words = list(words)
+        self.state = {"has_uint32": held, "uinteger": half}
+        self.reads = []
+
+    def random_raw(self, size):
+        self.reads.append(size)
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def scalar_draws(bounds, words, held, half):
+    """numpy's bounded draws from [0, bound], one at a time, off a word list;
+    returns the values, the rejections, the words read and the buffer left."""
+    values, words, rejected, read = [], iter(words), 0, 0
+    for bound in bounds:
+        span, value = bound + 1, 0
+        while bound:
+            if held:
+                half32, held = half, 0
+            else:
+                word = next(words)
+                read += 1
+                half32, half, held = word & MASK32, word >> 32, 1
+            product = half32 * span
+            if product & MASK32 >= (2**32 - span) % span:
+                value = product >> 32
+                break
+            rejected += 1
+        values.append(value)
+    return values, rejected, read, held, half
+
+
+def test_crafted_words_force_rejections_and_a_second_read():
+    rng = np.random.default_rng(8)
+    bounds = np.array([[2, 0, 6, 2**31, 9, 0, 2], [2, 2, 0, 0, 2**31 + 5, 1, 3], [6] * 7])
+    words = [rng.integers(0, 2**64, 40, dtype=np.uint64).tolist() for _ in range(3)]
+    # a low half of 0 is rejected at every bound whose span is not a power of two
+    words[0][0] &= ~MASK32
+    words[0][2] = 0
+    # row 1 starts from a held half of 0; row 2's first nine words are 0, so
+    # it reads past its first block of len(bounds[2]) words
+    words[2][:9] = [0] * 9
+    buffers = [(0, 0), (1, 0), (0, 77)]
+    gens = [CraftedWords(raw, *buffer) for raw, buffer in zip(words, buffers)]
+    halves = _HalfWords(gens)
+    values = halves.draw(bounds)
+    halves.settle()
+    for r, (row, gen, raw, buffer) in enumerate(zip(bounds.tolist(), gens, words, buffers)):
+        want, rejected, read, held, half = scalar_draws(row, raw, *buffer)
+        assert rejected > 0
+        assert values[r].tolist() == want
+        # settling advances each generator past exactly the words its draws used
+        assert gen.reads[-1] == read
+        assert (gen.state["has_uint32"], gen.state["uinteger"]) == (held, half)
+    assert len(gens[2].reads) > 2
 
 
 class CountingPCG64(np.random.PCG64):
