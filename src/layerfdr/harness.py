@@ -4,7 +4,9 @@ Single-layer methods (GAI, LORD, LOND) test the stream with singleton groups
 only; their group-level metrics are computed post hoc from the individual
 rejections.  Multi-layer methods run two layers side by side — individual
 singletons plus the scenario's group structure — so their individual and
-group rows always come from the same paired runs.
+group rows always come from the same paired runs.  Both layers are tallied
+by one rule: V counts the discovered groups that hold no true hypothesis, R
+all discovered groups, the individual layer's groups being the arrivals.
 
 Per-replicate seeds are split from the master seed by hashing
 (master_seed, method, beta, replicate) with SHA-256, so results per method
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +26,7 @@ import numpy as np
 
 from .core import HypothesisEvent
 from .metrics import AggregateResult, LayerTally, aggregate
-from .procedures import METHODS, lockstep_rejections, make_procedure, replay
+from .procedures import METHODS, dense_ids, lockstep_rejections, make_procedure, replay
 from .simgen import ScenarioSpec, StreamData, make_streams
 
 LAYER_NAMES = ("individual", "group")
@@ -32,7 +34,7 @@ LAYER_NAMES = ("individual", "group")
 #: default effect-size grid for sweeps
 DEFAULT_BETA_GRID = tuple(x / 2.0 for x in range(1, 11))
 
-RESULTS_HEADER = "method,beta,layer,fdr,fdr_se,mfdr,mfdr_se,power,power_se,replicates"
+RESULTS_HEADER = ",".join(field.name for field in fields(AggregateResult))
 
 
 @dataclass(frozen=True)
@@ -92,33 +94,33 @@ def stream_events(data: StreamData, layers: int) -> list[HypothesisEvent]:
 
 def stream_tallies(data: StreamData, rejected: np.ndarray) -> dict[str, list[LayerTally]]:
     """Tallies of stacked (R, N) streams at both reporting layers, from their
-    (R, N) rejected mask: one ``LayerTally`` per stream and layer."""
+    (R, N) rejected mask: one ``LayerTally`` per stream and layer.
+
+    Each layer is a pair of (R, N) masks over its groups, ``selected`` and
+    ``holds_true``, and every pair is counted alike.  The individual layer's
+    groups are the arrivals; the group layer's are the (row, id) bins of
+    ``dense_ids``, the renumbering the sweep kernel uses.
+    """
     rejected = np.asarray(rejected, dtype=bool)
     true = data.truths == 1
     rows, total = rejected.shape
-    # the individual layer's groups are the arrival positions
-    individual = zip(
-        (rejected & ~true).sum(axis=1).tolist(),
-        (rejected & true).sum(axis=1).tolist(),
-        true.sum(axis=1).tolist(),
-    )
-    # the group layer: sort each row by group, then reduce over each group's run
-    order = np.argsort(data.groups, axis=1, kind="stable")
-    ordered = np.take_along_axis(data.groups, order, axis=1)
-    head = np.ones(ordered.shape, dtype=bool)
-    head[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    starts = np.flatnonzero(head)
-    row = starts // total
-    selected = np.logical_or.reduceat(np.take_along_axis(rejected, order, axis=1).ravel(), starts)
-    holds_true = np.logical_or.reduceat(np.take_along_axis(true, order, axis=1).ravel(), starts)
-    group = zip(
-        np.bincount(row[selected & ~holds_true], minlength=rows).tolist(),
-        np.bincount(row[selected & holds_true], minlength=rows).tolist(),
-        np.bincount(row[holds_true], minlength=rows).tolist(),
-    )
+    # dense ids are below N, so row r's groups take bins r * N .. r * N + N - 1
+    bins = (dense_ids(data.groups) + total * np.arange(rows)[:, None]).ravel()
+
+    def any_in_group(mask: np.ndarray) -> np.ndarray:
+        return np.bincount(bins[mask.ravel()], minlength=rows * total).reshape(rows, total) > 0
+
+    layers = ((rejected, true), (any_in_group(rejected), any_in_group(true)))
     return {
-        "individual": [LayerTally(*counts) for counts in individual],
-        "group": [LayerTally(*counts) for counts in group],
+        name: [
+            LayerTally(*counts)
+            for counts in zip(
+                (selected & ~holds_true).sum(axis=1).tolist(),
+                (selected & holds_true).sum(axis=1).tolist(),
+                holds_true.sum(axis=1).tolist(),
+            )
+        ]
+        for name, (selected, holds_true) in zip(LAYER_NAMES, layers)
     }
 
 
@@ -163,11 +165,12 @@ def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:
     """Aggregate every (method, beta, layer) cell of the sweep.
 
     Rows come out sorted by canonical method order, then beta, then layer,
-    so emission is deterministic regardless of the input method order.
+    so emission is deterministic regardless of the input method and beta
+    order.  Replicate seeds key on the cell, so the order changes no number.
     """
     rows: list[AggregateResult] = []
     for method in sorted(sweep.methods, key=METHODS.index):
-        for beta in sweep.beta_grid:
+        for beta in sorted(sweep.beta_grid):
             per_layer = run_cell(
                 sweep.scenario, method, beta, sweep.replicates, sweep.master_seed
             )
@@ -189,20 +192,10 @@ def _fmt(value: float) -> str:
 
 
 def format_result_row(row: AggregateResult) -> str:
-    return ",".join(
-        [
-            row.method,
-            _fmt(row.beta),
-            row.layer,
-            _fmt(row.fdr),
-            _fmt(row.fdr_se),
-            _fmt(row.mfdr),
-            _fmt(row.mfdr_se),
-            _fmt(row.power),
-            _fmt(row.power_se),
-            str(row.replicates),
-        ]
-    )
+    # text as it is, numbers (an integer beta too) to six significant digits,
+    # and the replicate count in full
+    *values, replicates = astuple(row)
+    return ",".join([v if isinstance(v, str) else _fmt(v) for v in values] + [str(replicates)])
 
 
 def emit_results(rows: Sequence[AggregateResult], out_dir) -> list[Path]:

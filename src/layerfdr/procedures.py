@@ -457,7 +457,7 @@ def lockstep_rejections(
         raise ValueError(f"groups has shape {groups.shape}, not ({reps}, {steps}[, P])")
     if groups.size and groups.min() < 0:
         raise ValueError("group ids must be non-negative")
-    partitions = _dense_ids(np.moveaxis(np.atleast_3d(groups).astype(np.int64), 2, 0))
+    partitions = dense_ids(np.moveaxis(np.atleast_3d(groups).astype(np.int64), 2, 0))
     layers = 1 + len(partitions)
     grouped = layers > 1  # with no partitions there is no group table to read or write
     # flat (partition, replicate, group) cell of each arrival, one (P, R) block per step
@@ -521,8 +521,10 @@ def lockstep_rejections(
     return rejected[:, 0].T
 
 
-def _dense_ids(ids: np.ndarray) -> np.ndarray:
-    """Ids of shape (..., N) renumbered densely per row once any reaches N."""
+def dense_ids(ids: np.ndarray) -> np.ndarray:
+    """Non-negative int ids of shape (..., N) with every id returned below N:
+    as they are if all are, else each row's distinct ids renumbered 0, 1, ...
+    in increasing order.  Arrivals in a row share an id exactly as before."""
     steps = ids.shape[-1]
     if not ids.size or ids.max() < steps:
         return ids

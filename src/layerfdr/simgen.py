@@ -84,6 +84,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown strength: {self.strength!r}")
         if self.G < 1 or self.n < 1:
             raise ValueError("G and n must be positive")
+        if self.structure == "unbalanced" and self.G < 2:
+            raise ValueError("unbalanced structure requires at least two groups")
         if not 0.0 <= self.s <= 100.0 or not 0.0 <= self.k <= 100.0:
             raise ValueError("s and k are percentages in [0, 100]")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
@@ -150,8 +152,6 @@ def _structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
         return np.tile(np.repeat(np.arange(1, spec.G + 1), spec.n), (len(rngs), 1))
     if spec.structure == "interleaved":
         return np.tile(np.arange(1, spec.G + 1), (len(rngs), spec.n))
-    if spec.G < 2:
-        raise ValueError("unbalanced structure requires at least two groups")
     return np.array([_walk(spec, bit_gen) for bit_gen in _pcg64(rngs)], dtype=np.int64) + 1
 
 

@@ -183,19 +183,25 @@ class TestSimulate:
         assert capsys.readouterr().out == first
 
     def test_rows_equal_the_sweep_cell(self, sweep_cfg, tmp_path, capsys):
-        # both commands take the master seed from master_seed, not from seed
-        out = tmp_path / "out"
-        assert main(["sweep", "--config", str(sweep_cfg), "--out", str(out)]) == 0
-        cell = [
-            line
-            for line in (out / "results.csv").read_text().splitlines()
-            if line.startswith("GAI,2,")
-        ]
-        capsys.readouterr()
-        argv = ["simulate", "--config", str(sweep_cfg), "--method", "GAI", "--beta", "2.0"]
-        assert main(argv) == 0
-        assert capsys.readouterr().out.splitlines()[1:] == cell
-        assert len(cell) == 2
+        # both commands take the master seed from master_seed, not from seed,
+        # and both sort a grid given out of order by beta
+        unsorted_cfg = tmp_path / "unsorted.cfg"
+        unsorted_cfg.write_text(BASE_CONFIG + SWEEP_EXTRAS.replace("2.0,3.0", "3,1"))
+        for config, flags, prefix, rows in (
+            (sweep_cfg, ["--beta", "2.0"], "GAI,2,", 2),
+            (unsorted_cfg, [], "GAI,", 4),
+        ):
+            out = tmp_path / config.stem
+            assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+            cell = [
+                line
+                for line in (out / "results.csv").read_text().splitlines()
+                if line.startswith(prefix)
+            ]
+            capsys.readouterr()
+            assert main(["simulate", "--config", str(config), "--method", "GAI", *flags]) == 0
+            assert capsys.readouterr().out.splitlines()[1:] == cell
+            assert len(cell) == rows
 
 
 class TestSweep:
@@ -290,6 +296,20 @@ def test_unreadable_config_exits_2_and_names_the_path(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"{path}: cannot read config file" in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_unbalanced_config_with_one_group_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "one.cfg"
+    path.write_text("structure = unbalanced\nG = 1\nn = 5\nreplicates = 2\n")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)]
+    argv += ["--method", "LORD"] if command == "simulate" else ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unbalanced structure requires at least two groups" in captured.err
+    assert not out.exists()
 
 
 def run_stream(argv, lines):

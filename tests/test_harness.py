@@ -1,7 +1,11 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from layerfdr.harness import (
     LAYER_NAMES,
@@ -121,24 +125,50 @@ class TestRunReplicate:
         assert a.tallies == b.tallies
 
 
-def test_stacked_tallies_equal_per_stream_set_tallies():
+def seeded_cases():
+    """(groups, truths, rejected) of R streams of N arrivals with ids 1..G,
+    for (R, N, G) in (1, 1, 1), (7, 40, 3), (30, 200, 20) and (5, 60, 2**40)."""
     rng = np.random.default_rng(12)
     for rows, total, groups in ((1, 1, 1), (7, 40, 3), (30, 200, 20), (5, 60, 2**40)):
-        data = StreamData(
-            groups=rng.integers(1, groups + 1, size=(rows, total)),
-            truths=(rng.random((rows, total)) < 0.3).astype(np.int8),
-            pvalues=np.zeros((rows, total)),
+        yield (
+            rng.integers(1, groups + 1, size=(rows, total)),
+            rng.random((rows, total)) < 0.3,
+            rng.random((rows, total)) < 0.2,
         )
-        rejected = rng.random((rows, total)) < 0.2
-        tallies = stream_tallies(data, rejected)
-        for r in range(rows):
-            true = data.truths[r] == 1
-            assert tallies["individual"][r] == tally_from_sets(
-                set(np.flatnonzero(rejected[r]).tolist()), set(np.flatnonzero(true).tolist())
-            )
-            assert tallies["group"][r] == tally_from_sets(
-                set(data.groups[r][rejected[r]].tolist()), set(data.groups[r][true].tolist())
-            )
+
+
+CASES = list(seeded_cases())
+
+
+@st.composite
+def stacked_streams(draw):
+    """(groups, truths, rejected) of 1-6 streams of 1-40 arrivals, with ids
+    from 0 to a top that keeps them below N or lets them reach it."""
+    rows, total = draw(st.integers(1, 6)), draw(st.integers(1, 40))
+    top = draw(st.sampled_from([1, total, total + 1, 2**40]))
+    groups = draw(arrays(np.int64, (rows, total), elements=st.integers(0, top)))
+    return groups, draw(arrays(bool, (rows, total))), draw(arrays(bool, (rows, total)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=stacked_streams())
+@example(case=CASES[0])
+@example(case=CASES[1])
+@example(case=CASES[2])
+@example(case=CASES[3])
+def test_stacked_tallies_equal_per_stream_set_tallies(case):
+    groups, truths, rejected = case
+    data = StreamData(
+        groups=groups, truths=truths.astype(np.int8), pvalues=np.zeros(groups.shape)
+    )
+    tallies = stream_tallies(data, rejected)
+    for r in range(len(groups)):
+        assert tallies["individual"][r] == tally_from_sets(
+            set(np.flatnonzero(rejected[r]).tolist()), set(np.flatnonzero(truths[r]).tolist())
+        )
+        assert tallies["group"][r] == tally_from_sets(
+            set(groups[r][rejected[r]].tolist()), set(groups[r][truths[r]].tolist())
+        )
 
 
 class TestSweepSpec:
@@ -290,6 +320,23 @@ class TestEmitResults:
             assert 0.0 <= fdr <= 1.0
             assert 0.0 <= mfdr <= 1.0
             assert 0.0 <= power <= 1.0
+
+
+def test_sweep_csvs_match_the_golden_digest(tmp_path):
+    # every tally, aggregate and CSV byte of ten panels, and a beta that _fmt
+    # prints as 1e+06, in one hash of each emitted file's name and bytes
+    sweeps = [
+        SweepSpec(spec, beta_grid=(1.0, 4.0), replicates=20, master_seed=0)
+        for spec in standard_scenarios().values()
+    ]
+    sweeps.append(SweepSpec(ScenarioSpec(), beta_grid=(10**6, 2), replicates=5, master_seed=1))
+    digest = hashlib.sha256()
+    for i, sweep in enumerate(sweeps):
+        for path in emit_results(run_sweep(sweep), tmp_path / str(i)):
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == (
+        "a005177a2fbd2a9279348a3258d4e6d6e4c56325f9731abaf50aef11d6f5c5b1"
+    )
 
 
 def test_standard_scenarios_cover_every_panel():

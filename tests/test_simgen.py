@@ -81,9 +81,8 @@ class TestStructures:
         assert set(groups.tolist()) <= set(range(1, 6))
 
     def test_unbalanced_needs_two_groups(self):
-        spec = ScenarioSpec(structure="unbalanced", G=1, n=8)
         with pytest.raises(ValueError, match="two groups"):
-            make_streams(spec, [0]).groups[0]
+            ScenarioSpec(structure="unbalanced", G=1, n=8)
 
     @pytest.mark.parametrize("structure", ["block", "interleaved"])
     def test_balanced_group_counts(self, structure):
