@@ -1,15 +1,18 @@
 """Command-line surface: simulate, sweep, stream and validate subcommands.
 
 Configuration files are flat ``key = value`` documents ('#' starts a
-comment).  Scenario keys: structure, pattern, strength, G, n, N, s, k, beta,
-alpha, eta, seed, p1.  Sweep extras: methods and beta_grid (comma-separated),
-replicates, master_seed.  Every value is checked as its line is read, so a
-bad value is an error even where a flag overrides it.  Flags always take
-precedence over file values; the master seed of ``simulate`` and ``sweep``
-is the flag, then master_seed, then seed, then 0.  A method is one of the
-seven ``METHODS`` names.  ``simulate`` runs a one-method sweep (``--beta``,
-else the config's beta_grid, else the scenario's beta) and prints the rows
-that sweep's results.csv holds for those cells.
+comment).  The keys are the fields of ``ScenarioSpec`` and the fields of
+``SweepSpec`` other than ``scenario``, and each value is read as its
+field's annotation says: an integer, a number, a string, or for a tuple
+field (methods, beta_grid) a comma-separated list.  Every value is checked
+as its line is read, so a bad value is an error even where a flag overrides
+it.  Flags always take precedence over file values, and a sweep value that
+neither sets is ``SweepSpec``'s default; the master seed of ``simulate`` and
+``sweep`` is the flag, then master_seed, then seed, then that default.  A
+method is one of the seven ``METHODS`` names.  ``simulate`` runs a
+one-method sweep (``--beta``, else the config's beta_grid, else the
+scenario's beta) and prints the rows that sweep's results.csv holds for
+those cells.
 
 Stream mode reads one JSON object per line with fields ``p`` (number) and
 ``groups`` (array of M integers in layer order) and answers each with
@@ -29,16 +32,9 @@ import sys
 from contextlib import nullcontext
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, TextIO
+from typing import Optional, TextIO, get_args, get_origin, get_type_hints
 
-from .harness import (
-    DEFAULT_BETA_GRID,
-    RESULTS_HEADER,
-    SweepSpec,
-    emit_results,
-    format_result_row,
-    run_sweep,
-)
+from .harness import RESULTS_HEADER, SweepSpec, emit_results, format_result_row, run_sweep
 from .procedures import (
     METHODS,
     UNTESTED_ACCEPT,
@@ -55,13 +51,10 @@ EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_INT_KEYS = {"G", "n", "N", "seed", "replicates", "master_seed"}
-_FLOAT_KEYS = {"s", "k", "beta", "alpha", "eta", "p1"}
-_SCENARIO_KEYS = {
-    "structure", "pattern", "strength", "G", "n", "N", "s", "k", "beta", "alpha", "eta",
-    "seed", "p1",
-}
-_ALL_KEYS = _SCENARIO_KEYS | {"methods", "beta_grid", "replicates", "master_seed"}
+# the config schema: each key a spec field, each value converted by its annotation
+_SCENARIO_TYPES = get_type_hints(ScenarioSpec)
+_SWEEP_TYPES = {key: kind for key, kind in get_type_hints(SweepSpec).items() if key != "scenario"}
+_KEY_TYPES = {**_SCENARIO_TYPES, **_SWEEP_TYPES}
 
 
 class ConfigError(Exception):
@@ -93,7 +86,7 @@ def parse_config(path) -> dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(path, lineno, f"unknown key {key!r}")
         if key in entries:
             raise ConfigError(path, lineno, f"duplicate key {key!r}")
@@ -104,26 +97,24 @@ def parse_config(path) -> dict[str, object]:
 
 
 def _convert(path, key: str, lineno: Optional[int], value: str):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError:
-        kind = "integer" if key in _INT_KEYS else "number"
-        raise ConfigError(path, lineno, f"{key!r} must be an {kind}, got {value!r}")
-    if key == "methods":
-        return tuple(item.strip() for item in value.split(",") if item.strip())
-    if key == "beta_grid":
+    kind = _KEY_TYPES[key]
+    if get_origin(kind) is tuple:  # tuple[X, ...]: a comma-separated list
+        item = get_args(kind)[0]
         try:
-            return tuple(float(item) for item in value.split(",") if item.strip())
+            return tuple(item(part.strip()) for part in value.split(",") if part.strip())
         except ValueError:
-            raise ConfigError(path, lineno, f"beta_grid must be comma-separated numbers")
-    return value
+            raise ConfigError(path, lineno, f"{key} must be comma-separated numbers")
+    if kind == Optional[int]:
+        kind = int
+    try:
+        return kind(value)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ConfigError(path, lineno, f"{key!r} must be {noun}, got {value!r}")
 
 
 def scenario_from_config(path, entries: dict[str, object]) -> ScenarioSpec:
-    fields = {key: value for key, value in entries.items() if key in _SCENARIO_KEYS}
+    fields = {key: value for key, value in entries.items() if key in _SCENARIO_TYPES}
     try:
         return ScenarioSpec(**fields)
     except ValueError as exc:
@@ -133,31 +124,28 @@ def scenario_from_config(path, entries: dict[str, object]) -> ScenarioSpec:
 # ---------------------------------------------------------------------------
 
 
-def _sweep_spec(args, entries, methods, beta_grid=None, **overrides) -> Optional[SweepSpec]:
+def _sweep_spec(args, entries, **flags) -> Optional[SweepSpec]:
     """The grid ``simulate`` and ``sweep`` run, or None once the reason it
     cannot be built is on stderr.
 
-    The replicate count is the flag, then the config's ``replicates``, then
-    100.  The master seed is the flag, then the config's ``master_seed``, then
-    its ``seed``, then 0.  ``overrides`` that are not None replace scenario
-    fields, and an unset ``beta_grid`` means the scenario's own beta.
+    ``flags`` are named after spec fields, and one that is None is unset.  A
+    scenario flag replaces the config's value.  A sweep value is the flag,
+    then the config's, then ``SweepSpec``'s default, except that the config's
+    ``seed`` stands in for a missing ``master_seed`` and ``simulate`` without
+    a grid runs the scenario's one beta.
     """
-    path = args.config
-    replicates, master_seed = args.replicates, args.master_seed
-    if replicates is None:
-        replicates = entries.get("replicates", 100)
-    if master_seed is None:
-        master_seed = entries.get("master_seed", entries.get("seed", 0))
-    overrides = {key: value for key, value in overrides.items() if value is not None}
+    flags = {"replicates": args.replicates, "master_seed": args.master_seed, **flags}
+    flags = {key: value for key, value in flags.items() if value is not None}
+    values = {key: value for key, value in entries.items() if key in _SWEEP_TYPES}
+    if "seed" in entries:
+        values.setdefault("master_seed", entries["seed"])
+    values.update((key, value) for key, value in flags.items() if key in _SWEEP_TYPES)
+    overrides = {key: value for key, value in flags.items() if key in _SCENARIO_TYPES}
     try:
-        scenario = replace(scenario_from_config(path, entries), **overrides)
-        return SweepSpec(
-            scenario,
-            beta_grid=(scenario.beta,) if beta_grid is None else beta_grid,
-            methods=methods,
-            replicates=replicates,
-            master_seed=master_seed,
-        )
+        scenario = replace(scenario_from_config(args.config, entries), **overrides)
+        if args.command == "simulate":
+            values.setdefault("beta_grid", (scenario.beta,))
+        return SweepSpec(scenario, **values)
     except ValueError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return None
@@ -173,10 +161,9 @@ def cmd_simulate(args) -> int:
             print("simulate: --method is required", file=sys.stderr)
             return EXIT_USAGE
         method = methods[0]
-    beta_grid = entries.get("beta_grid") if args.beta is None else None
-    sweep = _sweep_spec(
-        args, entries, (method,), beta_grid, alpha=args.alpha, eta=args.eta, beta=args.beta
-    )
+    grid = None if args.beta is None else (args.beta,)
+    flags = dict(methods=(method,), beta_grid=grid, beta=args.beta, alpha=args.alpha, eta=args.eta)
+    sweep = _sweep_spec(args, entries, **flags)
     if sweep is None:
         return EXIT_USAGE
     print(RESULTS_HEADER)
@@ -187,12 +174,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     entries = parse_config(args.config)
-    if args.methods is None:
-        methods = entries.get("methods", METHODS)
-    else:
-        methods = _convert(args.config, "methods", None, args.methods)
-    beta_grid = entries.get("beta_grid", DEFAULT_BETA_GRID)
-    sweep = _sweep_spec(args, entries, methods, beta_grid)
+    methods = None if args.methods is None else _convert(args.config, "methods", None, args.methods)
+    sweep = _sweep_spec(args, entries, methods=methods)
     if sweep is None:
         return EXIT_USAGE
     rows = run_sweep(sweep)

@@ -17,7 +17,6 @@ existing cells.
 from __future__ import annotations
 
 import hashlib
-import math
 from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 from typing import Sequence
@@ -27,7 +26,7 @@ import numpy as np
 from .core import HypothesisEvent
 from .metrics import AggregateResult, LayerTally, aggregate
 from .procedures import METHODS, dense_ids, lockstep_rejections, make_procedure, replay
-from .simgen import ScenarioSpec, StreamData, make_streams
+from .simgen import ScenarioSpec, StreamData, make_streams, require_integers
 
 LAYER_NAMES = ("individual", "group")
 
@@ -48,6 +47,7 @@ class SweepSpec:
     master_seed: int = 0
 
     def __post_init__(self) -> None:
+        require_integers(replicates=self.replicates, master_seed=self.master_seed)
         if self.replicates < 1:
             raise ValueError("at least one replicate is required")
         if not self.beta_grid:
@@ -59,9 +59,8 @@ class SweepSpec:
             raise ValueError(f"unknown methods: {unknown}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method names")
-        invalid = [beta for beta in self.beta_grid if not (math.isfinite(beta) and beta >= 0.0)]
-        if invalid:
-            raise ValueError(f"beta must be non-negative and finite, got {invalid}")
+        for beta in self.beta_grid:
+            replace(self.scenario, beta=beta)  # the scenario's own beta check
         # replicate seeds key on float(beta), so 1 and 1.0 name one cell
         if len({float(beta) for beta in self.beta_grid}) != len(self.beta_grid):
             raise ValueError("duplicate beta values")

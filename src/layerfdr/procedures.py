@@ -155,7 +155,7 @@ def validate_policy(
     """Scan the reward-admissibility inequality over t = 1..horizon.
 
     At every step the reward must satisfy
-    0 <= reward <= min(spend / power_bound + alpha, spend / level + alpha + 1).
+    0 <= reward <= min(spend / power_bound + alpha, spend / level + alpha - 1).
     Rules are evaluated against a pristine layer snapshot (initial wealth
     alpha, no discoveries), so state-dependent rules are spot-checked at
     that snapshot only.  Returns the first violation or an ok report; an
@@ -177,7 +177,7 @@ def validate_policy(
         reward = policy.reward(t, snapshot)
         _check_charges(t, spend, reward)
         power_cap = spend / rho + alpha
-        level_cap = spend / level + alpha + 1.0
+        level_cap = spend / level + alpha - 1.0
         if reward < -tolerance or reward > min(power_cap, level_cap) + tolerance:
             return PolicyReport(
                 ok=False, t=t, reward=reward, power_cap=power_cap, level_cap=level_cap

@@ -18,6 +18,7 @@ reproduces numpy's stream bit for bit and leaves the generators where it would.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -82,6 +83,8 @@ class ScenarioSpec:
             raise ValueError(f"unknown pattern: {self.pattern!r}")
         if self.strength not in STRENGTHS:
             raise ValueError(f"unknown strength: {self.strength!r}")
+        # total is n * G when N is unset, an integer once G and n are
+        require_integers(G=self.G, n=self.n, N=self.total)
         if self.G < 1 or self.n < 1:
             raise ValueError("G and n must be positive")
         if self.structure == "unbalanced" and self.G < 2:
@@ -108,6 +111,15 @@ class ScenarioSpec:
     @property
     def total(self) -> int:
         return self.N if self.N is not None else self.n * self.G
+
+
+def require_integers(**values) -> None:
+    """Refuse a size or seed that is not an integer; numpy integers pass."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value}") from None
 
 
 @dataclass(frozen=True)

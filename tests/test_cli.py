@@ -1,10 +1,18 @@
+import argparse
 import io
 import json
+import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from layerfdr.cli import main, parse_config
+from layerfdr.cli import _sweep_spec, main, parse_config
+from layerfdr.harness import SweepSpec
+from layerfdr.procedures import METHODS
+from layerfdr.simgen import PATTERNS, STRENGTHS, STRUCTURES, ScenarioSpec
 
 BASE_CONFIG = """\
 # baseline scenario
@@ -43,6 +51,57 @@ def sweep_cfg(tmp_path):
     return path
 
 
+def _config_text(value) -> str:
+    """A spec value as a config line spells it: floats through repr, lists
+    comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(map(_config_text, value))
+    return value if isinstance(value, str) else repr(value)
+
+
+@st.composite
+def sweep_specs(draw):
+    """A valid SweepSpec and the sweep keys its config writes; an unwritten
+    key takes SweepSpec's default, and master_seed the scenario's seed."""
+    structure = draw(st.sampled_from(STRUCTURES))
+    G = draw(st.integers(2 if structure == "unbalanced" else 1, 10**4))
+    n = draw(st.integers(1, 10**4))
+    if structure == "unbalanced":
+        N = draw(st.none() | st.integers(1, 10**6))
+    else:
+        N = draw(st.sampled_from([None, n * G]))
+    percent = st.floats(0.0, 100.0)
+    scenario = ScenarioSpec(
+        structure=structure,
+        pattern=draw(st.sampled_from(PATTERNS)),
+        strength=draw(st.sampled_from(STRENGTHS)),
+        G=G,
+        n=n,
+        N=N,
+        s=draw(percent),
+        k=draw(percent),
+        beta=draw(st.floats(0.0, 1e300)),
+        alpha=draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        eta=draw(st.floats(0.0, 1e300, exclude_min=True)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        p1=draw(st.floats(0.0, 1.0)),
+    )
+    values = {
+        "beta_grid": draw(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=5, unique=True)),
+        "methods": draw(st.lists(st.sampled_from(METHODS), min_size=1, unique=True)),
+        "replicates": draw(st.integers(1, 10**6)),
+        "master_seed": draw(st.integers(-(2**70), 2**70)),
+    }
+    written = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+    sweep = {
+        key: tuple(value) if isinstance(value, list) else value
+        for key, value in values.items()
+        if key in written
+    }
+    sweep.setdefault("master_seed", scenario.seed)
+    return SweepSpec(scenario, **sweep), written
+
+
 class TestConfigParsing:
     def test_round_trip(self, base_cfg):
         entries = parse_config(base_cfg)
@@ -50,12 +109,45 @@ class TestConfigParsing:
         assert entries["beta"] == 2.0 and type(entries["beta"]) is float
         assert entries["structure"] == "block"
 
+    @settings(
+        max_examples=200,
+        deadline=None,
+        derandomize=True,
+        database=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=sweep_specs())
+    def test_every_field_round_trips(self, tmp_path, case):
+        # each field of both specs is a key, written as a user would write it
+        sweep, written = case
+        lines = [
+            f"{field.name} = {_config_text(getattr(sweep.scenario, field.name))}"
+            for field in fields(ScenarioSpec)
+            if getattr(sweep.scenario, field.name) is not None
+        ]
+        lines += [f"{key} = {_config_text(getattr(sweep, key))}" for key in written]
+        path = tmp_path / "round.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        entries = parse_config(path)
+        assert set(entries) == {line.split(" = ")[0] for line in lines}
+        args = argparse.Namespace(command="sweep", config=path, replicates=None, master_seed=None)
+        assert _sweep_spec(args, entries) == sweep
+
     def test_unknown_key_names_the_line(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("alpha = 0.1\nbogus = 3\n")
         from layerfdr.cli import ConfigError
 
         with pytest.raises(ConfigError, match=r"bad\.cfg:2.*bogus"):
+            parse_config(path)
+
+    def test_the_sweep_scenario_field_is_not_a_key(self, tmp_path):
+        # the config's scenario keys are ScenarioSpec's own fields
+        path = tmp_path / "bad.cfg"
+        path.write_text("alpha = 0.1\nscenario = block\n")
+        from layerfdr.cli import ConfigError
+
+        with pytest.raises(ConfigError, match=r"bad\.cfg:2: unknown key 'scenario'"):
             parse_config(path)
 
     def test_malformed_line(self, tmp_path):
@@ -536,6 +628,17 @@ def test_readme_wire_format_example(tmp_path, capsys):
     assert all(text in readme for text in (line, command, reply))
 
 
+def test_readme_config_keys_are_the_spec_fields(tmp_path):
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = readme.split("### Config files", 1)[1].split("```")[1]
+    keys = set(re.findall(r"^(?:# )?(\w+) *=", example, re.MULTILINE))
+    sweep_keys = {field.name for field in fields(SweepSpec)} - {"scenario"}
+    assert keys == {field.name for field in fields(ScenarioSpec)} | sweep_keys
+    path = tmp_path / "readme.cfg"
+    path.write_text(example)
+    assert set(parse_config(path)) == keys - {"N"}
+
+
 class TestValidate:
     def test_simple_choice_is_admissible(self, capsys):
         assert main(["validate", "--alpha", "0.1", "--horizon", "100"]) == 0
@@ -551,6 +654,13 @@ class TestValidate:
 
     def test_zero_reward_is_admissible(self):
         assert main(["validate", "--alpha", "0.1", "--psi", "0.0"]) == 0
+
+    def test_level_cap_subtracts_one(self, capsys):
+        # GAI's cap is spend / level + alpha - 1 = 0.1 here, below the reward
+        # 0.5; this constant policy's all-null mFDR is 0.1228 at N = 5
+        argv = "validate --alpha 0.1 --level 0.1 --phi 0.1 --psi 0.5 --rho 0.1 --horizon 5"
+        assert main(argv.split()) == 1
+        assert "violation at t=1" in capsys.readouterr().out
 
     @pytest.mark.parametrize("alpha", ["1", "0", "-0.1", "1.5", "nan", "inf"])
     def test_alpha_outside_the_unit_interval_exits_2(self, alpha, capsys):

@@ -183,6 +183,9 @@ class TestSweepSpec:
             SweepSpec(scenario=BASELINE, methods=("GAI", "BH"))
         with pytest.raises(ValueError, match="duplicate"):
             SweepSpec(scenario=BASELINE, methods=("GAI", "GAI"))
+        for sizes in ({"replicates": 2.5}, {"master_seed": 1.0}):
+            with pytest.raises(ValueError, match="must be an integer"):
+                SweepSpec(scenario=BASELINE, **sizes)
 
     def test_every_beta_is_validated(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -47,7 +47,7 @@ class TestValidatePolicy:
         assert report.t == 1
         assert report.reward == pytest.approx(0.2211111111, abs=1e-9)
         assert report.power_cap == pytest.approx(PHI + ALPHA, abs=1e-12)
-        assert report.level_cap == pytest.approx(PHI / ALPHA + ALPHA + 1.0, abs=1e-12)
+        assert report.level_cap == pytest.approx(PHI / ALPHA + ALPHA - 1.0, abs=1e-12)
 
     def test_zero_reward_is_admissible(self):
         policy = constant_policy(ALPHA, PHI, 0.0, 1.0)

@@ -51,11 +51,26 @@ class TestScenarioSpec:
             {"beta": float("inf")},
             {"eta": float("nan")},
             {"eta": float("inf")},
+            {"G": 20.5},
+            {"G": 4, "n": 2.5},
+            {"N": 200.0},
+            {"structure": "unbalanced", "G": 4.5},
+            {"structure": "unbalanced", "N": 37.5},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
+
+    @pytest.mark.parametrize("structure", ["block", "unbalanced"])
+    def test_numpy_integer_sizes_give_the_same_stream(self, structure):
+        sizes = {"G": 4, "n": 5, "N": 20}
+        spec = ScenarioSpec(structure=structure, pattern="random", seed=3, **sizes)
+        numpy_sizes = {key: np.int64(value) for key, value in sizes.items()}
+        numpy_spec = ScenarioSpec(structure=structure, pattern="random", seed=3, **numpy_sizes)
+        plain, numpy = make_stream(spec), make_stream(numpy_spec)
+        for name in ("groups", "truths", "pvalues"):
+            assert getattr(numpy, name).tobytes() == getattr(plain, name).tobytes()
 
 
 class TestStructures:
