@@ -16,8 +16,18 @@ machine — distinct streams are independent and safe to process in parallel.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
+
+
+def require_integers(**values) -> None:
+    """Refuse a size, count or seed that is not an integer; numpy integers pass."""
+    for name, value in values.items():
+        try:
+            operator.index(value)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value}") from None
 
 
 class StreamHalted(RuntimeError):

@@ -23,10 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import HypothesisEvent
+from .core import HypothesisEvent, require_integers
 from .metrics import AggregateResult, LayerTally, aggregate
 from .procedures import METHODS, dense_ids, lockstep_rejections, make_procedure, replay
-from .simgen import ScenarioSpec, StreamData, make_streams, require_integers
+from .simgen import ScenarioSpec, StreamData, make_streams
 
 LAYER_NAMES = ("individual", "group")
 

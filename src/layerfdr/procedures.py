@@ -21,12 +21,13 @@ per-layer state a step updates afterwards.
 
 Rejection requires strict inequality p < threshold; ties are accepts.
 
-A step computes first and commits after: the pending layers, their
+A step decides first and commits after: the pending layers, their
 thresholds (a list indexed by layer, None where a layer is not tested) and
 charges and the decision are worked out from the state as it was before the
-arrival, and only then are the clock, the arrival counts, the discovered
-groups and the per-rule state updated.  A step that raises therefore leaves
-the procedure unchanged.
+arrival.  Only then does the clock advance and one loop over the layers
+commit each: it records the arrival, marks a rejected group discovered,
+applies the rule's wealth or LORD-gap update and builds that layer's
+outcome.  A step that raises therefore leaves the procedure unchanged.
 
 ``replay`` drives one stream event by event.  ``lockstep_rejections`` runs
 many independent simulated streams side by side as numpy arrays over the
@@ -52,6 +53,7 @@ from .core import (
     LayerOutcome,
     LayerState,
     StreamHalted,
+    require_integers,
 )
 
 _PI_SQUARED = math.pi ** 2
@@ -220,8 +222,11 @@ class OnlineProcedure:
 
     ``step`` consumes the next event and returns a DecisionRecord; after an
     alpha-investing halt further ``step`` calls raise StreamHalted while
-    ``skip`` records the event as not tested.  Replaying the same events
-    through a freshly configured instance yields identical records.
+    ``skip`` records the event as not tested.  Both run one body: decide
+    from the state as it was, then commit and record each layer in one
+    loop; after a halt no layer is pending and nothing is rejected.
+    Replaying the same events through a freshly configured instance yields
+    identical records.
     """
 
     def __init__(
@@ -230,6 +235,7 @@ class OnlineProcedure:
     ):
         if rule not in ("GAI", "LORD", "LOND", "LOND_m"):
             raise ValueError(f"unknown decision rule: {rule!r}")
+        require_integers(layers=layers)
         if layers < 1:
             raise ValueError(f"at least one layer is required, got {layers}")
         if not 0.0 < alpha < 1.0:
@@ -262,25 +268,50 @@ class OnlineProcedure:
         self.halted = False
 
     def step(self, event: HypothesisEvent) -> DecisionRecord:
-        # everything that can raise runs before the state is touched, so a
-        # failed step leaves the stream as it was before the call
         if self.halted:
             raise StreamHalted("wealth exhausted")
-        self._check_event(event)
-        t = self.t + 1
+        return self._step(event)
+
+    def skip(self, event: HypothesisEvent) -> DecisionRecord:
+        """Record an event arriving after a halt: not tested, never rejected."""
+        if not self.halted:
+            raise RuntimeError("skip() is only valid after the stream has halted")
+        return self._step(event)
+
+    def run_pvalues(self, pvalues: Sequence[float]) -> list[DecisionRecord]:
+        """Feed bare p-values as fresh singleton-group events."""
+        events = [
+            HypothesisEvent(
+                t=self.t + i + 1,
+                p=float(p),
+                group_index=(self.t + i + 1,) * self.layers,
+            )
+            for i, p in enumerate(pvalues)
+        ]
+        return replay(self, events)
+
+    def _step(self, event: HypothesisEvent) -> DecisionRecord:
+        # everything that can raise runs before the state is touched, so a
+        # failed step leaves the stream as it was before the call
         groups = event.group_index
+        if len(groups) != self.layers:
+            raise ValueError(f"event carries {len(groups)} group ids, expected {self.layers}")
+        t = self.t + 1
         rule, schedules, states = self.rule, self.schedules, self.states
-        pending = [m for m, state in enumerate(states) if groups[m] not in state.rejected_groups]
+        # nothing is tested after a halt
+        pending = [] if self.halted else [
+            m for m, state in enumerate(states) if groups[m] not in state.rejected_groups
+        ]
         thresholds = [None] * self.layers
         if rule == "GAI":
-            charges = []
+            charges = [None] * self.layers
             for m in pending:
                 policy, state = schedules[m], states[m]
                 thresholds[m] = level = policy.alpha_level(t, state)
                 if not 0.0 < level <= 1.0:
                     raise ValueError(f"significance level outside (0, 1]: {level}")
-                charges.append((policy.spend(t, state), policy.reward(t, state)))
-                _check_charges(t, *charges[-1])
+                charges[m] = spend, reward = policy.spend(t, state), policy.reward(t, state)
+                _check_charges(t, spend, reward)
         elif rule == "LORD":
             for m in pending:
                 thresholds[m] = schedules[m].value(states[m].since_last_discovery)
@@ -298,65 +329,23 @@ class OnlineProcedure:
                     rejected = False
                     break
         else:
-            # every layer's group is already decided; nothing to test or charge
-            rejected = self.untested == UNTESTED_LITERAL
+            # every layer's group is already decided, or the stream has halted
+            rejected = not self.halted and self.untested == UNTESTED_LITERAL
         self.t = t
-        for state, group in zip(states, groups):
-            state.observe(group)
-        if rejected:
-            for m in pending:
-                states[m].mark_rejected(groups[m])
-        if rule == "GAI":
-            # evaluate the update exactly as written (W + reward - spend) so the
-            # halt comparison is reproducible across independent implementations
-            for m, (spend, reward) in zip(pending, charges):
-                state = states[m]
-                state.wealth = state.wealth + reward - spend if rejected else state.wealth - spend
-        elif rule == "LORD":
-            for m in pending:
-                state = states[m]
-                state.since_last_discovery = 1 if rejected else state.since_last_discovery + 1
-        return self._finish(t, event, rejected, thresholds)
-
-    def skip(self, event: HypothesisEvent) -> DecisionRecord:
-        """Record an event arriving after a halt: not tested, never rejected."""
-        if not self.halted:
-            raise RuntimeError("skip() is only valid after the stream has halted")
-        self._check_event(event)
-        self.t += 1
-        for state, group in zip(self.states, event.group_index):
-            state.observe(group)
-        return self._finish(self.t, event, False, [None] * self.layers)
-
-    def run_pvalues(self, pvalues: Sequence[float]) -> list[DecisionRecord]:
-        """Feed bare p-values as fresh singleton-group events."""
-        events = [
-            HypothesisEvent(
-                t=self.t + i + 1,
-                p=float(p),
-                group_index=(self.t + i + 1,) * self.layers,
-            )
-            for i, p in enumerate(pvalues)
-        ]
-        return replay(self, events)
-
-    def _check_event(self, event: HypothesisEvent) -> None:
-        if len(event.group_index) != self.layers:
-            raise ValueError(
-                f"event carries {len(event.group_index)} group ids, "
-                f"expected {self.layers}"
-            )
-
-    def _finish(
-        self,
-        t: int,
-        event: HypothesisEvent,
-        rejected: bool,
-        thresholds: list[Optional[float]],
-    ) -> DecisionRecord:
         outcomes = []
-        for state, threshold in zip(self.states, thresholds):
+        for m, (state, group, threshold) in enumerate(zip(states, groups, thresholds)):
+            state.observe(group)
             tested = threshold is not None
+            if tested:
+                if rejected:
+                    state.mark_rejected(group)
+                if rule == "GAI":
+                    # evaluate the update exactly as written (W + reward - spend) so the
+                    # halt comparison is reproducible across independent implementations
+                    spend, reward = charges[m]
+                    state.wealth = (state.wealth + reward if rejected else state.wealth) - spend
+                elif rule == "LORD":
+                    state.since_last_discovery = 1 if rejected else state.since_last_discovery + 1
             outcomes.append(
                 LayerOutcome(
                     tested,
@@ -368,8 +357,8 @@ class OnlineProcedure:
                     state.since_last_discovery,
                 )
             )
-        self.halted = self.rule == "GAI" and min(state.wealth for state in self.states) <= 0.0
-        return DecisionRecord(t, rejected, event.group_index, tuple(outcomes), self.halted)
+        self.halted = rule == "GAI" and min(state.wealth for state in states) <= 0.0
+        return DecisionRecord(t, rejected, groups, tuple(outcomes), self.halted)
 
 
 def _check_eta(eta: float) -> None:
@@ -438,8 +427,9 @@ def lockstep_rejections(
     arrival counts for LOND_m, gaps for LORD, wealth for GAI.  After an
     alpha-investing halt a row is neither tested nor rejected.
     A method outside ``METHODS``, an eta that is not positive and finite, a
-    p-value outside [0, 1] (NaN included) or a ``pvalues`` that is not 2-D
-    raises ValueError.
+    p-value outside [0, 1] (NaN included), a ``pvalues`` that is not 2-D, or
+    group ids that are not integers, are negative or exceed the int64 range
+    raise ValueError.
     """
     rule = _rule(method)
     _check_eta(eta)
@@ -452,11 +442,15 @@ def lockstep_rejections(
     # one (1, R) row per step, which broadcasts cheaply against (M, R) state
     p_by_step = np.ascontiguousarray(pvalues.T)[:, None]
     steps, _, reps = p_by_step.shape
-    groups = np.zeros((reps, steps, 0)) if groups is None else np.asarray(groups)
+    groups = np.zeros((reps, steps, 0), np.int64) if groups is None else np.asarray(groups)
     if groups.shape[:2] != (reps, steps) or groups.ndim > 3:
         raise ValueError(f"groups has shape {groups.shape}, not ({reps}, {steps}[, P])")
+    if not np.issubdtype(groups.dtype, np.integer):
+        raise ValueError(f"group ids must be integers, got dtype {groups.dtype}")
     if groups.size and groups.min() < 0:
         raise ValueError("group ids must be non-negative")
+    if groups.size and int(groups.max()) > np.iinfo(np.int64).max:
+        raise ValueError(f"group ids must fit in int64, got {groups.max()}")
     partitions = dense_ids(np.moveaxis(np.atleast_3d(groups).astype(np.int64), 2, 0))
     layers = 1 + len(partitions)
     grouped = layers > 1  # with no partitions there is no group table to read or write

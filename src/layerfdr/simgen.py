@@ -18,13 +18,14 @@ reproduces numpy's stream bit for bit and leaves the generators where it would.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
 
 import numpy as np
 from scipy.special import erfc as _erfc
+
+from .core import require_integers
 
 STRUCTURES = ("block", "interleaved", "unbalanced")
 PATTERNS = ("fixed", "random", "markov")
@@ -111,15 +112,6 @@ class ScenarioSpec:
     @property
     def total(self) -> int:
         return self.N if self.N is not None else self.n * self.G
-
-
-def require_integers(**values) -> None:
-    """Refuse a size or seed that is not an integer; numpy integers pass."""
-    for name, value in values.items():
-        try:
-            operator.index(value)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {value}") from None
 
 
 @dataclass(frozen=True)

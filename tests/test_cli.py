@@ -1,7 +1,10 @@
 import argparse
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -626,6 +629,37 @@ def test_readme_wire_format_example(tmp_path, capsys):
     assert capsys.readouterr().out == reply + "\n"
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     assert all(text in readme for text in (line, command, reply))
+
+
+def run_module(argv, stdin=b""):
+    """Run ``python -m layerfdr.cli`` in a process of its own."""
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    command = [sys.executable, "-m", "layerfdr.cli", *argv]
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=120)
+
+
+def test_the_module_streams_stdin_as_a_process():
+    # the __main__ guard, entrypoint() and cmd_stream's read of sys.stdin.buffer
+    from layerfdr.cli import build_parser, cmd_stream
+
+    argv = ["stream", "--method", "ml-LORD", "--layers", "2"]
+    # a valid line, one that is not UTF-8, an unterminated object, a valid line
+    data = b'{"p": 0.004, "groups": [1, 7]}\n\xff\xfe\n{"p": 0.5\n{"p": 0.3, "groups": [2, 7]}\n'
+    process = run_module(argv, data)
+    sink = io.StringIO()
+    assert cmd_stream(build_parser().parse_args(argv), source=io.BytesIO(data), sink=sink) == 0
+    assert process.returncode == 0
+    replies = process.stdout.decode().splitlines()
+    assert len(replies) == 4 and replies == sink.getvalue().splitlines()
+
+
+def test_the_module_exits_1_on_a_violated_reward_bound():
+    flags = "--alpha 0.1 --level 0.1 --phi 0.1 --psi 0.5 --rho 0.1 --horizon 5"
+    process = run_module(["validate", *flags.split()])
+    assert process.returncode == 1
+    assert process.stdout.decode().startswith("violation at t=1")
 
 
 def test_readme_config_keys_are_the_spec_fields(tmp_path):

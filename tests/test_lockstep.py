@@ -286,6 +286,15 @@ def test_empty_and_validation():
         lockstep_rejections("ml-LORD", np.zeros((1, 2)), np.array([[1, -1]]), ALPHA)
     with pytest.raises(ValueError, match=r"shape \(4,\), not \(R, N\)"):
         lockstep_rejections("LORD", np.zeros(4), None, ALPHA)
+    # truncating would merge 1.2 and 1.7 into one group, unlike replay
+    pvalues = np.array([[0.001, 0.001, 0.02]])
+    with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+        lockstep_rejections("ml-LOND", pvalues, np.array([[1.2, 1.7, 2.0]]), ALPHA)
+    with pytest.raises(ValueError, match="must be integers, got dtype float64"):
+        lockstep_rejections("ml-LOND", pvalues, np.array([[1.0, math.nan, 2.0]]), ALPHA)
+    huge = np.array([[1, 2**63, 3]], dtype=np.uint64)
+    with pytest.raises(ValueError, match="must fit in int64, got 9223372036854775808"):
+        lockstep_rejections("ml-LOND", pvalues, huge, ALPHA)
 
 
 @pytest.mark.parametrize("method", METHODS)

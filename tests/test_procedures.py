@@ -584,6 +584,13 @@ def test_alpha_must_lie_in_the_unit_interval(method, alpha):
         make_procedure(method, 2, alpha)
 
 
+@pytest.mark.parametrize("layers", [1.5, 2.0])
+def test_layer_count_must_be_an_integer(layers):
+    with pytest.raises(ValueError, match=f"layers must be an integer, got {layers}"):
+        make_procedure("ml-LORD", layers, ALPHA)
+    assert len(make_procedure("ml-LORD", np.int64(2), ALPHA).states) == 2
+
+
 @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.5, -0.1, math.nan])
 def test_simple_choice_rejects_alpha_outside_the_unit_interval(alpha):
     # at alpha = 1 the spend divides by zero; above it spend and reward turn negative
