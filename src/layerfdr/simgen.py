@@ -23,7 +23,6 @@ from itertools import chain
 from typing import Optional
 
 import numpy as np
-from scipy.special import erfc as _erfc
 
 from .core import require_integers
 
@@ -415,11 +414,18 @@ def two_sided_p(z: float) -> float:
 
 
 def two_sided_p_array(z) -> np.ndarray:
-    """Vectorized two-sided standard-normal p-values."""
+    """Vectorized two-sided standard-normal p-values, erfc(|z| / sqrt(2)).
+
+    ``scipy.special`` is imported on the first call, not with the package, so
+    ``import layerfdr`` and the ``stream`` and ``validate`` commands, which draw
+    no p-values, start without loading scipy.
+    """
+    from scipy.special import erfc
+
     z = np.asarray(z, dtype=float)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite z-statistic in input")
-    return _erfc(np.abs(z) / _SQRT2)
+    return erfc(np.abs(z) / _SQRT2)
 
 
 def make_streams(spec: ScenarioSpec, seeds) -> StreamData:

@@ -631,13 +631,18 @@ def test_readme_wire_format_example(tmp_path, capsys):
     assert all(text in readme for text in (line, command, reply))
 
 
-def run_module(argv, stdin=b""):
-    """Run ``python -m layerfdr.cli`` in a process of its own."""
+def run_python(args, stdin=b""):
+    """Run ``python *args`` in a process of its own, with the package's sources on its path."""
     src = str(Path(__file__).parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    command = [sys.executable, "-m", "layerfdr.cli", *argv]
+    command = [sys.executable, *args]
     env = {**os.environ, "PYTHONPATH": path}
     return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=120)
+
+
+def run_module(argv, stdin=b""):
+    """Run ``python -m layerfdr.cli`` in a process of its own."""
+    return run_python(["-m", "layerfdr.cli", *argv], stdin)
 
 
 def test_the_module_streams_stdin_as_a_process():
@@ -660,6 +665,39 @@ def test_the_module_exits_1_on_a_violated_reward_bound():
     process = run_module(["validate", *flags.split()])
     assert process.returncode == 1
     assert process.stdout.decode().startswith("violation at t=1")
+
+
+SCIPY_FREE_START = """
+import io, sys
+import numpy as np
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+import layerfdr
+assert not scipy_loaded(), "import layerfdr"
+from layerfdr.cli import main
+from layerfdr.simgen import ScenarioSpec, make_stream, signal_means, two_sided_p_array
+sys.stdin = io.TextIOWrapper(io.BytesIO(b'{"p": 0.004, "groups": [1, 7]}\\n'))
+assert main(["stream", "--method", "ml-LORD", "--layers", "2"]) == 0
+assert not scipy_loaded(), "stream"
+assert main(["validate", "--alpha", "0.1", "--horizon", "10"]) == 0
+assert not scipy_loaded(), "validate"
+spec = ScenarioSpec(seed=1, G=4, n=5)
+data = make_stream(spec)
+assert scipy_loaded(), "make_stream"
+# block structure and fixed truths draw nothing, so the seed's first normals are the noise
+z = signal_means(data.truths, spec.strength, spec.beta)
+z = z + np.random.default_rng(1).standard_normal(spec.total)
+assert np.array_equal(data.pvalues, two_sided_p_array(z))
+"""
+
+
+def test_scipy_is_loaded_only_when_p_values_are_drawn():
+    # import layerfdr, stream and validate draw no p-values, so start without scipy
+    process = run_python(["-c", SCIPY_FREE_START])
+    assert process.returncode == 0, process.stderr.decode()
+    assert process.stdout.decode().count('"reject": true') == 1
 
 
 def test_readme_config_keys_are_the_spec_fields(tmp_path):
