@@ -8,6 +8,11 @@ group rows always come from the same paired runs.  Both layers are tallied
 by one rule: V counts the discovered groups that hold no true hypothesis, R
 all discovered groups, the individual layer's groups being the arrivals.
 
+``run_sweep`` runs each (method, beta) cell itself: its replicates' streams
+generated stacked, decided by one ``lockstep_rejections`` call and tallied
+per layer.  ``run_replicate`` runs one replicate through the step engine and
+gives the same tallies.
+
 Per-replicate seeds are split from the master seed by hashing
 (master_seed, method, beta, replicate) with SHA-256, so results per method
 are independent of method ordering and adding grid values never perturbs
@@ -138,50 +143,37 @@ def run_replicate(scenario: ScenarioSpec, method: str, seed: int) -> ReplicateRu
     return ReplicateRun(records=tuple(records), tallies=tallies)
 
 
-def run_cell(
-    scenario: ScenarioSpec, method: str, beta: float, replicates: int, master_seed: int
-) -> dict[str, list[LayerTally]]:
-    """All replicate tallies of one (method, beta) cell, keyed by layer.
-
-    Each replicate draws its stream from its own seed, as ``run_replicate``
-    does; the streams are generated stacked, the decisions come from all
-    replicates in lockstep, and the tallies equal ``run_replicate``'s
-    replicate for replicate.
-    """
-    seeds = [replicate_seed(master_seed, method, beta, r) for r in range(replicates)]
-    data = make_streams(replace(scenario, beta=beta), seeds)
-    rejected = lockstep_rejections(
-        method,
-        data.pvalues,
-        data.groups if method.startswith("ml-") else None,
-        scenario.alpha,
-        scenario.eta,
-    )
-    return stream_tallies(data, rejected)
-
-
 def run_sweep(sweep: SweepSpec) -> list[AggregateResult]:
     """Aggregate every (method, beta, layer) cell of the sweep.
 
-    Rows come out sorted by canonical method order, then beta, then layer,
-    so emission is deterministic regardless of the input method and beta
-    order.  Replicate seeds key on the cell, so the order changes no number.
+    Each replicate draws its stream from its own seed, as ``run_replicate``
+    does; a cell's streams are generated stacked, the decisions come from all
+    its replicates in lockstep, and the tallies equal ``run_replicate``'s
+    replicate for replicate.  Rows come out sorted by canonical method order,
+    then beta, then layer, so emission is deterministic regardless of the
+    input method and beta order.  Replicate seeds key on the cell, so the
+    order changes no number.
     """
+    scenario = sweep.scenario
     rows: list[AggregateResult] = []
     for method in sorted(sweep.methods, key=METHODS.index):
         for beta in sorted(sweep.beta_grid):
-            per_layer = run_cell(
-                sweep.scenario, method, beta, sweep.replicates, sweep.master_seed
+            seeds = [
+                replicate_seed(sweep.master_seed, method, beta, r)
+                for r in range(sweep.replicates)
+            ]
+            data = make_streams(replace(scenario, beta=beta), seeds)
+            rejected = lockstep_rejections(
+                method,
+                data.pvalues,
+                data.groups if method.startswith("ml-") else None,
+                scenario.alpha,
+                scenario.eta,
             )
+            per_layer = stream_tallies(data, rejected)
             for name in LAYER_NAMES:
                 rows.append(
-                    aggregate(
-                        per_layer[name],
-                        sweep.scenario.eta,
-                        method=method,
-                        beta=beta,
-                        layer=name,
-                    )
+                    aggregate(per_layer[name], scenario.eta, method=method, beta=beta, layer=name)
                 )
     return rows
 

@@ -107,7 +107,8 @@ def multilayer_reference(
     levels and simple-choice spending, written out here.  A policy is called
     with a ``LayerState`` this function builds, never with the engine's.  A
     list of the wrong length or an entry of the wrong kind raises ValueError
-    before the first step, as the engine does.
+    before the first step, and a level sequence value outside [0, 1] at the
+    step that reads it, as the engine does.
     """
     rule = method[3:] if method.startswith("ml-") else method
     layers = len(events[0].group_index) if events else 0
@@ -177,7 +178,10 @@ def multilayer_reference(
 def _level(schedule, alpha: float, j: int) -> float:
     if schedule is None:
         return alpha * 6.0 / (math.pi ** 2 * j * j)
-    return schedule.value(j)
+    level = schedule.value(j)
+    if not 0.0 <= level <= 1.0:  # NaN included
+        raise ValueError(f"level sequence value outside [0, 1]: {level}")
+    return level
 
 
 def _history_state(rule: str, log: Sequence[tuple], layer: int, wealth: float) -> LayerState:

@@ -1,7 +1,8 @@
 """Multi-layer online testing procedures and their threshold schedules.
 
-One engine, ``OnlineProcedure``, runs three decision rules, held as a value
-(``"GAI"``, ``"LOND"``, ``"LOND_m"`` or ``"LORD"``) on one skeleton: each
+One engine, ``OnlineProcedure``, also named ``make_procedure``, is built from
+a method name in ``METHODS`` and runs its decision rule, held as a value
+(``"GAI"``, ``"LOND"``, ``"LOND_m"`` or ``"LORD"``), on one skeleton: each
 arriving hypothesis is tested only in the layers whose group is still
 undecided ("pending"), it is rejected iff its p-value clears every pending
 layer's threshold, and a rejection flips every pending layer's group to
@@ -161,9 +162,13 @@ def validate_policy(
     Rules are evaluated against a pristine layer snapshot (initial wealth
     alpha, no discoveries), so state-dependent rules are spot-checked at
     that snapshot only.  Returns the first violation or an ok report; an
+    alpha outside (0, 1), a horizon that is not a positive integer, an
     invalid power bound or level, or a non-finite spend or reward, raises
     ValueError.
     """
+    if not 0.0 < alpha < 1.0:  # NaN included
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    require_integers(horizon=horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     snapshot = LayerState(wealth=alpha)
@@ -197,13 +202,16 @@ def _check_charges(t: int, spend: float, reward: float) -> None:
 class OnlineProcedure:
     """The sequential multi-layer decision engine; one instance owns one stream.
 
-    ``rule`` is the decision rule, ``"GAI"``, ``"LORD"``, ``"LOND"`` or
-    ``"LOND_m"``, and ``schedules`` holds one schedule per layer: a level
+    ``method`` is one of ``METHODS``; ``rule`` keeps its decision rule,
+    ``"GAI"``, ``"LORD"``, ``"LOND"`` or ``"LOND_m"``, since the ``ml-``
+    prefix only documents intent: the multi-layer character comes from the
+    layer count and the group ids the events carry.  ``make_procedure`` is
+    this class.  ``schedules`` holds one schedule per layer: a level
     sequence (anything with ``value(j)``) for LOND and LORD, or a
     SpendingPolicy for GAI.  None, for the list or for one entry, means
     ``BetaSequence(alpha)`` or ``simple_choice(alpha)``; a list of the wrong
-    length or an entry of the wrong kind raises ValueError.
-    ``make_procedure`` builds the rule from a method name.
+    length or an entry of the wrong kind raises ValueError, and so does a
+    step at which a level sequence value lies outside [0, 1].
 
     * GAI (alpha-investing): every layer starts with wealth alpha * eta.  Each
       pending layer pays the spend charge whether or not the hypothesis is
@@ -230,11 +238,10 @@ class OnlineProcedure:
     """
 
     def __init__(
-        self, rule: str, layers: int, alpha: float, eta: float, untested: str,
-        schedules: Optional[Sequence] = None,
+        self, method: str, layers: int, alpha: float, eta: float = 1.0, *,
+        untested: str = UNTESTED_LITERAL, schedules: Optional[Sequence] = None,
     ):
-        if rule not in ("GAI", "LORD", "LOND", "LOND_m"):
-            raise ValueError(f"unknown decision rule: {rule!r}")
+        rule = _rule(method)
         require_integers(layers=layers)
         if layers < 1:
             raise ValueError(f"at least one layer is required, got {layers}")
@@ -314,13 +321,17 @@ class OnlineProcedure:
                 _check_charges(t, spend, reward)
         elif rule == "LORD":
             for m in pending:
-                thresholds[m] = schedules[m].value(states[m].since_last_discovery)
+                thresholds[m] = level = schedules[m].value(states[m].since_last_discovery)
+                if not 0.0 <= level <= 1.0:  # NaN included
+                    raise ValueError(f"level sequence value outside [0, 1]: {level}")
         else:
             modified = rule == "LOND_m"
             for m in pending:
                 state = states[m]
-                index = state.effective_tests(t) if modified else t
-                thresholds[m] = min(1.0, schedules[m].value(index) * (state.rejections + 1))
+                level = schedules[m].value(state.effective_tests(t) if modified else t)
+                if not 0.0 <= level <= 1.0:  # NaN included; min(1.0, nan) would be 1.0
+                    raise ValueError(f"level sequence value outside [0, 1]: {level}")
+                thresholds[m] = min(1.0, level * (state.rejections + 1))
         if pending:
             p = event.p
             rejected = True
@@ -367,29 +378,14 @@ def _check_eta(eta: float) -> None:
 
 
 def _rule(method: str) -> str:
-    """The decision rule a method name runs; the ``ml-`` prefix only
-    documents intent, the engine is the same."""
+    """The decision rule a method name runs."""
     if method not in METHODS:
         raise ValueError(f"unknown method name: {method!r}")
     return method[3:] if method.startswith("ml-") else method
 
 
-def make_procedure(
-    method: str,
-    layers: int,
-    alpha: float,
-    eta: float = 1.0,
-    *,
-    untested: str = UNTESTED_LITERAL,
-    schedules: Optional[Sequence] = None,
-) -> OnlineProcedure:
-    """Instantiate a procedure by method name, one of ``METHODS``.
-
-    The multi-layer character comes from the layer count and the group ids
-    the events carry.  ``schedules`` sets each layer's level sequence (LOND,
-    LORD) or spending policy (GAI), as ``OnlineProcedure`` takes it.
-    """
-    return OnlineProcedure(_rule(method), layers, alpha, eta, untested, schedules)
+#: the one way in: ``make_procedure(method, layers, alpha, ...)``
+make_procedure = OnlineProcedure
 
 
 def replay(

@@ -84,7 +84,7 @@ class ScenarioSpec:
         if self.strength not in STRENGTHS:
             raise ValueError(f"unknown strength: {self.strength!r}")
         # total is n * G when N is unset, an integer once G and n are
-        require_integers(G=self.G, n=self.n, N=self.total)
+        require_integers(G=self.G, n=self.n, N=self.total, seed=self.seed)
         if self.G < 1 or self.n < 1:
             raise ValueError("G and n must be positive")
         if self.structure == "unbalanced" and self.G < 2:

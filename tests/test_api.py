@@ -6,8 +6,8 @@ import pytest
 import layerfdr
 from layerfdr import cli
 from layerfdr.core import HypothesisEvent, LayerState
-from layerfdr.harness import SweepSpec, run_cell, run_replicate
-from layerfdr.procedures import METHODS, lockstep_rejections, make_procedure
+from layerfdr.harness import SweepSpec, run_replicate
+from layerfdr.procedures import METHODS, OnlineProcedure, lockstep_rejections, make_procedure
 from layerfdr.simgen import ScenarioSpec
 
 # the public API, sorted; adding or removing a name must show up in this list
@@ -92,11 +92,10 @@ def test_every_entry_point_accepts_exactly_the_method_names(name, tmp_path, caps
     stream = ["stream", "--method", name, "--input", str(tmp_path / "empty.jsonl")]
     (tmp_path / "empty.jsonl").write_text("")
     calls = [
-        lambda: make_procedure(name, 2, 0.1),
+        lambda: OnlineProcedure(name, 2, 0.1),
         lambda: lockstep_rejections(name, np.full((1, 3), 0.5), None, 0.1),
         lambda: SweepSpec(ScenarioSpec(), methods=(name,)),
         lambda: run_replicate(ScenarioSpec(G=2, n=3), name, 0),
-        lambda: run_cell(ScenarioSpec(G=2, n=3), name, 1.0, 1, 0),
     ]
     for call in calls:
         if accepted:

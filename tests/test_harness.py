@@ -88,11 +88,8 @@ class TestRunReplicate:
             run_replicate(BASELINE, "storey", seed=0)
 
     def test_zero_effect_size_keeps_control_with_noise_level_power(self):
-        from layerfdr.harness import run_cell
-
-        per_layer = run_cell(BASELINE, "ml-LORD", 0.0, 60, 123)
-        for name in LAYER_NAMES:
-            row = aggregate(per_layer[name], BASELINE.eta, layer=name)
+        sweep = SweepSpec(BASELINE, (0.0,), ("ml-LORD",), replicates=60, master_seed=123)
+        for row in run_sweep(sweep):
             assert row.fdr <= 0.1 + 3.0 * row.fdr_se
             assert row.mfdr <= 0.1 + 3.0 * row.mfdr_se
             assert row.power < 0.2

@@ -14,10 +14,10 @@ from layerfdr.harness import (
     SweepSpec,
     emit_results,
     replicate_seed,
-    run_cell,
     run_replicate,
     run_sweep,
     standard_scenarios,
+    stream_tallies,
 )
 from layerfdr.metrics import aggregate
 from layerfdr.procedures import (
@@ -66,7 +66,7 @@ def grouped(method):
 
 def partition_counts(method):
     """The single-layer rules run alone; the ml rules with one partition, as
-    run_cell passes it, and with two."""
+    run_sweep passes it, and with two."""
     return (1, 2) if grouped(method) else (0,)
 
 
@@ -97,7 +97,7 @@ MASK_DIGEST = "a1e2ce09cb9b659b33bfd87aee594a67a1ab505070152c362dd9dfcf5455e95e"
 
 
 def test_masks_match_the_golden_digest():
-    # 140 cells of 20 replicates with groups as run_cell passes them, and the
+    # 140 cells of 20 replicates with groups as run_sweep passes them, and the
     # ml rules once more under a second partition crossing the first, t mod 7
     digest = hashlib.sha256()
     for method in METHODS:
@@ -315,14 +315,17 @@ def test_eta_must_be_positive_and_finite(method, eta):
         lockstep_rejections(method, pvalues, None, ALPHA, eta)
 
 
-def test_run_cell_equals_run_replicate_tallies():
+def test_stacked_cell_tallies_equal_run_replicate_tallies():
+    # one (method, beta) cell as run_sweep decides and tallies it
     spec = standard_scenarios()["unbalanced-fixed-constant"]
     for method in METHODS:
-        per_layer = run_cell(spec, method, 1.5, 6, 41)
-        for r in range(6):
-            run = run_replicate(
-                replace(spec, beta=1.5), method, replicate_seed(41, method, 1.5, r)
-            )
+        seeds = [replicate_seed(41, method, 1.5, r) for r in range(6)]
+        data = make_streams(replace(spec, beta=1.5), seeds)
+        groups = data.groups if grouped(method) else None
+        rejected = lockstep_rejections(method, data.pvalues, groups, spec.alpha, spec.eta)
+        per_layer = stream_tallies(data, rejected)
+        for r, seed in enumerate(seeds):
+            run = run_replicate(replace(spec, beta=1.5), method, seed)
             for name in LAYER_NAMES:
                 assert per_layer[name][r] == run.tallies[name]
 

@@ -268,6 +268,20 @@ class TestMultilayerReference:
         with pytest.raises(ValueError, match=message):
             make_procedure(method, layers, ALPHA, schedules=schedules)
 
+    @pytest.mark.parametrize("method", ["ml-LOND", "ml-LOND_m", "ml-LORD"])
+    @pytest.mark.parametrize("level", [math.nan, -0.1, 1.5])
+    def test_a_level_outside_the_unit_interval_raises_as_in_the_engine(self, method, level):
+        class ConstantLevels:
+            def value(self, j):
+                return level
+
+        schedules = [None, ConstantLevels()]
+        message = r"level sequence value outside \[0, 1\]"
+        with pytest.raises(ValueError, match=message):
+            multilayer_reference(method, [event(1, 0.9, (1, 1))], ALPHA, schedules=schedules)
+        with pytest.raises(ValueError, match=message):
+            make_procedure(method, 2, ALPHA, schedules=schedules).step(event(1, 0.9, (1, 1)))
+
     def test_state_dependent_spending_policy(self):
         # every rule reads the state the policy is handed, so a snapshot that
         # differed from the engine's state would change a threshold or a charge

@@ -63,6 +63,15 @@ class TestValidatePolicy:
         with pytest.raises(ValueError):
             validate_policy(simple_choice(ALPHA), ALPHA, horizon=0)
 
+    def test_horizon_must_be_an_integer(self):
+        with pytest.raises(ValueError, match="horizon must be an integer"):
+            validate_policy(simple_choice(ALPHA), ALPHA, horizon=2.5)
+
+    @pytest.mark.parametrize("alpha", [math.nan, 2.0])
+    def test_alpha_must_lie_in_the_unit_interval(self, alpha):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            validate_policy(simple_choice(ALPHA), alpha, horizon=10)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("charge", ["spend", "reward"])
     def test_non_finite_charge_raises(self, value, charge):
@@ -316,8 +325,10 @@ def test_every_method_runs_on_the_one_engine_class(method):
 
 
 def test_engine_rejects_an_unknown_rule():
-    with pytest.raises(ValueError, match="unknown decision rule: 'ml-LORD'"):
-        OnlineProcedure("ml-LORD", 1, ALPHA, 1.0, "literal", [BetaSequence(ALPHA)])
+    # one constructor, one vocabulary: a bare rule name is not a method name
+    assert make_procedure is OnlineProcedure
+    with pytest.raises(ValueError, match="unknown method name: 'LOND_m'"):
+        OnlineProcedure("LOND_m", 1, ALPHA)
 
 
 @pytest.mark.parametrize("method", ["ml-GAI", "ml-LOND", "ml-LOND_m", "ml-LORD"])
@@ -461,6 +472,44 @@ class TestFailedStepLeavesStreamUnchanged:
         assert proc.t == 4
         assert proc.states == before
         assert proc.step(event(5, 0.04, (5, 1))) == reference.step(event(5, 0.04, (5, 1)))
+
+
+class ConstantLevels:
+    """A level sequence whose every value is ``level``."""
+
+    def __init__(self, level):
+        self.level = level
+
+    def value(self, j):
+        return self.level
+
+
+class TestLevelSequenceValues:
+    @pytest.mark.parametrize("method", ["ml-LOND", "ml-LOND_m", "ml-LORD"])
+    @pytest.mark.parametrize("level", [math.nan, -0.1, 1.5])
+    def test_a_value_outside_the_unit_interval_raises_and_changes_nothing(self, method, level):
+        # min(1.0, nan) is 1.0, so a NaN level would have rejected every p-value
+        proc = make_procedure(method, 2, ALPHA, schedules=[None, ConstantLevels(level)])
+        with pytest.raises(ValueError, match=r"level sequence value outside \[0, 1\]"):
+            proc.step(event(1, 0.9, (1, 1)))
+        assert proc.t == 0
+        assert proc.states == make_procedure(method, 2, ALPHA).states
+
+    @pytest.mark.parametrize("method", ["ml-LOND", "ml-LOND_m", "ml-LORD"])
+    @pytest.mark.parametrize("level", [0.0, 1.0])
+    def test_the_interval_ends_are_valid(self, method, level):
+        proc = make_procedure(method, 2, ALPHA, schedules=[ConstantLevels(level)] * 2)
+        assert proc.step(event(1, 0.5, (1, 1))).rejected is (level == 1.0)
+
+    @pytest.mark.parametrize("method", ["LOND", "LORD"])
+    def test_a_geometric_sequence_runs_past_its_underflow_to_zero(self, method):
+        geometric = BetaSequence(ALPHA, kind="geometric")
+        assert geometric.value(1071) > 0.0 == geometric.value(1072)
+        records = make_procedure(method, 1, ALPHA, schedules=[geometric]).run_pvalues(
+            [0.5] * 1100
+        )
+        assert not any(record.rejected for record in records)
+        assert records[-1].layers[0].threshold == 0.0
 
 
 class TestSkipContract:
@@ -618,7 +667,7 @@ class TestLayerSchedules:
         with pytest.raises(ValueError, match="one schedule per layer"):
             make_procedure("ml-LORD", 2, ALPHA, schedules=[None])
         with pytest.raises(ValueError, match="one schedule per layer"):
-            OnlineProcedure("LORD", 2, ALPHA, 1.0, "literal", [None] * 3)
+            make_procedure("LORD", 2, ALPHA, schedules=[None] * 3)
 
     @pytest.mark.parametrize(
         "method, wrong",
@@ -634,9 +683,6 @@ class TestLayerSchedules:
         # the entry is refused, not dropped in favour of the default schedule
         with pytest.raises(ValueError, match="layer 1 schedule must be"):
             make_procedure(method, 2, ALPHA, schedules=[None, wrong])
-        rule = method.removeprefix("ml-")
-        with pytest.raises(ValueError, match="layer 1 schedule must be"):
-            OnlineProcedure(rule, 2, ALPHA, 1.0, "literal", [None, wrong])
 
     @pytest.mark.parametrize("method", METHODS)
     def test_none_means_the_default_schedule(self, method):
@@ -644,9 +690,8 @@ class TestLayerSchedules:
         default = simple_choice(ALPHA) if method.endswith("GAI") else BetaSequence(ALPHA)
         events = [event(t, 0.5 if t % 3 else 0.001, (t, t % 4)[:layers]) for t in range(1, 30)]
         want = replay(make_procedure(method, layers, ALPHA, schedules=[default] * layers), events)
-        rule = method.removeprefix("ml-")
         for schedules in (None, [None] * layers):
-            proc = OnlineProcedure(rule, layers, ALPHA, 1.0, "literal", schedules)
+            proc = make_procedure(method, layers, ALPHA, schedules=schedules)
             assert replay(proc, events) == want
 
 

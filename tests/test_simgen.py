@@ -56,11 +56,16 @@ class TestScenarioSpec:
             {"N": 200.0},
             {"structure": "unbalanced", "G": 4.5},
             {"structure": "unbalanced", "N": 37.5},
+            {"seed": 1.5},
         ],
     )
     def test_invalid_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
+
+    def test_a_negative_seed_is_a_valid_field(self):
+        # a config's seed = -1 is valid: it may serve as the fallback master seed
+        assert ScenarioSpec(seed=-1).seed == -1
 
     @pytest.mark.parametrize("structure", ["block", "unbalanced"])
     def test_numpy_integer_sizes_give_the_same_stream(self, structure):
