@@ -20,6 +20,9 @@ Stream mode reads one JSON object per line with fields ``p`` (number) and
 not UTF-8 or not well-formed, or one the event or engine checks reject (p
 outside [0, 1], a negative group id, the wrong number of ids), produces an
 error record carrying the line number and does not advance the stream clock.
+Read from stdin, every reply and error record is flushed as it is written,
+so a client that waits for each reply before sending its next line is
+answered at once.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -184,8 +187,10 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _stream_error(line_number: int, message: str, sink: TextIO) -> None:
-    print(json.dumps({"line": line_number, "error": message}), file=sink)
+def _stream_error(line_number: int, message: str, sink: TextIO, live: bool) -> None:
+    sink.write(json.dumps({"line": line_number, "error": message}) + "\n")
+    if live:
+        sink.flush()
 
 
 def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = None) -> int:
@@ -197,7 +202,10 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
     except ValueError as exc:
         print(f"stream: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if source is not None or args.input == "-":
+    # a client on stdin may wait for each reply before it sends its next
+    # line, so replies to stdin are flushed one by one
+    live = source is None and args.input == "-"
+    if source is not None or live:
         # the caller's source and stdin stay open
         opened = nullcontext(source if source is not None else sys.stdin.buffer)
     else:
@@ -206,6 +214,7 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
         except OSError as exc:
             print(f"stream: cannot read input file: {exc}", file=sys.stderr)
             return EXIT_USAGE
+    write = sink.write
     with opened as source:
         for line_number, raw in enumerate(source, 1):
             # files and stdin are read as bytes, so one line that is not
@@ -214,47 +223,50 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
                 try:
                     raw = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    _stream_error(line_number, f"line is not UTF-8: {exc.reason}", sink)
+                    _stream_error(line_number, f"line is not UTF-8: {exc.reason}", sink, live)
                     continue
             if not raw.strip():
                 continue
             try:
                 payload = json.loads(raw)
             except json.JSONDecodeError as exc:
-                _stream_error(line_number, f"malformed record: {exc.msg}", sink)
+                _stream_error(line_number, f"malformed record: {exc.msg}", sink, live)
                 continue
             if not isinstance(payload, dict):
-                _stream_error(line_number, "record must be a JSON object", sink)
+                _stream_error(line_number, "record must be a JSON object", sink, live)
                 continue
             p = payload.get("p")
             if isinstance(p, bool) or not isinstance(p, (int, float)):
-                _stream_error(line_number, "field 'p' must be a number", sink)
+                _stream_error(line_number, "field 'p' must be a number", sink, live)
                 continue
             groups = payload.get("groups")
             # json.loads gives int, never a subclass, for an integer; bool is excluded
             if not isinstance(groups, list) or not all(type(g) is int for g in groups):
-                _stream_error(line_number, "field 'groups' must be an array of integers", sink)
+                message = "field 'groups' must be an array of integers"
+                _stream_error(line_number, message, sink, live)
                 continue
             # the event and the engine check ranges and the group count; a
             # step that raises leaves the stream clock and state unchanged
             try:
-                event = HypothesisEvent(
-                    t=procedure.t + 1, p=float(p), group_index=tuple(groups)
-                )
+                event = HypothesisEvent(procedure.t + 1, float(p), tuple(groups))
                 record = procedure.skip(event) if procedure.halted else procedure.step(event)
             except (ValueError, OverflowError) as exc:
-                _stream_error(line_number, str(exc), sink)
+                _stream_error(line_number, str(exc), sink, live)
                 continue
             # the bytes json.dumps writes for this dict, built in one pass
-            tested = record.tested_layers()
-            thresholds = ", ".join([repr(record.layers[m].threshold) for m in tested])
-            print(
+            tested, thresholds = [], []
+            for m, layer in enumerate(record.layers):
+                if layer.tested:
+                    tested.append(str(m))
+                    thresholds.append(repr(layer.threshold))
+            write(
                 f'{{"t": {record.t}, "reject": {"true" if record.rejected else "false"}, '
-                f'"tested_layers": [{", ".join(map(str, tested))}], '
-                f'"thresholds": [{thresholds}], '
-                f'"halted": {"true" if record.halted else "false"}}}',
-                file=sink,
+                f'"tested_layers": [{", ".join(tested)}], '
+                f'"thresholds": [{", ".join(thresholds)}], '
+                f'"halted": {"true" if record.halted else "false"}}}\n'
             )
+            if live:
+                sink.flush()
     return EXIT_OK
 
 

@@ -22,9 +22,12 @@ from typing import NamedTuple, Optional
 
 
 def require_integers(**values) -> None:
-    """Refuse a size, count or seed that is not an integer; numpy integers pass."""
+    """Refuse a size, count or seed that is not an integer; numpy integers
+    pass, and a bool, which ``operator.index`` would read as 0 or 1, does not."""
     for name, value in values.items():
         try:
+            if isinstance(value, bool):
+                raise TypeError
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value}") from None
@@ -122,3 +125,24 @@ class DecisionRecord:
 
     def tested_layers(self) -> list[int]:
         return [m for m, out in enumerate(self.layers) if out.tested]
+
+
+def new_record(
+    t: int,
+    rejected: bool,
+    group_index: tuple[int, ...],
+    layers: tuple[LayerOutcome, ...],
+    halted: bool,
+) -> DecisionRecord:
+    """``DecisionRecord(t, rejected, group_index, layers, halted)``, built by
+    filling the instance dict instead of through the frozen ``__init__`` and
+    its five ``object.__setattr__`` calls; type, ``repr``, ``==`` and
+    ``dataclasses.replace`` see the same record."""
+    record = object.__new__(DecisionRecord)
+    fields = record.__dict__
+    fields["t"] = t
+    fields["rejected"] = rejected
+    fields["group_index"] = group_index
+    fields["layers"] = layers
+    fields["halted"] = halted
+    return record

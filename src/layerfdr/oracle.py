@@ -107,8 +107,9 @@ def multilayer_reference(
     levels and simple-choice spending, written out here.  A policy is called
     with a ``LayerState`` this function builds, never with the engine's.  A
     list of the wrong length or an entry of the wrong kind raises ValueError
-    before the first step, and a level sequence value outside [0, 1] at the
-    step that reads it, as the engine does.
+    before the first step; a level sequence value outside [0, 1], a GAI level
+    outside (0, 1] or a non-finite spend or reward raises at the step that
+    reads it, as the engine does.
     """
     rule = method[3:] if method.startswith("ml-") else method
     layers = len(events[0].group_index) if events else 0
@@ -141,8 +142,12 @@ def multilayer_reference(
                     spend = alpha / (1.0 - alpha)
                     thresholds[m], charges[m] = alpha, (spend, spend + alpha)
                 else:
-                    thresholds[m] = schedule.alpha_level(t, state)
-                    charges[m] = (schedule.spend(t, state), schedule.reward(t, state))
+                    thresholds[m] = level = schedule.alpha_level(t, state)
+                    if not 0.0 < level <= 1.0:
+                        raise ValueError(f"significance level outside (0, 1]: {level}")
+                    charges[m] = spend, reward = schedule.spend(t, state), schedule.reward(t, state)
+                    if not (math.isfinite(spend) and math.isfinite(reward)):
+                        raise ValueError(f"non-finite spend or reward at t={t}: {spend}, {reward}")
                 continue
             if rule == "LORD":
                 thresholds[m] = _level(schedule, alpha, state.since_last_discovery)

@@ -22,9 +22,11 @@ per-layer state a step updates afterwards.
 
 Rejection requires strict inequality p < threshold; ties are accepts.
 
-A step decides first and commits after: the pending layers, their
-thresholds (a list indexed by layer, None where a layer is not tested) and
-charges and the decision are worked out from the state as it was before the
+A step decides first and commits after.  One decide loop, written once per
+rule, walks the layers in order: a layer whose group is undecided is pending
+and gets its threshold (and for GAI its charges), checked as it is computed,
+in a list indexed by layer that holds None where a layer is not tested; the
+decision walks that list.  All of it reads the state as it was before the
 arrival.  Only then does the clock advance and one loop over the layers
 commit each: it records the arrival, marks a rejected group discovered,
 applies the rule's wealth or LORD-gap update and builds that layer's
@@ -54,10 +56,15 @@ from .core import (
     LayerOutcome,
     LayerState,
     StreamHalted,
+    new_record,
     require_integers,
 )
 
 _PI_SQUARED = math.pi ** 2
+
+# _new_tuple(LayerOutcome, values) builds an outcome from its field values in
+# order without the Python-level __new__ of the NamedTuple, once per layer and step
+_new_tuple = tuple.__new__
 
 #: the seven shipped method names (single-layer originals and ml variants)
 METHODS = ("GAI", "LORD", "LOND", "ml-GAI", "ml-LORD", "ml-LOND", "ml-LOND_m")
@@ -301,75 +308,88 @@ class OnlineProcedure:
         # everything that can raise runs before the state is touched, so a
         # failed step leaves the stream as it was before the call
         groups = event.group_index
-        if len(groups) != self.layers:
-            raise ValueError(f"event carries {len(groups)} group ids, expected {self.layers}")
+        layers = self.layers
+        if len(groups) != layers:
+            raise ValueError(f"event carries {len(groups)} group ids, expected {layers}")
         t = self.t + 1
         rule, schedules, states = self.rule, self.schedules, self.states
-        # nothing is tested after a halt
-        pending = [] if self.halted else [
-            m for m, state in enumerate(states) if groups[m] not in state.rejected_groups
-        ]
-        thresholds = [None] * self.layers
-        if rule == "GAI":
-            charges = [None] * self.layers
-            for m in pending:
-                policy, state = schedules[m], states[m]
-                thresholds[m] = level = policy.alpha_level(t, state)
-                if not 0.0 < level <= 1.0:
-                    raise ValueError(f"significance level outside (0, 1]: {level}")
-                charges[m] = spend, reward = policy.spend(t, state), policy.reward(t, state)
-                _check_charges(t, spend, reward)
+        # one decide loop per rule: in layer order, a layer whose group is
+        # still undecided is pending and gets its threshold; None elsewhere
+        thresholds = [None] * layers
+        if self.halted:
+            pass  # nothing is tested after a halt
         elif rule == "LORD":
-            for m in pending:
-                thresholds[m] = level = schedules[m].value(states[m].since_last_discovery)
-                if not 0.0 <= level <= 1.0:  # NaN included
-                    raise ValueError(f"level sequence value outside [0, 1]: {level}")
+            for m in range(layers):
+                state = states[m]
+                if groups[m] not in state.rejected_groups:
+                    thresholds[m] = level = schedules[m].value(state.since_last_discovery)
+                    if not 0.0 <= level <= 1.0:  # NaN included
+                        raise ValueError(f"level sequence value outside [0, 1]: {level}")
+        elif rule == "GAI":
+            charges = [None] * layers
+            for m in range(layers):
+                state = states[m]
+                if groups[m] not in state.rejected_groups:
+                    policy = schedules[m]
+                    thresholds[m] = level = policy.alpha_level(t, state)
+                    if not 0.0 < level <= 1.0:
+                        raise ValueError(f"significance level outside (0, 1]: {level}")
+                    charges[m] = spend, reward = policy.spend(t, state), policy.reward(t, state)
+                    _check_charges(t, spend, reward)
         else:
             modified = rule == "LOND_m"
-            for m in pending:
+            for m in range(layers):
                 state = states[m]
-                level = schedules[m].value(state.effective_tests(t) if modified else t)
-                if not 0.0 <= level <= 1.0:  # NaN included; min(1.0, nan) would be 1.0
-                    raise ValueError(f"level sequence value outside [0, 1]: {level}")
-                thresholds[m] = min(1.0, level * (state.rejections + 1))
-        if pending:
-            p = event.p
-            rejected = True
-            for m in pending:
-                if not p < thresholds[m]:
+                if groups[m] not in state.rejected_groups:
+                    level = schedules[m].value(state.effective_tests(t) if modified else t)
+                    if not 0.0 <= level <= 1.0:  # NaN included; min(1.0, nan) would be 1.0
+                        raise ValueError(f"level sequence value outside [0, 1]: {level}")
+                    thresholds[m] = min(1.0, level * (state.rejections + 1))
+        p = event.p
+        rejected = None
+        for threshold in thresholds:
+            if threshold is not None:
+                if not p < threshold:
                     rejected = False
                     break
-        else:
+                rejected = True
+        if rejected is None:
             # every layer's group is already decided, or the stream has halted
             rejected = not self.halted and self.untested == UNTESTED_LITERAL
         self.t = t
+        gai, lord = rule == "GAI", rule == "LORD"
         outcomes = []
-        for m, (state, group, threshold) in enumerate(zip(states, groups, thresholds)):
+        for m in range(layers):
+            state, group, threshold = states[m], groups[m], thresholds[m]
             state.observe(group)
             tested = threshold is not None
             if tested:
                 if rejected:
                     state.mark_rejected(group)
-                if rule == "GAI":
+                if gai:
                     # evaluate the update exactly as written (W + reward - spend) so the
                     # halt comparison is reproducible across independent implementations
                     spend, reward = charges[m]
                     state.wealth = (state.wealth + reward if rejected else state.wealth) - spend
-                elif rule == "LORD":
+                elif lord:
                     state.since_last_discovery = 1 if rejected else state.since_last_discovery + 1
+            rejections = state.rejections
             outcomes.append(
-                LayerOutcome(
-                    tested,
-                    threshold,
-                    tested and rejected,
-                    state.wealth,
-                    state.rejections,
-                    state.effective_tests(t),
-                    state.since_last_discovery,
+                _new_tuple(
+                    LayerOutcome,
+                    (
+                        tested,
+                        threshold,
+                        tested and rejected,
+                        state.wealth,
+                        rejections,
+                        t - state.seen_in_rejected + rejections,  # state.effective_tests(t)
+                        state.since_last_discovery,
+                    ),
                 )
             )
-        self.halted = rule == "GAI" and min(state.wealth for state in states) <= 0.0
-        return DecisionRecord(t, rejected, groups, tuple(outcomes), self.halted)
+        self.halted = gai and min(state.wealth for state in states) <= 0.0
+        return new_record(t, rejected, groups, tuple(outcomes), self.halted)
 
 
 def _check_eta(eta: float) -> None:

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import select
 import subprocess
 import sys
 from dataclasses import fields
@@ -580,6 +581,19 @@ ERROR_LINES = {
 }
 
 
+def json_reply(record):
+    """``json.dumps`` of the reply fields of a replayed record."""
+    tested = record.tested_layers()
+    reply = {
+        "t": record.t,
+        "reject": record.rejected,
+        "tested_layers": tested,
+        "thresholds": [record.layers[m].threshold for m in tested],
+        "halted": record.halted,
+    }
+    return json.dumps(reply)
+
+
 @pytest.mark.parametrize("method", sorted(REPLY_CASES))
 def test_replies_are_json_dumps_of_the_replayed_records(method):
     from layerfdr import HypothesisEvent, make_procedure, replay
@@ -597,15 +611,7 @@ def test_replies_are_json_dumps_of_the_replayed_records(method):
             lines.append(line)
             expected.append(json.dumps({"line": len(lines), "error": error}))
         lines.append(json.dumps({"p": event.p, "groups": list(event.group_index)}))
-        tested = record.tested_layers()
-        reply = {
-            "t": record.t,
-            "reject": record.rejected,
-            "tested_layers": tested,
-            "thresholds": [record.layers[m].threshold for m in tested],
-            "halted": record.halted,
-        }
-        expected.append(json.dumps(reply))
+        expected.append(json_reply(record))
     sink = io.StringIO()
     assert cmd_stream(args, source=io.StringIO("\n".join(lines) + "\n"), sink=sink) == 0
     assert sink.getvalue().splitlines() == expected
@@ -614,6 +620,31 @@ def test_replies_are_json_dumps_of_the_replayed_records(method):
         assert f'{untested}, "halted": true' in expected[-1]
     if method == "ml-LOND_m":
         assert any(f'"reject": false, {untested}, "halted": false' in e for e in expected)
+
+
+# group ids of the i-th arrival at one and three layers: ids repeat, so groups get decided
+LAYER_IDS = {1: lambda t: (t % 11,), 3: lambda t: (t, t % 9, t % 4)}
+
+
+@pytest.mark.parametrize("untested", ["literal", "accept"])
+@pytest.mark.parametrize("layers", sorted(LAYER_IDS))
+@pytest.mark.parametrize("method", METHODS)
+def test_replies_are_json_dumps_at_one_and_three_layers(method, layers, untested):
+    from layerfdr import HypothesisEvent, make_procedure, replay
+    from layerfdr.cli import build_parser, cmd_stream
+
+    argv = ["stream", "--method", method, "--layers", str(layers), "--untested", untested]
+    args = build_parser().parse_args([*argv, "--eta", "5"])
+    procedure = make_procedure(method, layers, args.alpha, args.eta, untested=untested)
+    pvalues = [0.0004 * t if t % 5 == 0 else (t * 7919) % 1000 / 1000 for t in range(1, 81)]
+    events = [HypothesisEvent(t, p, LAYER_IDS[layers](t)) for t, p in enumerate(pvalues, 1)]
+    lines, expected = [], []
+    for event, record in zip(events, replay(procedure, events)):
+        lines.append(json.dumps({"p": event.p, "groups": list(event.group_index)}))
+        expected.append(json_reply(record))
+    sink = io.StringIO()
+    assert cmd_stream(args, source=io.StringIO("\n".join(lines) + "\n"), sink=sink) == 0
+    assert sink.getvalue().splitlines() == expected
 
 
 def test_readme_wire_format_example(tmp_path, capsys):
@@ -631,13 +662,17 @@ def test_readme_wire_format_example(tmp_path, capsys):
     assert all(text in readme for text in (line, command, reply))
 
 
-def run_python(args, stdin=b""):
-    """Run ``python *args`` in a process of its own, with the package's sources on its path."""
+def package_env():
+    """This environment with the package's sources on PYTHONPATH."""
     src = str(Path(__file__).parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def run_python(args, stdin=b""):
+    """Run ``python *args`` in a process of its own, with the package's sources on its path."""
     command = [sys.executable, *args]
-    env = {**os.environ, "PYTHONPATH": path}
-    return subprocess.run(command, input=stdin, capture_output=True, env=env, timeout=120)
+    return subprocess.run(command, input=stdin, capture_output=True, env=package_env(), timeout=120)
 
 
 def run_module(argv, stdin=b""):
@@ -658,6 +693,35 @@ def test_the_module_streams_stdin_as_a_process():
     assert process.returncode == 0
     replies = process.stdout.decode().splitlines()
     assert len(replies) == 4 and replies == sink.getvalue().splitlines()
+
+
+def test_stdin_replies_arrive_before_the_input_ends():
+    # a closed-loop client sends its next line only after the last reply, so a
+    # reply held in a block-buffered stdout until end of input would deadlock it
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    argv = ["-m", "layerfdr.cli", "stream", "--method", "ml-LORD", "--layers", "2"]
+    process = subprocess.Popen(
+        [sys.executable, *argv], stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env
+    )
+    try:
+        # a valid line, then a malformed one: the reply and the error record
+        for line, answer in [
+            (b'{"p": 0.004, "groups": [1, 7]}\n', b'{"t": 1, "reject": true'),
+            (b"{oops\n", b'{"line": 2, "error": "malformed record'),
+        ]:
+            process.stdin.write(line)
+            process.stdin.flush()
+            ready, _, _ = select.select([process.stdout], [], [], 10.0)
+            assert ready, f"no reply to {line!r} within 10 s while stdin is open"
+            assert process.stdout.readline().startswith(answer)
+        process.stdin.close()
+        assert process.wait(timeout=60) == 0
+    finally:
+        process.kill()
+        process.wait()
+        process.stdin.close()
+        process.stdout.close()
 
 
 def test_the_module_exits_1_on_a_violated_reward_bound():

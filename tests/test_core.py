@@ -1,9 +1,11 @@
 import copy
+import dataclasses
+import pickle
 
 import numpy as np
 import pytest
 
-from layerfdr.core import HypothesisEvent
+from layerfdr.core import DecisionRecord, HypothesisEvent, new_record
 from layerfdr.harness import stream_events, stream_tallies
 from layerfdr.metrics import LayerTally
 from layerfdr.procedures import make_procedure, replay
@@ -111,6 +113,19 @@ def test_replay_is_bit_identical(method):
     first = replay(make_procedure(method, 2, 0.1), events)
     second = replay(make_procedure(method, 2, 0.1), events)
     assert first == second
+
+
+def test_a_step_record_is_the_dataclass_record():
+    # the engine fills the record's dict instead of calling the frozen __init__
+    record = replay(make_procedure("ml-LORD", 2, 0.1), random_events(5)[0][:3])[-1]
+    fields = [getattr(record, f.name) for f in dataclasses.fields(DecisionRecord)]
+    built = DecisionRecord(*fields)
+    assert type(record) is DecisionRecord and new_record(*fields) == record == built
+    assert repr(record) == repr(built) and hash(record) == hash(built)
+    assert pickle.loads(pickle.dumps(record)) == built
+    assert dataclasses.replace(record, rejected=not record.rejected).rejected != record.rejected
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.rejected = True
 
 
 def test_truth_and_selection_ignore_layer_order():

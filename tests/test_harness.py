@@ -183,6 +183,10 @@ class TestSweepSpec:
         for sizes in ({"replicates": 2.5}, {"master_seed": 1.0}):
             with pytest.raises(ValueError, match="must be an integer"):
                 SweepSpec(scenario=BASELINE, **sizes)
+        # operator.index(True) is 1, so a bool would otherwise pass as a count or seed
+        for field in ("replicates", "master_seed"):
+            with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
+                SweepSpec(scenario=BASELINE, **{field: True})
 
     def test_every_beta_is_validated(self):
         with pytest.raises(ValueError, match="non-negative"):

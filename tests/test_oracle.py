@@ -282,6 +282,36 @@ class TestMultilayerReference:
         with pytest.raises(ValueError, match=message):
             make_procedure(method, 2, ALPHA, schedules=schedules).step(event(1, 0.9, (1, 1)))
 
+    @pytest.mark.parametrize("method, layers", [("GAI", 1), ("ml-GAI", 2)])
+    @pytest.mark.parametrize(
+        "rule, bad, message",
+        [
+            ("alpha_level", 1.5, r"significance level outside \(0, 1\]: 1.5"),
+            ("alpha_level", 0.0, r"significance level outside \(0, 1\]: 0.0"),
+            ("alpha_level", math.nan, r"significance level outside \(0, 1\]: nan"),
+            ("spend", math.nan, "non-finite spend or reward at t=3: nan"),
+            ("spend", -math.inf, "non-finite spend or reward at t=3: -inf"),
+            ("reward", math.inf, "non-finite spend or reward at t=3: .*, inf"),
+        ],
+    )
+    def test_a_bad_gai_policy_raises_as_in_the_engine(self, method, layers, rule, bad, message):
+        # the policy turns bad at t = 3 in the last layer; both raise there, and no sooner
+        good = {"alpha_level": ALPHA, "spend": PHI, "reward": PHI + ALPHA, "power_bound": 1.0}
+        rules = {
+            name: (lambda t, s, v=v, name=name: bad if name == rule and t >= 3 else v)
+            for name, v in good.items()
+        }
+        schedules = [None] * (layers - 1) + [SpendingPolicy(**rules)]
+        events = [event(t, 0.001, (t,) * layers) for t in range(1, 4)]
+        assert len(multilayer_reference(method, events[:2], ALPHA, 5.0, schedules=schedules)) == 2
+        with pytest.raises(ValueError, match=message):
+            multilayer_reference(method, events, ALPHA, 5.0, schedules=schedules)
+        procedure = make_procedure(method, layers, ALPHA, 5.0, schedules=schedules)
+        replay(procedure, events[:2])
+        with pytest.raises(ValueError, match=message):
+            procedure.step(events[2])
+        assert procedure.t == 2
+
     def test_state_dependent_spending_policy(self):
         # every rule reads the state the policy is handed, so a snapshot that
         # differed from the engine's state would change a threshold or a charge

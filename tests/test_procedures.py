@@ -67,6 +67,11 @@ class TestValidatePolicy:
         with pytest.raises(ValueError, match="horizon must be an integer"):
             validate_policy(simple_choice(ALPHA), ALPHA, horizon=2.5)
 
+    def test_a_bool_horizon_is_refused(self):
+        # operator.index(True) is 1, so a bool would otherwise scan one step
+        with pytest.raises(ValueError, match="horizon must be an integer, got True"):
+            validate_policy(simple_choice(ALPHA), ALPHA, True)
+
     @pytest.mark.parametrize("alpha", [math.nan, 2.0])
     def test_alpha_must_lie_in_the_unit_interval(self, alpha):
         with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
@@ -633,7 +638,7 @@ def test_alpha_must_lie_in_the_unit_interval(method, alpha):
         make_procedure(method, 2, alpha)
 
 
-@pytest.mark.parametrize("layers", [1.5, 2.0])
+@pytest.mark.parametrize("layers", [1.5, 2.0, True])
 def test_layer_count_must_be_an_integer(layers):
     with pytest.raises(ValueError, match=f"layers must be an integer, got {layers}"):
         make_procedure("ml-LORD", layers, ALPHA)

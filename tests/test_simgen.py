@@ -63,6 +63,12 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec(**kwargs)
 
+    @pytest.mark.parametrize("field", ["G", "n", "seed", "N"])
+    def test_a_bool_count_or_seed_is_refused(self, field):
+        sizes = {"structure": "unbalanced", "G": 2, "n": 5, field: True}
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got True"):
+            ScenarioSpec(**sizes)
+
     def test_a_negative_seed_is_a_valid_field(self):
         # a config's seed = -1 is valid: it may serve as the fallback master seed
         assert ScenarioSpec(seed=-1).seed == -1
