@@ -20,9 +20,9 @@ Stream mode reads one JSON object per line with fields ``p`` (number) and
 not UTF-8 or not well-formed, or one the event or engine checks reject (p
 outside [0, 1], a negative group id, the wrong number of ids), produces an
 error record carrying the line number and does not advance the stream clock.
-Read from stdin, every reply and error record is flushed as it is written,
-so a client that waits for each reply before sending its next line is
-answered at once.
+Read from a pipe or terminal on stdin, the answer to each line is flushed
+before the next line is read, so a client that waits for each reply before
+sending its next line is answered at once.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
@@ -187,9 +189,22 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _stream_error(line_number: int, message: str, sink: TextIO, live: bool) -> None:
-    sink.write(json.dumps({"line": line_number, "error": message}) + "\n")
-    if live:
+def _stream_error(line_number: int, message: str, sink: TextIO) -> None:
+    print(json.dumps({"line": line_number, "error": message}), file=sink)
+
+
+def _is_regular_file(stream) -> bool:
+    try:
+        return stat.S_ISREG(os.fstat(stream.fileno()).st_mode)
+    except (OSError, ValueError):
+        return False
+
+
+def _flush_before_each_read(lines, sink: TextIO):
+    """The lines of ``lines``; whatever was written to ``sink`` in answer
+    to one line is flushed before the next one is read."""
+    for line in lines:
+        yield line
         sink.flush()
 
 
@@ -202,10 +217,10 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
     except ValueError as exc:
         print(f"stream: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # a client on stdin may wait for each reply before it sends its next
-    # line, so replies to stdin are flushed one by one
-    live = source is None and args.input == "-"
-    if source is not None or live:
+    # a client on a pipe or terminal may wait for each reply before it sends
+    # its next line; a caller's source or a file on stdin needs no flushes
+    live = source is None and args.input == "-" and not _is_regular_file(sys.stdin)
+    if source is not None or args.input == "-":
         # the caller's source and stdin stay open
         opened = nullcontext(source if source is not None else sys.stdin.buffer)
     else:
@@ -216,6 +231,8 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
             return EXIT_USAGE
     write = sink.write
     with opened as source:
+        if live:
+            source = _flush_before_each_read(source, sink)
         for line_number, raw in enumerate(source, 1):
             # files and stdin are read as bytes, so one line that is not
             # UTF-8 gets an error record instead of ending the session
@@ -223,27 +240,26 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
                 try:
                     raw = raw.decode("utf-8")
                 except UnicodeDecodeError as exc:
-                    _stream_error(line_number, f"line is not UTF-8: {exc.reason}", sink, live)
+                    _stream_error(line_number, f"line is not UTF-8: {exc.reason}", sink)
                     continue
             if not raw.strip():
                 continue
             try:
                 payload = json.loads(raw)
             except json.JSONDecodeError as exc:
-                _stream_error(line_number, f"malformed record: {exc.msg}", sink, live)
+                _stream_error(line_number, f"malformed record: {exc.msg}", sink)
                 continue
             if not isinstance(payload, dict):
-                _stream_error(line_number, "record must be a JSON object", sink, live)
+                _stream_error(line_number, "record must be a JSON object", sink)
                 continue
             p = payload.get("p")
             if isinstance(p, bool) or not isinstance(p, (int, float)):
-                _stream_error(line_number, "field 'p' must be a number", sink, live)
+                _stream_error(line_number, "field 'p' must be a number", sink)
                 continue
             groups = payload.get("groups")
             # json.loads gives int, never a subclass, for an integer; bool is excluded
             if not isinstance(groups, list) or not all(type(g) is int for g in groups):
-                message = "field 'groups' must be an array of integers"
-                _stream_error(line_number, message, sink, live)
+                _stream_error(line_number, "field 'groups' must be an array of integers", sink)
                 continue
             # the event and the engine check ranges and the group count; a
             # step that raises leaves the stream clock and state unchanged
@@ -251,7 +267,7 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
                 event = HypothesisEvent(procedure.t + 1, float(p), tuple(groups))
                 record = procedure.skip(event) if procedure.halted else procedure.step(event)
             except (ValueError, OverflowError) as exc:
-                _stream_error(line_number, str(exc), sink, live)
+                _stream_error(line_number, str(exc), sink)
                 continue
             # the bytes json.dumps writes for this dict, built in one pass
             tested, thresholds = [], []
@@ -265,8 +281,6 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
                 f'"thresholds": [{", ".join(thresholds)}], '
                 f'"halted": {"true" if record.halted else "false"}}}\n'
             )
-            if live:
-                sink.flush()
     return EXIT_OK
 
 

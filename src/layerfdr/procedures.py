@@ -373,7 +373,6 @@ class OnlineProcedure:
                     state.wealth = (state.wealth + reward if rejected else state.wealth) - spend
                 elif lord:
                     state.since_last_discovery = 1 if rejected else state.since_last_discovery + 1
-            rejections = state.rejections
             outcomes.append(
                 _new_tuple(
                     LayerOutcome,
@@ -382,8 +381,8 @@ class OnlineProcedure:
                         threshold,
                         tested and rejected,
                         state.wealth,
-                        rejections,
-                        t - state.seen_in_rejected + rejections,  # state.effective_tests(t)
+                        state.rejections,
+                        state.effective_tests(t),
                         state.since_last_discovery,
                     ),
                 )

@@ -695,6 +695,41 @@ def test_the_module_streams_stdin_as_a_process():
     assert len(replies) == 4 and replies == sink.getvalue().splitlines()
 
 
+class FlushCountingSink(io.StringIO):
+    flushes = 0
+
+    def flush(self):
+        self.flushes += 1
+        super().flush()
+
+
+@pytest.mark.parametrize("on_stdin, flushes", [("pipe", 3), ("file", 0)])
+def test_stdin_answers_are_flushed_per_line_only_from_a_pipe(
+    tmp_path, monkeypatch, on_stdin, flushes
+):
+    from layerfdr.cli import build_parser, cmd_stream
+
+    # a valid line, a malformed one, a valid line
+    data = b'{"p": 0.004, "groups": [1, 7]}\n{oops\n{"p": 0.3, "groups": [2, 7]}\n'
+    if on_stdin == "pipe":
+        read_end, write_end = os.pipe()
+        os.write(write_end, data)
+        os.close(write_end)
+        stdin = os.fdopen(read_end)
+    else:
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(data)
+        stdin = path.open()
+    monkeypatch.setattr(sys, "stdin", stdin)
+    argv = ["stream", "--method", "ml-LORD", "--layers", "2"]
+    sink, buffered = FlushCountingSink(), io.StringIO()
+    with stdin:
+        assert cmd_stream(build_parser().parse_args(argv), sink=sink) == 0
+    assert cmd_stream(build_parser().parse_args(argv), io.BytesIO(data), buffered) == 0
+    assert sink.getvalue() == buffered.getvalue()
+    assert sink.flushes == flushes
+
+
 def test_stdin_replies_arrive_before_the_input_ends():
     # a closed-loop client sends its next line only after the last reply, so a
     # reply held in a block-buffered stdout until end of input would deadlock it

@@ -2,16 +2,15 @@
 
 For each decision rule (ml-GAI, ml-LORD, ml-LOND, ml-LOND_m) and each layer
 count M, replays a seeded stream of events through a fresh
-``make_procedure(method, M, 0.1)`` and prints the best of several repeats in
-microseconds per step.  The events are drawn as perfbench's stream-cli
-client draws them: layer 0 is the arrival index, every further layer puts
+``make_procedure(method, M, 0.1)`` and prints, as one JSON object, the best
+of 7 repeats over 20,000 seeded events in microseconds per step.  The events
+are drawn as perfbench's stream-cli client draws them: layer 0 is the arrival index, every further layer puts
 the arrival in one of 4,000 groups drawn uniformly, and a tenth of layer 1's
 groups carry signal (z mean 3.5).  An alpha-investing stream that halts is
 replayed on through ``skip``, as ``replay`` does.  Only ``replay`` is timed;
 the events are built beforehand.
 
-    python tools/step_cost.py [--layers 1 2 4 8] [--events 20000] [--repeats 7]
-                              [--seed 1] [--src DIR] [--json]
+    python tools/step_cost.py [--src DIR]
 
 ``--src`` is the directory ``layerfdr`` is imported from (default: this
 checkout's ``src``), so two checkouts can be compared on one machine.
@@ -29,69 +28,58 @@ from time import perf_counter
 import numpy as np
 
 RULES = ("ml-GAI", "ml-LORD", "ml-LOND", "ml-LOND_m")
+LAYERS = (1, 2, 4, 8)
+EVENTS = 20_000
+REPEATS = 7
+SEED = 1
 GROUPS = 4000
 SIGNAL_SHARE = 0.1
 SIGNAL_MEAN = 3.5
 ALPHA = 0.1
 
 
-def stream(layers: int, events: int, seed: int):
-    """p-values and per-arrival group ids, shape (events, layers)."""
-    rng = np.random.default_rng([seed, layers])
-    ids = np.empty((events, layers), dtype=np.int64)
-    ids[:, 0] = np.arange(1, events + 1)
-    ids[:, 1:] = rng.integers(0, GROUPS, (events, layers - 1))
+def stream(layers: int):
+    """p-values and per-arrival group ids, shape (EVENTS, layers)."""
+    rng = np.random.default_rng([SEED, layers])
+    ids = np.empty((EVENTS, layers), dtype=np.int64)
+    ids[:, 0] = np.arange(1, EVENTS + 1)
+    ids[:, 1:] = rng.integers(0, GROUPS, (EVENTS, layers - 1))
     signal = rng.random(GROUPS) < SIGNAL_SHARE
-    z = rng.standard_normal(events)
+    z = rng.standard_normal(EVENTS)
     if layers > 1:
         z += SIGNAL_MEAN * signal[ids[:, 1]]
     pvalues = [math.erfc(abs(value) / math.sqrt(2.0)) for value in z.tolist()]
     return pvalues, ids.tolist()
 
 
-def step_us(method: str, layers: int, events: int, repeats: int, seed: int) -> float:
+def step_us(method: str, layers: int) -> float:
     from layerfdr.core import HypothesisEvent
     from layerfdr.procedures import make_procedure, replay
 
-    pvalues, ids = stream(layers, events, seed)
+    pvalues, ids = stream(layers)
     stream_events = [
         HypothesisEvent(t, p, tuple(groups))
         for t, (p, groups) in enumerate(zip(pvalues, ids), 1)
     ]
     best = math.inf
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         procedure = make_procedure(method, layers, ALPHA)
         start = perf_counter()
         replay(procedure, stream_events)
         best = min(best, perf_counter() - start)
-    return best / events * 1e6
+    return best / EVENTS * 1e6
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--layers", type=int, nargs="+", default=[1, 2, 4, 8])
-    parser.add_argument("--methods", nargs="+", default=list(RULES))
-    parser.add_argument("--events", type=int, default=20_000)
-    parser.add_argument("--repeats", type=int, default=7)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
-    parser.add_argument("--json", action="store_true", help="print one JSON object")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     table = {
-        method: {
-            str(m): round(step_us(method, m, args.events, args.repeats, args.seed), 3)
-            for m in args.layers
-        }
-        for method in args.methods
+        method: {str(m): round(step_us(method, m), 3) for m in LAYERS}
+        for method in RULES
     }
-    if args.json:
-        print(json.dumps(table))
-        return 0
-    print(f"us/step, best of {args.repeats} over {args.events} events")
-    print(f"{'method':<10}" + "".join(f"{'M=' + str(m):>9}" for m in args.layers))
-    for method, row in table.items():
-        print(f"{method:<10}" + "".join(f"{row[str(m)]:>9.3f}" for m in args.layers))
+    print(json.dumps(table))
     return 0
 
 
