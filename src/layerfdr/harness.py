@@ -195,14 +195,19 @@ def emit_results(rows: Sequence[AggregateResult], out_dir) -> list[Path]:
     ``results.csv`` holds every aggregate row; the six ``panel_*.csv`` files
     hold one beta-indexed column per method for power/fdr/mfdr at each layer.
     Values carry six significant digits; repeated runs produce identical
-    bytes.
+    bytes.  The rows must fill the (method, beta, layer) grid once each.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("empty result table")
     methods = sorted({row.method for row in rows}, key=METHODS.index)
     betas = sorted({row.beta for row in rows})
-    cells = {(row.method, row.beta, row.layer): row for row in rows}
+    cells: dict[tuple, AggregateResult] = {}
+    for row in rows:
+        cell = (row.method, row.beta, row.layer)
+        if cell in cells:
+            raise ValueError(f"result table repeats the cell {cell}")
+        cells[cell] = row
     missing = [
         (m, b, layer)
         for m in methods

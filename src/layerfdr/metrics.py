@@ -175,15 +175,23 @@ def aggregate(
     nonparametric bootstrap over replicates (ratio-of-means has no clean
     closed form) with ``BOOTSTRAP_RESAMPLES`` resamples drawn from
     ``BOOTSTRAP_SEED``.
+
+    The tallies are read once into an (R, 3) array of counts and every ratio
+    is taken from it in numpy.  While V + TD stays below 2**53 every count is
+    exact as a float and float division rounds correctly, so each FDP and
+    power equals ``LayerTally.fdp`` and ``.power`` bit for bit.
     """
     if not tallies:
         raise ValueError("at least one replicate is required")
     if not (math.isfinite(eta) and eta > 0.0):
         raise ValueError(f"eta must be positive and finite, got {eta}")
-    v = np.array([t.false_discoveries for t in tallies], dtype=float)
-    r = np.array([t.discoveries for t in tallies], dtype=float)
-    fdps = np.array([t.fdp for t in tallies], dtype=float)
-    powers = np.array([t.power for t in tallies], dtype=float)
+    counts = np.array(
+        [(t.false_discoveries, t.true_discoveries, t.true_groups) for t in tallies], dtype=float
+    )
+    v, true_hits, true_groups = counts.T
+    r = v + true_hits
+    fdps = v / np.maximum(r, 1.0)
+    powers = true_hits / np.maximum(true_groups, 1.0)
     return AggregateResult(
         method=method,
         beta=beta,

@@ -433,9 +433,13 @@ def make_streams(spec: ScenarioSpec, seeds) -> StreamData:
 
     Row r equals ``make_stream(replace(spec, seed=seeds[r]))`` bit for bit
     (``spec.seed`` itself is not used): each seed's generator draws the
-    structure, then the truths, then the p-values.
+    structure, then the truths, then the p-values.  The generators start as
+    ``np.random.default_rng(seed)`` does; their seed words are hashed for all
+    seeds at once (``_seeding``), which loads ``numpy.random`` on first use.
     """
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    from ._seeding import generators
+
+    rngs = generators(seeds)
     if not rngs:
         raise ValueError("at least one seed is required")
     groups = _structures(spec, rngs)

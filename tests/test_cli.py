@@ -799,6 +799,30 @@ def test_scipy_is_loaded_only_when_p_values_are_drawn():
     assert process.stdout.decode().count('"reject": true') == 1
 
 
+NUMPY_RANDOM_FREE_START = """
+import io, sys
+
+import layerfdr
+assert "numpy.random" not in sys.modules, "import layerfdr"
+from layerfdr.cli import main
+from layerfdr.simgen import ScenarioSpec, make_stream
+sys.stdin = io.TextIOWrapper(io.BytesIO(b'{"p": 0.004, "groups": [1, 7]}\\n'))
+assert main(["stream", "--method", "ml-LORD", "--layers", "2"]) == 0
+assert "numpy.random" not in sys.modules, "stream"
+assert main(["validate", "--alpha", "0.1", "--horizon", "10"]) == 0
+assert "numpy.random" not in sys.modules, "validate"
+make_stream(ScenarioSpec(seed=1, G=4, n=5))
+assert "numpy.random" in sys.modules, "make_stream"
+"""
+
+
+def test_numpy_random_is_loaded_only_when_streams_are_drawn():
+    # the seeded generators come from numpy.random, which only make_streams needs
+    process = run_python(["-c", NUMPY_RANDOM_FREE_START])
+    assert process.returncode == 0, process.stderr.decode()
+    assert process.stdout.decode().count('"reject": true') == 1
+
+
 def test_readme_config_keys_are_the_spec_fields(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     example = readme.split("### Config files", 1)[1].split("```")[1]

@@ -268,6 +268,22 @@ class TestEmitResults:
             emit_results([], tmp_path)
         assert list(tmp_path.iterdir()) == []
 
+    def test_a_repeated_cell_is_an_error(self, tmp_path):
+        # results.csv would hold both rows and the panels only the last one
+        rows = self.rows()
+        with pytest.raises(ValueError, match=r"repeats the cell \('GAI', 2\.0, 'individual'\)"):
+            emit_results(rows + [replace(rows[0], fdr=0.5)], tmp_path / "out")
+        # 2 and 2.0 name one cell, as in SweepSpec
+        with pytest.raises(ValueError, match="repeats the cell"):
+            emit_results(rows + [replace(rows[0], beta=2)], tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_missing_cell_is_an_error(self, tmp_path):
+        missing = r"not a full grid; missing \[\('GAI', 2\.0, 'individual'\)\]"
+        with pytest.raises(ValueError, match=missing):
+            emit_results(self.rows()[1:], tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
     def test_writes_results_and_six_panels(self, tmp_path):
         paths = emit_results(self.rows(), tmp_path / "out")
         names = sorted(p.name for p in paths)

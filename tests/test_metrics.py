@@ -1,8 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerfdr.core import HypothesisEvent
-from layerfdr.metrics import LayerTally, TallyTracker, aggregate, tally_from_sets
+from layerfdr.metrics import (
+    AggregateResult,
+    LayerTally,
+    TallyTracker,
+    _bootstrap_ratio_se,
+    aggregate,
+    tally_from_sets,
+)
 from layerfdr.procedures import make_procedure, replay
 
 
@@ -120,6 +129,47 @@ class TestAggregate:
         b = aggregate(replicates, eta=1.0)
         assert a.mfdr_se == b.mfdr_se
         assert a.mfdr_se > 0.0
+
+
+@st.composite
+def layer_tallies(draw, top):
+    """A valid LayerTally with counts up to ``top``."""
+    true_groups = draw(st.integers(0, top))
+    return LayerTally(draw(st.integers(0, top)), draw(st.integers(0, true_groups)), true_groups)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    # at 2**52 a count and V + TD are still exact as floats
+    tallies=st.sampled_from([5, 300, 2**52]).flatmap(
+        lambda top: st.lists(layer_tallies(top), min_size=1, max_size=40)
+    ),
+    eta=st.sampled_from([1.0, 0.25, 7.5]),
+)
+def test_aggregate_equals_the_per_tally_reference(tallies, eta):
+    fdps = np.array([t.fdp for t in tallies])
+    powers = np.array([t.power for t in tallies])
+    v = np.array([t.false_discoveries for t in tallies], dtype=float)
+    r = np.array([t.discoveries for t in tallies], dtype=float)
+
+    def se(values):
+        return float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+
+    expected = AggregateResult(
+        method="ml-LORD",
+        beta=2.0,
+        layer="group",
+        fdr=float(fdps.mean()),
+        fdr_se=se(fdps),
+        mfdr=float(v.mean() / (r.mean() + eta)),
+        mfdr_se=_bootstrap_ratio_se(v, r, eta),
+        power=float(powers.mean()),
+        power_se=se(powers),
+        replicates=len(tallies),
+    )
+    got = aggregate(tallies, eta, method="ml-LORD", beta=2.0, layer="group")
+    # repr tells 0.0 from -0.0 and prints each double exactly enough to round-trip
+    assert repr(got) == repr(expected)
 
 
 def test_tracker_matches_recomputation_on_random_streams():

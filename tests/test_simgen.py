@@ -5,9 +5,12 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import erfc
 
+from layerfdr import _seeding
 from layerfdr.harness import standard_scenarios
 from layerfdr.simgen import (
     ScenarioSpec,
@@ -635,6 +638,72 @@ def test_unbalanced_structure_needs_pcg64():
 def test_make_streams_needs_a_seed():
     with pytest.raises(ValueError, match="seed"):
         make_streams(ScenarioSpec(), [])
+
+
+#: seeds of one to five 32-bit digits, at the edges of each digit count
+WORD_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 2**64, 2**127, 2**128 + 5, 2**130)
+
+
+def test_seed_words_equal_numpy_seed_sequences():
+    seeds = [*WORD_SEEDS, np.uint64(2**64 - 1), np.int64(2**63 - 1), np.uint8(0), np.int32(7)]
+    expected = [np.random.SeedSequence(seed).generate_state(4, np.uint64) for seed in seeds]
+    # a generator expression is read once
+    words = _seeding.seed_words(seed for seed in seeds)
+    assert words.dtype == np.uint64 and np.array_equal(words, expected)
+    for seed, want in zip(seeds, expected):
+        assert np.array_equal(_seeding.seed_words([seed]), [want])
+
+
+def test_make_streams_reads_a_generator_expression_of_seeds():
+    spec = standard_scenarios()["interleaved-random-constant"]
+    batch = make_streams(spec, (seed for seed in WORD_SEEDS))
+    assert batch.groups.shape == (len(WORD_SEEDS), spec.total)
+    for r, seed in enumerate(WORD_SEEDS):
+        assert_same_stream(batch.row(r), reference_stream(replace(spec, seed=seed)))
+
+
+@pytest.mark.parametrize(
+    "seed, error, message",
+    [
+        (-1, ValueError, "expected non-negative integer"),
+        (np.int64(-3), ValueError, "expected non-negative integer"),
+        (1.5, TypeError, "SeedSequence expects int or sequence of ints for entropy not 1.5"),
+    ],
+)
+def test_a_seed_numpy_refuses_is_refused_alike(seed, error, message):
+    with pytest.raises(error) as refused:
+        np.random.default_rng(seed)
+    assert str(refused.value) == message
+    with pytest.raises(error) as ours:
+        make_streams(ScenarioSpec(), [3, seed])
+    assert str(ours.value) == message
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=6),
+    panel=st.sampled_from(sorted(standard_scenarios())),
+)
+def test_generators_start_and_end_as_default_rng(seeds, panel):
+    spec = standard_scenarios()[panel]
+    generators, made = _seeding.generators, []
+
+    def recorded(seeds):
+        made.extend(generators(seeds))
+        return made
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_seeding, "generators", recorded)
+        batch = make_streams(spec, seeds)
+    assert len(made) == len(seeds)
+    for r, (seed, rng) in enumerate(zip(seeds, made)):
+        reference = np.random.default_rng(seed)
+        groups = reference_structure(spec, reference)
+        truths = reference_truth(spec, groups, reference)
+        noise = reference.standard_normal(len(truths))
+        z = reference_means(truths, spec.strength, spec.beta) + noise
+        assert_same_stream(batch.row(r), (groups, truths, erfc(np.abs(z) / math.sqrt(2.0))))
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 GOLDEN_SEEDS = (7, 20260808, 2**64 - 1)
