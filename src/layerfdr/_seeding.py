@@ -40,11 +40,19 @@ class _Words(ISeedSequence):
 
 
 def _hash_consts(init: int, mult: int, count: int) -> np.ndarray:
-    """The first ``count`` values of a hash constant, as a uint32 column."""
+    """The first ``count`` values of a hash constant, as a read-only uint32 column."""
     consts = [init]
     for _ in range(count - 1):
         consts.append(consts[-1] * mult & _MASK32)
-    return np.array(consts, dtype=np.uint32)[:, None]
+    column = np.array(consts, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+# the j-th hashmix xors with _HASH_A[j] and multiplies by _HASH_A[j + 1];
+# generate_state's hashes use _HASH_B alike
+_HASH_A = _hash_consts(_INIT_A, _MULT_A, 17)
+_HASH_B = _hash_consts(_INIT_B, _MULT_B, 9)
 
 
 def _hash(entropy: np.ndarray) -> np.ndarray:
@@ -52,11 +60,9 @@ def _hash(entropy: np.ndarray) -> np.ndarray:
     digits low first: ``mix_entropy`` into a four-word pool, then
     ``generate_state(4, np.uint64)``, both as in numpy, with each step's
     independent hashes taken together as rows of one (k, R) array."""
-    # the j-th hashmix xors with hash_a[j] and multiplies by hash_a[j + 1]
-    hash_a = _hash_consts(_INIT_A, _MULT_A, 17)
 
     def hashmix(values: np.ndarray, j: int, k: int) -> np.ndarray:
-        values = (values ^ hash_a[j : j + k]) * hash_a[j + 1 : j + k + 1]
+        values = (values ^ _HASH_A[j : j + k]) * _HASH_A[j + 1 : j + k + 1]
         return values ^ values >> 16
 
     # a digit the seed lacks is 0, which numpy's padding hashes alike
@@ -67,8 +73,7 @@ def _hash(entropy: np.ndarray) -> np.ndarray:
         mixed = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * hashmix(pool[src], 4 + 3 * src, 3)
         pool[dst] = mixed ^ mixed >> 16
     # generate_state hashes eight 32-bit words cycling the pool and pairs them low first
-    hash_b = _hash_consts(_INIT_B, _MULT_B, 9)
-    state = (np.tile(pool, (2, 1)) ^ hash_b[:-1]) * hash_b[1:]
+    state = (np.tile(pool, (2, 1)) ^ _HASH_B[:-1]) * _HASH_B[1:]
     state = (state ^ state >> 16).astype(np.uint64)
     return (state[0::2] | state[1::2] << np.uint64(32)).T
 

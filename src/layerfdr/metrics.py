@@ -8,10 +8,11 @@ discoveries plus eta.  Group-level power is reported as the mean of
 per-replicate ratios TD / max(T, 1).
 
 Ground truth comes from the simulation as 0/1 labels passed beside the
-decisions; events do not carry it.  ``tally_from_sets`` and
-``TallyTracker`` count one stream from Python sets, at the end or record by
-record.  They are the references the tests hold the harness's stacked tally
-route to, and are not among the package's top-level names.
+decisions; events do not carry it.  ``prefix_tallies`` counts one layer of
+one stream after every prefix, in numpy, for the oracle's along-the-stream
+checks; ``tally_from_sets`` counts one stream's Python sets and is the
+reference the tests hold both numpy tally routes to.  Neither is among the
+package's top-level names.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-
-from .core import DecisionRecord
 
 
 @dataclass(frozen=True)
@@ -66,44 +65,43 @@ def tally_from_sets(selected: set[int], true_groups: set[int]) -> LayerTally:
     )
 
 
-class TallyTracker:
-    """Incrementally maintained tallies across a stream.
+def prefix_tallies(ids, truths, rejected) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """V, TD and T of one layer of one stream after every prefix, three (N,) arrays.
 
-    Feeding each decision record with its hypothesis's 0/1 ground-truth
-    label keeps per-layer counts identical to ``tally_from_sets`` over the
-    selected and true groups of every prefix.  A group discovered while null
-    is reclassified as true the moment a true hypothesis inside it arrives.
+    ``ids`` holds each arrival's group in the layer, ``truths`` its 0/1
+    label and ``rejected`` its decision.  A group is discovered at its first
+    rejected arrival and holds a true hypothesis from its first true one, so
+    R, T and TD are cumulative histograms of those two times and of the later
+    of the two: a group discovered while null becomes a true discovery once a
+    true member arrives.  Entry t equals ``tally_from_sets`` over the selected
+    and true groups of the first t + 1 arrivals.
     """
-
-    def __init__(self, layers: int):
-        if layers < 1:
-            raise ValueError("at least one layer is required")
-        self._selected: list[set[int]] = [set() for _ in range(layers)]
-        self._true: list[set[int]] = [set() for _ in range(layers)]
-        self._false_count = [0] * layers
-        self.layers = layers
-
-    def update(self, record: DecisionRecord, truth: int) -> None:
-        if truth not in (0, 1):
-            raise ValueError(f"truth label must be 0 or 1, got {truth!r}")
-        for m in range(self.layers):
-            group = record.group_index[m]
-            if truth == 1 and group not in self._true[m]:
-                self._true[m].add(group)
-                if group in self._selected[m]:
-                    self._false_count[m] -= 1
-            if record.rejected and group not in self._selected[m]:
-                self._selected[m].add(group)
-                if group not in self._true[m]:
-                    self._false_count[m] += 1
-
-    def tally(self, layer: int) -> LayerTally:
-        selected = self._selected[layer]
-        return LayerTally(
-            false_discoveries=self._false_count[layer],
-            true_discoveries=len(selected) - self._false_count[layer],
-            true_groups=len(self._true[layer]),
+    ids, truths, rejected = np.asarray(ids), np.asarray(truths), np.asarray(rejected, dtype=bool)
+    if not len(ids) == len(truths) == len(rejected):
+        raise ValueError(
+            f"one truth label and decision per arrival is required, got {len(ids)} "
+            f"arrivals, {len(truths)} labels and {len(rejected)} decisions"
         )
+    labelled = (truths == 0) | (truths == 1)
+    if not labelled.all():
+        raise ValueError(f"truth label must be 0 or 1, got {truths[~labelled].tolist()[0]!r}")
+    n = len(ids)
+    # stable sorts, so return_index gives each group's first position in the mask
+    rejected_at = np.flatnonzero(rejected)
+    true_at = np.flatnonzero(truths == 1)
+    rejected_groups, first_rejected = np.unique(ids[rejected_at], return_index=True)
+    true_groups, first_true = np.unique(ids[true_at], return_index=True)
+    first_rejected, first_true = rejected_at[first_rejected], true_at[first_true]
+    _, in_rejected, in_true = np.intersect1d(
+        rejected_groups, true_groups, assume_unique=True, return_indices=True
+    )
+    true_from = np.maximum(first_rejected[in_rejected], first_true[in_true])
+
+    def by_prefix(times: np.ndarray) -> np.ndarray:
+        return np.cumsum(np.bincount(times, minlength=n))
+
+    true_hits = by_prefix(true_from)
+    return by_prefix(first_rejected) - true_hits, true_hits, by_prefix(first_true)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,15 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import DecisionRecord, HypothesisEvent, LayerOutcome, LayerState
+from .core import DecisionRecord, HypothesisEvent, LayerOutcome, LayerState, require_integers
 from .harness import stream_events
-from .metrics import TallyTracker
+from .metrics import prefix_tallies
 from .procedures import SpendingPolicy, make_procedure, replay
-from .simgen import ScenarioSpec, make_stream
+from .simgen import ScenarioSpec, make_streams
 
 
 def single_layer_gai_reference(
@@ -257,6 +256,12 @@ def kappa_direct_trajectory(
     return np.arange(1, n + 1) - in_rejected + groups_rejected
 
 
+def _layer_tallies(records: Sequence[DecisionRecord], truths: Sequence[int], layer: int):
+    """``prefix_tallies`` of one layer of a decision log and its truth labels."""
+    ids = [record.group_index[layer] for record in records]
+    return prefix_tallies(ids, truths, [record.rejected for record in records])
+
+
 def per_discovery_fdp(
     records: Sequence[DecisionRecord], truths: Sequence[int], layer: int
 ) -> list[float]:
@@ -266,16 +271,10 @@ def per_discovery_fdp(
     evaluated at the step of the k-th group discovery (truth accumulated
     through that same step).
     """
-    tracker = TallyTracker(layer + 1)  # layers 0..layer; only ``layer`` is read
-    out: list[float] = []
-    discoveries = 0
-    for record, truth in zip(records, truths):
-        tracker.update(record, truth)
-        tally = tracker.tally(layer)
-        if tally.discoveries > discoveries:
-            discoveries = tally.discoveries
-            out.append(tally.fdp)
-    return out
+    false_hits, true_hits, _ = _layer_tallies(records, truths, layer)
+    discoveries = false_hits + true_hits
+    grows = np.flatnonzero(np.diff(discoveries, prepend=0))
+    return (false_hits[grows] / discoveries[grows]).tolist()
 
 
 def balance_trajectories(
@@ -291,23 +290,16 @@ def balance_trajectories(
     index 0 is exactly zero because R = V = 0 and W = alpha * eta at start.
     The path freezes once the stream halts.
     """
-    if not records:
-        return np.zeros((0, 1))
-    layers = len(records[0].layers)
-    tracker = TallyTracker(layers)
+    layers = len(records[0].layers) if records else 0
     out = np.zeros((layers, len(records) + 1))
-    for j, (record, truth) in enumerate(zip(records, truths), start=1):
-        tracker.update(record, truth)
-        for m in range(layers):
-            snapshot = record.layers[m]
-            if snapshot.wealth is None:
-                raise ValueError("balance trajectories require wealth snapshots")
-            out[m, j] = (
-                alpha * snapshot.rejections
-                - tracker.tally(m).false_discoveries
-                + alpha * eta
-                - snapshot.wealth
-            )
+    for m in range(layers):
+        snapshots = [record.layers[m] for record in records]
+        if any(snapshot.wealth is None for snapshot in snapshots):
+            raise ValueError("balance trajectories require wealth snapshots")
+        false_hits = _layer_tallies(records, truths, m)[0]
+        rejections = np.array([snapshot.rejections for snapshot in snapshots])
+        wealth = np.array([snapshot.wealth for snapshot in snapshots])
+        out[m, 1:] = alpha * rejections - false_hits + alpha * eta - wealth
     return out
 
 
@@ -322,14 +314,16 @@ def submartingale_probe(
     process starts at zero and drifts upward in expectation, the caller
     asserts mean(j) >= -3 * se(j) everywhere.
     """
+    require_integers(n_rep=n_rep)
     if n_rep < 1:
         raise ValueError("at least one replicate is required")
     total = scenario.total
     sums = np.zeros((2, total + 1))
     squares = np.zeros((2, total + 1))
     rep_seeds = np.random.SeedSequence(seed).generate_state(n_rep, dtype=np.uint64)
-    for rep_seed in rep_seeds:
-        data = make_stream(replace(scenario, seed=int(rep_seed)))
+    streams = make_streams(scenario, rep_seeds)
+    for r in range(n_rep):
+        data = streams.row(r)
         procedure = make_procedure("ml-GAI", 2, scenario.alpha, scenario.eta)
         records = replay(procedure, stream_events(data, 2))
         paths = balance_trajectories(records, data.truths.tolist(), scenario.alpha, scenario.eta)

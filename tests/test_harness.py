@@ -18,7 +18,7 @@ from layerfdr.harness import (
     stream_events,
     stream_tallies,
 )
-from layerfdr.metrics import TallyTracker, aggregate, tally_from_sets
+from layerfdr.metrics import LayerTally, aggregate, prefix_tallies, tally_from_sets
 from layerfdr.procedures import METHODS
 from layerfdr.simgen import ScenarioSpec, StreamData, make_stream
 
@@ -98,21 +98,25 @@ class TestRunReplicate:
         "panel",
         ["block-fixed-constant", "unbalanced-fixed-constant", "interleaved-markov-constant"],
     )
-    def test_tallies_equal_an_incremental_tracker(self, panel):
-        # TallyTracker shares no code with the harness tally route
+    def test_tallies_equal_set_tallies(self, panel):
+        # tally_from_sets shares no code with the harness tally route
         scenario = standard_scenarios()[panel]
         for method in METHODS:
             for seed in (3, 8):
                 run = run_replicate(scenario, method, seed)
                 data = make_stream(replace(scenario, seed=seed))
-                tracker = TallyTracker(2)
+                # a single-layer record holds the individual id only; the
+                # group layer is tallied post hoc from the same rejection
+                selected, true_groups = (set(), set()), (set(), set())
                 for event, record, truth in zip(stream_events(data, 2), run.records, data.truths):
-                    # a single-layer record holds the individual id only; the
-                    # group layer is tallied post hoc from the same rejection
-                    tracker.update(replace(record, group_index=event.group_index), int(truth))
+                    for m, group in enumerate(event.group_index):
+                        if record.rejected:
+                            selected[m].add(group)
+                        if truth == 1:
+                            true_groups[m].add(group)
                 assert run.tallies == {
-                    "individual": tracker.tally(0),
-                    "group": tracker.tally(1),
+                    "individual": tally_from_sets(selected[0], true_groups[0]),
+                    "group": tally_from_sets(selected[1], true_groups[1]),
                 }
 
     def test_deterministic_given_seed(self):
@@ -166,6 +170,11 @@ def test_stacked_tallies_equal_per_stream_set_tallies(case):
         assert tallies["group"][r] == tally_from_sets(
             set(groups[r][rejected[r]].tolist()), set(groups[r][truths[r]].tolist())
         )
+        # the last prefix of each layer is the end-of-stream tally
+        arrivals = np.arange(groups.shape[1])
+        for name, ids in zip(LAYER_NAMES, (arrivals, groups[r])):
+            last = [int(counts[-1]) for counts in prefix_tallies(ids, truths[r], rejected[r])]
+            assert LayerTally(*last) == tallies[name][r]
 
 
 class TestSweepSpec:

@@ -7,9 +7,9 @@ from layerfdr.core import HypothesisEvent
 from layerfdr.metrics import (
     AggregateResult,
     LayerTally,
-    TallyTracker,
     _bootstrap_ratio_se,
     aggregate,
+    prefix_tallies,
     tally_from_sets,
 )
 from layerfdr.procedures import make_procedure, replay
@@ -172,7 +172,14 @@ def test_aggregate_equals_the_per_tally_reference(tallies, eta):
     assert repr(got) == repr(expected)
 
 
-def test_tracker_matches_recomputation_on_random_streams():
+def layer_prefix_tallies(records, truths, m):
+    """``prefix_tallies`` of layer m of a decision log, one ``LayerTally`` per prefix."""
+    ids = [record.group_index[m] for record in records]
+    counts = prefix_tallies(ids, truths, [record.rejected for record in records])
+    return [LayerTally(*prefix) for prefix in zip(*(c.tolist() for c in counts))]
+
+
+def test_prefix_tallies_match_recomputation_on_random_streams():
     rng = np.random.default_rng(44)
     for trial in range(6):
         events, truths = [], []
@@ -182,10 +189,10 @@ def test_tracker_matches_recomputation_on_random_streams():
             truths.append(int(rng.random() < 0.3))
         proc = make_procedure("ml-LOND", 2, 0.1)
         records = replay(proc, events)
-        tracker = TallyTracker(2)
-        for prefix_end, (record, truth) in enumerate(zip(records, truths), start=1):
-            tracker.update(record, truth)
-            for m in range(2):
+        for m in range(2):
+            per_prefix = layer_prefix_tallies(records, truths, m)
+            assert len(per_prefix) == len(records)
+            for prefix_end, tally in enumerate(per_prefix, start=1):
                 selected = {
                     e.group_index[m]
                     for e, r in zip(events[:prefix_end], records)
@@ -196,19 +203,25 @@ def test_tracker_matches_recomputation_on_random_streams():
                     for e, label in zip(events[:prefix_end], truths)
                     if label == 1
                 }
-                assert tracker.tally(m) == tally_from_sets(selected, true_groups)
+                assert tally == tally_from_sets(selected, true_groups)
 
 
-def test_tracker_requires_truth_labels():
-    record = replay(make_procedure("ml-LOND", 2, 0.1), [event(1, 1e-9, (1, 5))])[0]
-    tracker = TallyTracker(2)
+def test_prefix_tallies_require_truth_labels():
     for truth in (None, 2, -1, 0.5):
         with pytest.raises(ValueError, match="truth label must be 0 or 1"):
-            tracker.update(record, truth)
-    assert tracker.tally(1) == LayerTally(0, 0, 0)
+            prefix_tallies([5], [truth], [True])
+    v, td, t = prefix_tallies([], [], [])
+    assert v.tolist() == td.tolist() == t.tolist() == []
 
 
-def test_tracker_reclassifies_groups_that_become_true():
+def test_prefix_tallies_require_one_label_and_decision_per_arrival():
+    with pytest.raises(ValueError, match="one truth label and decision per arrival"):
+        prefix_tallies([5, 5, 6], [1], [True, True, True])
+    with pytest.raises(ValueError, match="one truth label and decision per arrival"):
+        prefix_tallies([5, 5, 6], [1, 0, 0], [True])
+
+
+def test_prefix_tallies_reclassify_groups_that_become_true():
     # group 5 is discovered while null, then a true member arrives
     events = [
         event(1, 1e-9, (1, 5)),
@@ -216,11 +229,8 @@ def test_tracker_reclassifies_groups_that_become_true():
     ]
     proc = make_procedure("ml-LOND", 2, 0.1)
     records = replay(proc, events)
-    tracker = TallyTracker(2)
-    tracker.update(records[0], 0)
-    assert tracker.tally(1).false_discoveries == 1
-    tracker.update(records[1], 1)
-    after = tracker.tally(1)
+    before, after = layer_prefix_tallies(records, [0, 1], 1)
+    assert before.false_discoveries == 1
     assert after.false_discoveries == 0
     assert after.true_discoveries == 1
     assert after.true_groups == 1

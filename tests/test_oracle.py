@@ -153,6 +153,14 @@ class TestPerDiscoveryFdp:
         # group 5 discovered while null; its true member arrives at t=2
         assert per_discovery_fdp(records, [0, 1, 1], 0) == [1.0, 0.0]
 
+    def test_one_truth_label_per_record_is_required(self):
+        proc = make_procedure("ml-LOND", 1, ALPHA)
+        records = replay(proc, [event(t, 1e-9, (t,)) for t in (1, 2, 3)])
+        assert all(r.rejected for r in records)
+        for truths in ([1], [1, 0, 0, 1]):
+            with pytest.raises(ValueError, match="one truth label and decision per arrival"):
+                per_discovery_fdp(records, truths, 0)
+
 
 class TestBalanceTrajectories:
     def test_deterministic_all_ones_stream_grows_by_the_spend(self):
@@ -168,6 +176,17 @@ class TestBalanceTrajectories:
     def test_an_empty_run_has_the_empty_path(self):
         paths = balance_trajectories([], [], ALPHA, 1.0)
         assert paths.shape == (0, 1)
+
+    def test_one_truth_label_per_record_is_required(self):
+        proc = make_procedure("ml-GAI", 1, ALPHA, 1.0)
+        records = replay(proc, [event(t, 1e-9, (t,)) for t in (1, 2, 3)])
+        with pytest.raises(ValueError, match="one truth label and decision per arrival"):
+            balance_trajectories(records, [0], ALPHA, 1.0)
+
+    def test_probe_requires_an_integer_replicate_count(self):
+        for n_rep in (True, 2.5, "3"):
+            with pytest.raises(ValueError, match="n_rep must be an integer"):
+                submartingale_probe(ScenarioSpec(s=0.0), n_rep=n_rep, seed=1)
 
     def test_probe_starts_at_zero_exactly(self):
         scenario = ScenarioSpec(s=0.0, seed=5)
