@@ -1,6 +1,14 @@
 """Online multiple hypothesis testing with simultaneous FDR control across
 group layers: streaming decision procedures, synthetic scenario generators,
-error metrics, and a seeded experiment harness."""
+error metrics, and a seeded experiment harness.
+
+The online engine (``core``, ``procedures``) is pure Python and is imported
+with the package.  The generator, harness and metrics names need numpy, so
+each is imported from its submodule when it is first read: ``import
+layerfdr`` and the ``stream`` and ``validate`` commands start without numpy.
+"""
+
+from importlib import import_module
 
 from .core import (
     DecisionRecord,
@@ -8,22 +16,6 @@ from .core import (
     LayerOutcome,
     LayerState,
     StreamHalted,
-)
-from .harness import (
-    DEFAULT_BETA_GRID,
-    LAYER_NAMES,
-    ReplicateRun,
-    SweepSpec,
-    emit_results,
-    replicate_seed,
-    run_replicate,
-    run_sweep,
-    standard_scenarios,
-)
-from .metrics import (
-    AggregateResult,
-    LayerTally,
-    aggregate,
 )
 from .procedures import (
     METHODS,
@@ -36,13 +28,6 @@ from .procedures import (
     replay,
     simple_choice,
     validate_policy,
-)
-from .simgen import (
-    ScenarioSpec,
-    StreamData,
-    make_stream,
-    signal_means,
-    two_sided_p_array,
 )
 
 __version__ = "0.1.0"
@@ -81,3 +66,39 @@ __all__ = [
     "two_sided_p_array",
     "validate_policy",
 ]
+
+# the public names imported on first use, each with the submodule that defines it
+_LAZY_NAMES = {
+    "DEFAULT_BETA_GRID": "harness",
+    "LAYER_NAMES": "harness",
+    "ReplicateRun": "harness",
+    "SweepSpec": "harness",
+    "emit_results": "harness",
+    "replicate_seed": "harness",
+    "run_replicate": "harness",
+    "run_sweep": "harness",
+    "standard_scenarios": "harness",
+    "AggregateResult": "metrics",
+    "LayerTally": "metrics",
+    "aggregate": "metrics",
+    "ScenarioSpec": "simgen",
+    "StreamData": "simgen",
+    "make_stream": "simgen",
+    "signal_means": "simgen",
+    "two_sided_p_array": "simgen",
+}
+
+
+def __getattr__(name: str):
+    """Import a lazy public name's submodule and keep the value (PEP 562)."""
+    try:
+        module = _LAZY_NAMES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -24,6 +24,11 @@ Read from a pipe or terminal on stdin, the answer to each line is flushed
 before the next line is read, so a client that waits for each reply before
 sending its next line is answered at once.
 
+``stream`` and ``validate`` run on the online engine alone.  The sweep and
+generator modules, and numpy with them, are imported when ``simulate``,
+``sweep`` or config parsing first needs them, so those two commands start
+without loading numpy.
+
 Exit codes: 0 success, 1 runtime failure, 2 usage or configuration error.
 """
 
@@ -36,10 +41,10 @@ import stat
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
-from typing import Optional, TextIO, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Optional, TextIO, get_args, get_origin, get_type_hints
 
-from .harness import RESULTS_HEADER, SweepSpec, emit_results, format_result_row, run_sweep
 from .procedures import (
     METHODS,
     UNTESTED_ACCEPT,
@@ -50,16 +55,30 @@ from .procedures import (
     validate_policy,
 )
 from .core import HypothesisEvent, LayerState
-from .simgen import ScenarioSpec
+
+if TYPE_CHECKING:
+    from .harness import SweepSpec
+    from .simgen import ScenarioSpec
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-# the config schema: each key a spec field, each value converted by its annotation
-_SCENARIO_TYPES = get_type_hints(ScenarioSpec)
-_SWEEP_TYPES = {key: kind for key, kind in get_type_hints(SweepSpec).items() if key != "scenario"}
-_KEY_TYPES = {**_SCENARIO_TYPES, **_SWEEP_TYPES}
+
+@cache
+def _config_schema() -> tuple[dict, dict, dict]:
+    """The config schema: the types of ``ScenarioSpec``'s fields, of
+    ``SweepSpec``'s other than scenario, and of both, each key a spec field
+    whose value is converted by its annotation.  Built on first use, since
+    the specs' modules load numpy, which ``stream`` and ``validate`` never need."""
+    from .harness import SweepSpec
+    from .simgen import ScenarioSpec
+
+    scenario_types = get_type_hints(ScenarioSpec)
+    sweep_types = {
+        key: kind for key, kind in get_type_hints(SweepSpec).items() if key != "scenario"
+    }
+    return scenario_types, sweep_types, {**scenario_types, **sweep_types}
 
 
 class ConfigError(Exception):
@@ -81,6 +100,7 @@ def parse_config(path) -> dict[str, object]:
         text = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(path, None, f"cannot read config file: {exc}")
+    *_, key_types = _config_schema()
     entries: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -91,7 +111,7 @@ def parse_config(path) -> dict[str, object]:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEY_TYPES:
+        if key not in key_types:
             raise ConfigError(path, lineno, f"unknown key {key!r}")
         if key in entries:
             raise ConfigError(path, lineno, f"duplicate key {key!r}")
@@ -102,7 +122,8 @@ def parse_config(path) -> dict[str, object]:
 
 
 def _convert(path, key: str, lineno: Optional[int], value: str):
-    kind = _KEY_TYPES[key]
+    *_, key_types = _config_schema()
+    kind = key_types[key]
     if get_origin(kind) is tuple:  # tuple[X, ...]: a comma-separated list
         item = get_args(kind)[0]
         try:
@@ -119,7 +140,10 @@ def _convert(path, key: str, lineno: Optional[int], value: str):
 
 
 def scenario_from_config(path, entries: dict[str, object]) -> ScenarioSpec:
-    fields = {key: value for key, value in entries.items() if key in _SCENARIO_TYPES}
+    from .simgen import ScenarioSpec
+
+    scenario_types, *_ = _config_schema()
+    fields = {key: value for key, value in entries.items() if key in scenario_types}
     try:
         return ScenarioSpec(**fields)
     except ValueError as exc:
@@ -139,13 +163,16 @@ def _sweep_spec(args, entries, **flags) -> Optional[SweepSpec]:
     ``seed`` stands in for a missing ``master_seed`` and ``simulate`` without
     a grid runs the scenario's one beta.
     """
+    from .harness import SweepSpec
+
+    scenario_types, sweep_types, _ = _config_schema()
     flags = {"replicates": args.replicates, "master_seed": args.master_seed, **flags}
     flags = {key: value for key, value in flags.items() if value is not None}
-    values = {key: value for key, value in entries.items() if key in _SWEEP_TYPES}
+    values = {key: value for key, value in entries.items() if key in sweep_types}
     if "seed" in entries:
         values.setdefault("master_seed", entries["seed"])
-    values.update((key, value) for key, value in flags.items() if key in _SWEEP_TYPES)
-    overrides = {key: value for key, value in flags.items() if key in _SCENARIO_TYPES}
+    values.update((key, value) for key, value in flags.items() if key in sweep_types)
+    overrides = {key: value for key, value in flags.items() if key in scenario_types}
     try:
         scenario = replace(scenario_from_config(args.config, entries), **overrides)
         if args.command == "simulate":
@@ -158,6 +185,8 @@ def _sweep_spec(args, entries, **flags) -> Optional[SweepSpec]:
 
 def cmd_simulate(args) -> int:
     """One method's cells: the rows a one-method sweep writes to results.csv."""
+    from .harness import RESULTS_HEADER, format_result_row, run_sweep
+
     entries = parse_config(args.config)
     method = args.method
     if method is None:
@@ -178,6 +207,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .harness import emit_results, run_sweep
+
     entries = parse_config(args.config)
     methods = None if args.methods is None else _convert(args.config, "methods", None, args.methods)
     sweep = _sweep_spec(args, entries, methods=methods)

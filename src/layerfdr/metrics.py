@@ -65,6 +65,15 @@ def tally_from_sets(selected: set[int], true_groups: set[int]) -> LayerTally:
     )
 
 
+def check_one_label_per_arrival(arrivals: int, labels: int, decisions: int) -> None:
+    """Raise ValueError unless there is one truth label and one decision per arrival."""
+    if not arrivals == labels == decisions:
+        raise ValueError(
+            f"one truth label and decision per arrival is required, got {arrivals} "
+            f"arrivals, {labels} labels and {decisions} decisions"
+        )
+
+
 def prefix_tallies(ids, truths, rejected) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """V, TD and T of one layer of one stream after every prefix, three (N,) arrays.
 
@@ -77,11 +86,7 @@ def prefix_tallies(ids, truths, rejected) -> tuple[np.ndarray, np.ndarray, np.nd
     and true groups of the first t + 1 arrivals.
     """
     ids, truths, rejected = np.asarray(ids), np.asarray(truths), np.asarray(rejected, dtype=bool)
-    if not len(ids) == len(truths) == len(rejected):
-        raise ValueError(
-            f"one truth label and decision per arrival is required, got {len(ids)} "
-            f"arrivals, {len(truths)} labels and {len(rejected)} decisions"
-        )
+    check_one_label_per_arrival(len(ids), len(truths), len(rejected))
     labelled = (truths == 0) | (truths == 1)
     if not labelled.all():
         raise ValueError(f"truth label must be 0 or 1, got {truths[~labelled].tolist()[0]!r}")

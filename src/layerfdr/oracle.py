@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import DecisionRecord, HypothesisEvent, LayerOutcome, LayerState, require_integers
 from .harness import stream_events
-from .metrics import prefix_tallies
+from .metrics import check_one_label_per_arrival, prefix_tallies
 from .procedures import SpendingPolicy, make_procedure, replay
 from .simgen import ScenarioSpec, make_streams
 
@@ -290,6 +290,7 @@ def balance_trajectories(
     index 0 is exactly zero because R = V = 0 and W = alpha * eta at start.
     The path freezes once the stream halts.
     """
+    check_one_label_per_arrival(len(records), len(truths), len(records))
     layers = len(records[0].layers) if records else 0
     out = np.zeros((layers, len(records) + 1))
     for m in range(layers):

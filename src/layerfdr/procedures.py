@@ -39,16 +39,17 @@ decisions.  It takes the group ids of any number of partitions, shape
 (R, N, P), and runs the individual level as one more layer whose groups, the
 arrivals, never recur, so only the partitions keep per-group tables; each
 rule keeps only the state it reads (discovery counts, arrival counts for the
-modified LOND, LORD gaps or wealth).
+modified LOND, LORD gaps or wealth).  numpy is imported inside the two array
+kernels, ``lockstep_rejections`` and ``dense_ids``, on their first call, so the
+step engine, and the ``stream`` and ``validate`` commands built on it, run
+without loading numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .core import (
     DecisionRecord,
@@ -59,6 +60,9 @@ from .core import (
     new_record,
     require_integers,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _PI_SQUARED = math.pi ** 2
 
@@ -446,6 +450,8 @@ def lockstep_rejections(
     group ids that are not integers, are negative or exceed the int64 range
     raise ValueError.
     """
+    import numpy as np
+
     rule = _rule(method)
     _check_eta(eta)
     pvalues = np.asarray(pvalues, dtype=float)
@@ -534,6 +540,8 @@ def dense_ids(ids: np.ndarray) -> np.ndarray:
     """Non-negative int ids of shape (..., N) with every id returned below N:
     as they are if all are, else each row's distinct ids renumbered 0, 1, ...
     in increasing order.  Arrivals in a row share an id exactly as before."""
+    import numpy as np
+
     steps = ids.shape[-1]
     if not ids.size or ids.max() < steps:
         return ids

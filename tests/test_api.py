@@ -9,6 +9,7 @@ from layerfdr.core import HypothesisEvent, LayerState
 from layerfdr.harness import SweepSpec, run_replicate
 from layerfdr.procedures import METHODS, OnlineProcedure, lockstep_rejections, make_procedure
 from layerfdr.simgen import ScenarioSpec
+from test_cli import run_python
 
 # the public API, sorted; adding or removing a name must show up in this list
 PUBLIC_NAMES = [
@@ -56,6 +57,35 @@ def test_every_public_name_imports():
     exec("from layerfdr import *", namespace)
     for name in PUBLIC_NAMES:
         assert namespace[name] is getattr(layerfdr, name)
+
+
+LAZY_NAMES = """
+import sys
+import layerfdr
+from layerfdr import core, procedures
+
+numpy_modules = {"layerfdr.harness", "layerfdr.metrics", "layerfdr.simgen"}
+assert not numpy_modules & set(sys.modules), "import layerfdr"
+assert set(layerfdr.__all__) <= set(dir(layerfdr))
+try:
+    layerfdr.no_such_name
+except AttributeError as exc:
+    assert str(exc) == "module 'layerfdr' has no attribute 'no_such_name'", str(exc)
+else:
+    raise AssertionError("layerfdr.no_such_name raised nothing")
+values = {name: getattr(layerfdr, name) for name in layerfdr.__all__}
+from layerfdr import harness, metrics, simgen
+for name, value in values.items():
+    owners = [m for m in (core, procedures, harness, metrics, simgen) if hasattr(m, name)]
+    assert owners and all(getattr(m, name) is value for m in owners), name
+    assert vars(layerfdr)[name] is value, name
+"""
+
+
+def test_public_names_resolve_to_their_submodules_objects():
+    # a fresh interpreter, so that no test has imported the lazy names' submodules
+    process = run_python(["-c", LAZY_NAMES])
+    assert process.returncode == 0, process.stderr.decode()
 
 
 def test_benchmark_entry_points():

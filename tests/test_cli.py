@@ -766,25 +766,27 @@ def test_the_module_exits_1_on_a_violated_reward_bound():
     assert process.stdout.decode().startswith("violation at t=1")
 
 
-SCIPY_FREE_START = """
+COLD_START = """
 import io, sys
-import numpy as np
 
-def scipy_loaded():
-    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+def loaded():
+    return [name for name in ("numpy", "numpy.random", "scipy") if name in sys.modules]
 
 import layerfdr
-assert not scipy_loaded(), "import layerfdr"
+assert loaded() == [], ("import layerfdr", loaded())
 from layerfdr.cli import main
-from layerfdr.simgen import ScenarioSpec, make_stream, signal_means, two_sided_p_array
 sys.stdin = io.TextIOWrapper(io.BytesIO(b'{"p": 0.004, "groups": [1, 7]}\\n'))
 assert main(["stream", "--method", "ml-LORD", "--layers", "2"]) == 0
-assert not scipy_loaded(), "stream"
+assert loaded() == [], ("stream", loaded())
 assert main(["validate", "--alpha", "0.1", "--horizon", "10"]) == 0
-assert not scipy_loaded(), "validate"
+assert loaded() == [], ("validate", loaded())
+layerfdr.SweepSpec
+assert loaded() == ["numpy"], ("layerfdr.SweepSpec", loaded())
+from layerfdr.simgen import ScenarioSpec, make_stream, signal_means, two_sided_p_array
 spec = ScenarioSpec(seed=1, G=4, n=5)
 data = make_stream(spec)
-assert scipy_loaded(), "make_stream"
+assert loaded() == ["numpy", "numpy.random", "scipy"], ("make_stream", loaded())
+import numpy as np
 # block structure and fixed truths draw nothing, so the seed's first normals are the noise
 z = signal_means(data.truths, spec.strength, spec.beta)
 z = z + np.random.default_rng(1).standard_normal(spec.total)
@@ -792,33 +794,10 @@ assert np.array_equal(data.pvalues, two_sided_p_array(z))
 """
 
 
-def test_scipy_is_loaded_only_when_p_values_are_drawn():
-    # import layerfdr, stream and validate draw no p-values, so start without scipy
-    process = run_python(["-c", SCIPY_FREE_START])
-    assert process.returncode == 0, process.stderr.decode()
-    assert process.stdout.decode().count('"reject": true') == 1
-
-
-NUMPY_RANDOM_FREE_START = """
-import io, sys
-
-import layerfdr
-assert "numpy.random" not in sys.modules, "import layerfdr"
-from layerfdr.cli import main
-from layerfdr.simgen import ScenarioSpec, make_stream
-sys.stdin = io.TextIOWrapper(io.BytesIO(b'{"p": 0.004, "groups": [1, 7]}\\n'))
-assert main(["stream", "--method", "ml-LORD", "--layers", "2"]) == 0
-assert "numpy.random" not in sys.modules, "stream"
-assert main(["validate", "--alpha", "0.1", "--horizon", "10"]) == 0
-assert "numpy.random" not in sys.modules, "validate"
-make_stream(ScenarioSpec(seed=1, G=4, n=5))
-assert "numpy.random" in sys.modules, "make_stream"
-"""
-
-
-def test_numpy_random_is_loaded_only_when_streams_are_drawn():
-    # the seeded generators come from numpy.random, which only make_streams needs
-    process = run_python(["-c", NUMPY_RANDOM_FREE_START])
+def test_numpy_and_scipy_are_loaded_only_when_needed():
+    # import layerfdr, stream and validate run the pure-Python engine; the sweep
+    # names load numpy, and drawing a stream loads numpy.random and scipy
+    process = run_python(["-c", COLD_START])
     assert process.returncode == 0, process.stderr.decode()
     assert process.stdout.decode().count('"reject": true') == 1
 

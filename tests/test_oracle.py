@@ -179,9 +179,10 @@ class TestBalanceTrajectories:
 
     def test_one_truth_label_per_record_is_required(self):
         proc = make_procedure("ml-GAI", 1, ALPHA, 1.0)
-        records = replay(proc, [event(t, 1e-9, (t,)) for t in (1, 2, 3)])
-        with pytest.raises(ValueError, match="one truth label and decision per arrival"):
-            balance_trajectories(records, [0], ALPHA, 1.0)
+        three = replay(proc, [event(t, 1e-9, (t,)) for t in (1, 2, 3)])
+        for records, truths in ((three, [0]), ([], [0, 1])):
+            with pytest.raises(ValueError, match="one truth label and decision per arrival"):
+                balance_trajectories(records, truths, ALPHA, 1.0)
 
     def test_probe_requires_an_integer_replicate_count(self):
         for n_rep in (True, 2.5, "3"):
