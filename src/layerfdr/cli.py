@@ -17,9 +17,11 @@ those cells.
 Stream mode reads one JSON object per line with fields ``p`` (number) and
 ``groups`` (array of M integers in layer order) and answers each with
 ``{"t", "reject", "tested_layers", "thresholds", "halted"}``.  A line that is
-not UTF-8 or not well-formed, or one the event or engine checks reject (p
-outside [0, 1], a negative group id, the wrong number of ids), produces an
-error record carrying the line number and does not advance the stream clock.
+not UTF-8 or not well-formed (an integer past Python's digit limit and a
+nesting past its recursion limit included), or one the event or engine checks
+reject (p outside [0, 1], a negative group id, the wrong number of ids),
+produces an error record carrying the line number and does not advance the
+stream clock.
 Read from a pipe or terminal on stdin, the answer to each line is flushed
 before the next line is read, so a client that waits for each reply before
 sending its next line is answered at once.
@@ -63,6 +65,9 @@ if TYPE_CHECKING:
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+# the characters json lets stand around a value; str.strip removes more
+_JSON_WHITESPACE = " \t\n\r"
 
 
 @cache
@@ -261,6 +266,16 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
             print(f"stream: cannot read input file: {exc}", file=sys.stderr)
             return EXIT_USAGE
     write = sink.write
+    # json.loads, less its wrapper: a line is taken from the scanner only
+    # when the value starts the line and nothing but JSON whitespace
+    # follows it; any other line goes to json.loads, which reads it or
+    # names its fault in its own words
+    scan = json.JSONDecoder().scan_once
+    # the reply text of the first 1024 distinct thresholds.  Equal floats
+    # print the same text except 0.0 and -0.0, which the CLI's default
+    # schedules never issue; a LORD stream repeats its thresholds, so most
+    # of its replies reuse a text, while a LOND threshold rarely recurs
+    threshold_texts: dict[float, str] = {}
     with opened as source:
         if live:
             source = _flush_before_each_read(source, sink)
@@ -273,13 +288,21 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
                 except UnicodeDecodeError as exc:
                     _stream_error(line_number, f"line is not UTF-8: {exc.reason}", sink)
                     continue
-            if not raw.strip():
-                continue
             try:
-                payload = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                _stream_error(line_number, f"malformed record: {exc.msg}", sink)
-                continue
+                payload, end = scan(raw, 0)
+            except (StopIteration, ValueError, RecursionError):
+                end = -1
+            if end < 0 or raw[end:].strip(_JSON_WHITESPACE):
+                if not raw.strip():
+                    continue
+                # too many digits and too deep a nesting raise ValueError
+                # and RecursionError, not JSONDecodeError
+                try:
+                    payload = json.loads(raw)
+                except (ValueError, RecursionError) as exc:
+                    reason = exc.msg if isinstance(exc, json.JSONDecodeError) else str(exc)
+                    _stream_error(line_number, f"malformed record: {reason}", sink)
+                    continue
             if not isinstance(payload, dict):
                 _stream_error(line_number, "record must be a JSON object", sink)
                 continue
@@ -288,7 +311,7 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
                 _stream_error(line_number, "field 'p' must be a number", sink)
                 continue
             groups = payload.get("groups")
-            # json.loads gives int, never a subclass, for an integer; bool is excluded
+            # json gives int, never a subclass, for an integer; bool is excluded
             if not isinstance(groups, list) or not all(type(g) is int for g in groups):
                 _stream_error(line_number, "field 'groups' must be an array of integers", sink)
                 continue
@@ -305,7 +328,13 @@ def cmd_stream(args, source: Optional[TextIO] = None, sink: Optional[TextIO] = N
             for m, layer in enumerate(record.layers):
                 if layer.tested:
                     tested.append(str(m))
-                    thresholds.append(repr(layer.threshold))
+                    threshold = layer.threshold
+                    text = threshold_texts.get(threshold)
+                    if text is None:
+                        text = repr(threshold)
+                        if len(threshold_texts) < 1024:
+                            threshold_texts[threshold] = text
+                    thresholds.append(text)
             write(
                 f'{{"t": {record.t}, "reject": {"true" if record.rejected else "false"}, '
                 f'"tested_layers": [{", ".join(tested)}], '

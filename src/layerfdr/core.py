@@ -37,7 +37,7 @@ class StreamHalted(RuntimeError):
     """A step was requested on a stream whose alpha-wealth is exhausted."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class HypothesisEvent:
     """One element of the hypothesis stream.
 
@@ -48,13 +48,20 @@ class HypothesisEvent:
     p: float
     group_index: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.t < 1:
-            raise ValueError(f"time index must be >= 1, got {self.t}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p-value outside [0, 1]: {self.p}")
-        if self.group_index and min(self.group_index) < 0:
+    def __init__(self, t: int, p: float, group_index: tuple[int, ...]) -> None:
+        # the fields go straight into the instance dict, as new_record does,
+        # not through the three object.__setattr__ calls of a frozen
+        # dataclass __init__; repr, ==, hash, pickle and replace are unchanged
+        if t < 1:
+            raise ValueError(f"time index must be >= 1, got {t}")
+        if not 0.0 <= p <= 1.0:
+            raise ValueError(f"p-value outside [0, 1]: {p}")
+        if group_index and min(group_index) < 0:
             raise ValueError("group ids must be non-negative")
+        fields = self.__dict__
+        fields["t"] = t
+        fields["p"] = p
+        fields["group_index"] = group_index
 
 
 @dataclass

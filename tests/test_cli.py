@@ -483,6 +483,28 @@ class TestStream:
             ('{"p": 0.5, "groups": [-1]}', "non-negative"),
             ('{"p": 0.5, "groups": [1.0]}', "array of integers"),
             ('{"p": 0.5, "groups": [1, 2]}', "expected 1"),
+            # past the int digit limit and the recursion limit json raises
+            # ValueError and RecursionError, not JSONDecodeError
+            pytest.param(
+                '{"p": 1%s, "groups": [1]}' % ("0" * 4300),
+                "malformed record: Exceeds",
+                id="p-past-the-digit-limit",
+            ),
+            pytest.param(
+                '{"p": 0.5, "groups": [1%s]}' % ("0" * 4300),
+                "malformed record: Exceeds",
+                id="group-past-the-digit-limit",
+            ),
+            pytest.param(
+                '{"p": %s, "groups": [1]}' % ("[" * 100_000),
+                "malformed record: maximum recursion depth",
+                id="p-nested-too-deep",
+            ),
+            pytest.param(
+                '{"p": 0.5, "groups": %s}' % ("[" * 100_000),
+                "malformed record: maximum recursion depth",
+                id="groups-nested-too-deep",
+            ),
         ],
     )
     def test_rejected_line_answers_an_error_and_keeps_the_clock(self, line, message):
@@ -492,6 +514,41 @@ class TestStream:
         assert code == 0
         assert out[0]["line"] == 1 and message in out[0]["error"]
         assert out[1]["t"] == 1
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            ' {"p": 0.004, "groups": [1]}\n',
+            '\t{"p": 0.004, "groups": [1]}\n',
+            '{"p": 0.004, "groups": [1]}\r\n',
+            '{"p": 0.004, "groups": [1]}\x0c\n',
+            '{"p": 0.004, "groups": [1]}\xa0\n',
+            '\ufeff{"p": 0.004, "groups": [1]}\n',
+            '{"p": 0.004, "groups": [1]} {"p": 0.5, "groups": [2]}\n',
+            '{"p": NaN, "groups": [1]}\n',
+            '{"p": Infinity, "groups": [1]}\n',
+            '{"p": 0.5, "p": 0.004, "groups": [1]}\n',
+        ],
+    )
+    def test_a_line_is_answered_as_json_loads_reads_it(self, line):
+        from layerfdr.cli import build_parser, cmd_stream
+
+        args = build_parser().parse_args(["stream", "--method", "ml-LORD", "--layers", "1"])
+
+        def answer(lines):
+            sink = io.StringIO()
+            assert cmd_stream(args, source=lines, sink=sink) == 0
+            return sink.getvalue()
+
+        try:
+            payload = json.loads(line)
+        except json.JSONDecodeError as exc:
+            expected = json.dumps({"line": 1, "error": f"malformed record: {exc.msg}"}) + "\n"
+            if line.rstrip("\n")[-1] in "\x0c\xa0":
+                assert exc.msg == "Extra data"  # which str.strip would have hidden
+        else:
+            expected = answer([json.dumps(payload) + "\n"])
+        assert answer([line]) == expected
 
     @pytest.mark.parametrize("name", [".", "missing.jsonl"])
     def test_unreadable_input_exits_2(self, tmp_path, capsys, name):

@@ -128,6 +128,32 @@ def test_a_step_record_is_the_dataclass_record():
         record.rejected = True
 
 
+def test_an_event_is_the_dataclass_event():
+    # the event's own __init__ fills its dict instead of the frozen __init__
+    t, p, groups = 3, 0.25, (3, 1)
+    event = HypothesisEvent(t, p, groups)
+    assert HypothesisEvent(t=t, p=p, group_index=groups) == event
+    assert (event.t, event.p, event.group_index) == (t, p, groups)
+    assert [f.name for f in dataclasses.fields(event)] == ["t", "p", "group_index"]
+    assert repr(event) == f"HypothesisEvent(t={t!r}, p={p!r}, group_index={groups!r})"
+    assert hash(event) == hash((t, p, groups))
+    assert event != HypothesisEvent(t, 0.5, groups) and event != (t, p, groups)
+    assert pickle.loads(pickle.dumps(event)) == event
+    moved = dataclasses.replace(event, p=0.5)
+    assert type(moved) is HypothesisEvent and moved == HypothesisEvent(t, 0.5, groups)
+    with pytest.raises(ValueError, match="outside"):
+        dataclasses.replace(event, p=1.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        event.p = 0.5
+    # the checks run in field order: t, then p, then the group ids
+    with pytest.raises(ValueError, match="time index must be >= 1, got 0"):
+        HypothesisEvent(0, 1.5, (-1,))
+    with pytest.raises(ValueError, match=r"p-value outside \[0, 1\]: 1.5"):
+        HypothesisEvent(t=1, p=1.5, group_index=(-1,))
+    with pytest.raises(ValueError, match="group ids must be non-negative"):
+        HypothesisEvent(1, 0.5, (-1,))
+
+
 def test_truth_and_selection_ignore_layer_order():
     events, truths = random_events(5, layers=3, groups=5)
     swapped = [
