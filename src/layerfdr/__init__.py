@@ -20,7 +20,6 @@ from .core import (
 from .procedures import (
     METHODS,
     BetaSequence,
-    OnlineProcedure,
     PolicyReport,
     SpendingPolicy,
     constant_policy,
@@ -43,12 +42,9 @@ __all__ = [
     "LayerState",
     "LayerTally",
     "METHODS",
-    "OnlineProcedure",
     "PolicyReport",
-    "ReplicateRun",
     "ScenarioSpec",
     "SpendingPolicy",
-    "StreamData",
     "StreamHalted",
     "SweepSpec",
     "aggregate",
@@ -57,13 +53,10 @@ __all__ = [
     "make_procedure",
     "make_stream",
     "replay",
-    "replicate_seed",
     "run_replicate",
     "run_sweep",
-    "signal_means",
     "simple_choice",
     "standard_scenarios",
-    "two_sided_p_array",
     "validate_policy",
 ]
 
@@ -71,10 +64,8 @@ __all__ = [
 _LAZY_NAMES = {
     "DEFAULT_BETA_GRID": "harness",
     "LAYER_NAMES": "harness",
-    "ReplicateRun": "harness",
     "SweepSpec": "harness",
     "emit_results": "harness",
-    "replicate_seed": "harness",
     "run_replicate": "harness",
     "run_sweep": "harness",
     "standard_scenarios": "harness",
@@ -82,10 +73,7 @@ _LAZY_NAMES = {
     "LayerTally": "metrics",
     "aggregate": "metrics",
     "ScenarioSpec": "simgen",
-    "StreamData": "simgen",
     "make_stream": "simgen",
-    "signal_means": "simgen",
-    "two_sided_p_array": "simgen",
 }
 
 

@@ -16,6 +16,7 @@ machine — distinct streams are independent and safe to process in parallel.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -31,6 +32,18 @@ def require_integers(**values) -> None:
             operator.index(value)
         except TypeError:
             raise ValueError(f"{name} must be an integer, got {value}") from None
+
+
+def require_alpha(alpha: float) -> None:
+    """Refuse a target level outside (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+
+
+def require_eta(eta: float) -> None:
+    """Refuse a discovery-count offset that is not positive and finite."""
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
 
 
 class StreamHalted(RuntimeError):
@@ -49,9 +62,9 @@ class HypothesisEvent:
     group_index: tuple[int, ...]
 
     def __init__(self, t: int, p: float, group_index: tuple[int, ...]) -> None:
-        # the fields go straight into the instance dict, as new_record does,
-        # not through the three object.__setattr__ calls of a frozen
-        # dataclass __init__; repr, ==, hash, pickle and replace are unchanged
+        # the fields go straight into the instance dict, not through the
+        # three object.__setattr__ calls of a frozen dataclass __init__;
+        # repr, ==, hash, pickle and replace are unchanged
         if t < 1:
             raise ValueError(f"time index must be >= 1, got {t}")
         if not 0.0 <= p <= 1.0:
@@ -120,7 +133,7 @@ class LayerOutcome(NamedTuple):
     since_last_discovery: Optional[int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class DecisionRecord:
     """The full outcome of one time step."""
 
@@ -130,26 +143,22 @@ class DecisionRecord:
     layers: tuple[LayerOutcome, ...]
     halted: bool
 
+    def __init__(
+        self,
+        t: int,
+        rejected: bool,
+        group_index: tuple[int, ...],
+        layers: tuple[LayerOutcome, ...],
+        halted: bool,
+    ) -> None:
+        # the fields go straight into the instance dict, as in HypothesisEvent:
+        # one record is built per step
+        fields = self.__dict__
+        fields["t"] = t
+        fields["rejected"] = rejected
+        fields["group_index"] = group_index
+        fields["layers"] = layers
+        fields["halted"] = halted
+
     def tested_layers(self) -> list[int]:
         return [m for m, out in enumerate(self.layers) if out.tested]
-
-
-def new_record(
-    t: int,
-    rejected: bool,
-    group_index: tuple[int, ...],
-    layers: tuple[LayerOutcome, ...],
-    halted: bool,
-) -> DecisionRecord:
-    """``DecisionRecord(t, rejected, group_index, layers, halted)``, built by
-    filling the instance dict instead of through the frozen ``__init__`` and
-    its five ``object.__setattr__`` calls; type, ``repr``, ``==`` and
-    ``dataclasses.replace`` see the same record."""
-    record = object.__new__(DecisionRecord)
-    fields = record.__dict__
-    fields["t"] = t
-    fields["rejected"] = rejected
-    fields["group_index"] = group_index
-    fields["layers"] = layers
-    fields["halted"] = halted
-    return record

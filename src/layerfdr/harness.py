@@ -66,9 +66,13 @@ class SweepSpec:
             raise ValueError("duplicate method names")
         for beta in self.beta_grid:
             replace(self.scenario, beta=beta)  # the scenario's own beta check
-        # replicate seeds key on float(beta), so 1 and 1.0 name one cell
-        if len({float(beta) for beta in self.beta_grid}) != len(self.beta_grid):
-            raise ValueError("duplicate beta values")
+        # replicate seeds key on float(beta), so 1 and 1.0 name one cell, and
+        # the CSVs label rows to six significant digits, so 1 and 1.0000001
+        # would be two rows labelled 1
+        labels = [_fmt(beta) for beta in self.beta_grid]
+        if len(set(labels)) != len(labels):
+            repeated = next(label for label in labels if labels.count(label) > 1)
+            raise ValueError(f"duplicate beta values: two print as {repeated}")
 
 
 @dataclass(frozen=True)
@@ -244,10 +248,10 @@ def emit_results(rows: Sequence[AggregateResult], out_dir) -> list[Path]:
     return written
 
 
-def standard_scenarios(alpha: float = 0.1, eta: float = 1.0) -> dict[str, ScenarioSpec]:
+def standard_scenarios() -> dict[str, ScenarioSpec]:
     """The shipped benchmark grid: every unique structure/pattern/strength
-    panel at the baseline sizes (G=20 groups of n=10, s=20, alpha=0.1)."""
-    base = ScenarioSpec(G=20, n=10, s=20.0, k=100.0, alpha=alpha, eta=eta)
+    panel at the baseline sizes (G=20 groups of n=10, s=20, alpha=0.1, eta=1)."""
+    base = ScenarioSpec(G=20, n=10, s=20.0, k=100.0, alpha=0.1, eta=1.0)
     panels = {
         "block-fixed-constant": base,
         "interleaved-fixed-constant": replace(base, structure="interleaved"),

@@ -10,19 +10,18 @@ per-replicate ratios TD / max(T, 1).
 Ground truth comes from the simulation as 0/1 labels passed beside the
 decisions; events do not carry it.  ``prefix_tallies`` counts one layer of
 one stream after every prefix, in numpy, for the oracle's along-the-stream
-checks; ``tally_from_sets`` counts one stream's Python sets and is the
-reference the tests hold both numpy tally routes to.  Neither is among the
-package's top-level names.
+checks; it is not among the package's top-level names.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
+
+from .core import require_eta
 
 
 @dataclass(frozen=True)
@@ -55,16 +54,6 @@ class LayerTally:
         return self.true_discoveries / max(self.true_groups, 1)
 
 
-def tally_from_sets(selected: set[int], true_groups: set[int]) -> LayerTally:
-    """Tally a selection set against the set of true groups seen."""
-    hits = len(selected & true_groups)
-    return LayerTally(
-        false_discoveries=len(selected) - hits,
-        true_discoveries=hits,
-        true_groups=len(true_groups),
-    )
-
-
 def check_one_label_per_arrival(arrivals: int, labels: int, decisions: int) -> None:
     """Raise ValueError unless there is one truth label and one decision per arrival."""
     if not arrivals == labels == decisions:
@@ -82,8 +71,8 @@ def prefix_tallies(ids, truths, rejected) -> tuple[np.ndarray, np.ndarray, np.nd
     rejected arrival and holds a true hypothesis from its first true one, so
     R, T and TD are cumulative histograms of those two times and of the later
     of the two: a group discovered while null becomes a true discovery once a
-    true member arrives.  Entry t equals ``tally_from_sets`` over the selected
-    and true groups of the first t + 1 arrivals.
+    true member arrives.  Entry t counts the selected and true groups of the
+    first t + 1 arrivals.
     """
     ids, truths, rejected = np.asarray(ids), np.asarray(truths), np.asarray(rejected, dtype=bool)
     check_one_label_per_arrival(len(ids), len(truths), len(rejected))
@@ -186,8 +175,7 @@ def aggregate(
     """
     if not tallies:
         raise ValueError("at least one replicate is required")
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    require_eta(eta)
     counts = np.array(
         [(t.false_discoveries, t.true_discoveries, t.true_groups) for t in tallies], dtype=float
     )

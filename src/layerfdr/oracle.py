@@ -106,9 +106,10 @@ def multilayer_reference(
     levels and simple-choice spending, written out here.  A policy is called
     with a ``LayerState`` this function builds, never with the engine's.  A
     list of the wrong length or an entry of the wrong kind raises ValueError
-    before the first step; a level sequence value outside [0, 1], a GAI level
-    outside (0, 1] or a non-finite spend or reward raises at the step that
-    reads it, as the engine does.
+    before the first step; an event whose group id count differs from the
+    first event's, a level sequence value outside [0, 1], a GAI level outside
+    (0, 1] or a non-finite spend or reward raises at the step that reads it,
+    as the engine does.
     """
     rule = method[3:] if method.startswith("ml-") else method
     layers = len(events[0].group_index) if events else 0
@@ -129,6 +130,8 @@ def multilayer_reference(
     halted = False
     for t, event in enumerate(events, 1):
         groups = event.group_index
+        if len(groups) != layers:
+            raise ValueError(f"event carries {len(groups)} group ids, expected {layers}")
         before = [_history_state(rule, log, m, alpha * eta) for m in range(layers)]
         tested = [] if halted else [
             m for m in range(layers) if groups[m] not in before[m].rejected_groups

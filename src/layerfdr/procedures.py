@@ -1,7 +1,7 @@
 """Multi-layer online testing procedures and their threshold schedules.
 
-One engine, ``OnlineProcedure``, also named ``make_procedure``, is built from
-a method name in ``METHODS`` and runs its decision rule, held as a value
+One engine, built by ``make_procedure`` from a method name in ``METHODS``,
+runs the method's decision rule, held as a value
 (``"GAI"``, ``"LOND"``, ``"LOND_m"`` or ``"LORD"``), on one skeleton: each
 arriving hypothesis is tested only in the layers whose group is still
 undecided ("pending"), it is rejected iff its p-value clears every pending
@@ -57,7 +57,8 @@ from .core import (
     LayerOutcome,
     LayerState,
     StreamHalted,
-    new_record,
+    require_alpha,
+    require_eta,
     require_integers,
 )
 
@@ -79,31 +80,19 @@ UNTESTED_ACCEPT = "accept"
 
 @dataclass(frozen=True)
 class BetaSequence:
-    """Positive level sequence whose infinite sum equals ``alpha``.
-
-    ``inverse-square`` is the default family, alpha * 6 / (pi^2 j^2), chosen
-    because its sum telescopes to alpha exactly.  ``geometric`` with ratio
-    r in (0, 1) gives alpha * (1 - r) * r^(j-1), which also sums to alpha.
-    """
+    """The default level sequence, alpha * 6 / (pi^2 j^2), whose infinite sum
+    telescopes to ``alpha`` exactly.  Any other sequence is an object with
+    ``value(j)`` passed through ``schedules``."""
 
     alpha: float
-    kind: str = "inverse-square"
-    ratio: float = 0.5
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.kind == "geometric" and not 0.0 < self.ratio < 1.0:
-            raise ValueError(f"geometric ratio must lie in (0, 1), got {self.ratio}")
-        if self.kind not in ("inverse-square", "geometric"):
-            raise ValueError(f"unknown beta sequence kind: {self.kind!r}")
+        require_alpha(self.alpha)
 
     def value(self, j: int) -> float:
         if j < 1:
             raise IndexError(f"beta sequence index starts at 1, got {j}")
-        if self.kind == "inverse-square":
-            return self.alpha * 6.0 / (_PI_SQUARED * j * j)
-        return self.alpha * (1.0 - self.ratio) * self.ratio ** (j - 1)
+        return self.alpha * 6.0 / (_PI_SQUARED * j * j)
 
 
 PolicyRule = Callable[[int, LayerState], float]
@@ -131,8 +120,7 @@ def simple_choice(alpha: float) -> SpendingPolicy:
     The reward sits exactly on the admissibility bound with power bound 1,
     the most conservative choice.
     """
-    if not 0.0 < alpha < 1.0:  # NaN included
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    require_alpha(alpha)
     spend = alpha / (1.0 - alpha)
     return constant_policy(alpha, spend, spend + alpha)
 
@@ -177,8 +165,7 @@ def validate_policy(
     invalid power bound or level, or a non-finite spend or reward, raises
     ValueError.
     """
-    if not 0.0 < alpha < 1.0:  # NaN included
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    require_alpha(alpha)
     require_integers(horizon=horizon)
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
@@ -216,10 +203,10 @@ class OnlineProcedure:
     ``method`` is one of ``METHODS``; ``rule`` keeps its decision rule,
     ``"GAI"``, ``"LORD"``, ``"LOND"`` or ``"LOND_m"``, since the ``ml-``
     prefix only documents intent: the multi-layer character comes from the
-    layer count and the group ids the events carry.  ``make_procedure`` is
-    this class.  ``schedules`` holds one schedule per layer: a level
-    sequence (anything with ``value(j)``) for LOND and LORD, or a
-    SpendingPolicy for GAI.  None, for the list or for one entry, means
+    layer count and the group ids the events carry.  It is built through
+    ``make_procedure``, its public name.  ``schedules`` holds one schedule
+    per layer: a level sequence (anything with ``value(j)``) for LOND and
+    LORD, or a SpendingPolicy for GAI.  None, for the list or for one entry, means
     ``BetaSequence(alpha)`` or ``simple_choice(alpha)``; a list of the wrong
     length or an entry of the wrong kind raises ValueError, and so does a
     step at which a level sequence value lies outside [0, 1].
@@ -256,9 +243,8 @@ class OnlineProcedure:
         require_integers(layers=layers)
         if layers < 1:
             raise ValueError(f"at least one layer is required, got {layers}")
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-        _check_eta(eta)
+        require_alpha(alpha)
+        require_eta(eta)
         if untested not in (UNTESTED_LITERAL, UNTESTED_ACCEPT):
             raise ValueError(f"unknown untested-hypothesis mode: {untested!r}")
         if schedules is None:
@@ -392,12 +378,7 @@ class OnlineProcedure:
                 )
             )
         self.halted = gai and min(state.wealth for state in states) <= 0.0
-        return new_record(t, rejected, groups, tuple(outcomes), self.halted)
-
-
-def _check_eta(eta: float) -> None:
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+        return DecisionRecord(t, rejected, groups, tuple(outcomes), self.halted)
 
 
 def _rule(method: str) -> str:
@@ -453,7 +434,7 @@ def lockstep_rejections(
     import numpy as np
 
     rule = _rule(method)
-    _check_eta(eta)
+    require_eta(eta)
     pvalues = np.asarray(pvalues, dtype=float)
     if pvalues.ndim != 2:
         raise ValueError(f"pvalues has shape {pvalues.shape}, not (R, N)")

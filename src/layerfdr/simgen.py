@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import require_integers
+from .core import require_alpha, require_eta, require_integers
 
 STRUCTURES = ("block", "interleaved", "unbalanced")
 PATTERNS = ("fixed", "random", "markov")
@@ -93,10 +93,8 @@ class ScenarioSpec:
             raise ValueError("s and k are percentages in [0, 100]")
         if not (math.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"beta must be non-negative and finite, got {self.beta}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if not (math.isfinite(self.eta) and self.eta > 0.0):
-            raise ValueError(f"eta must be positive and finite, got {self.eta}")
+        require_alpha(self.alpha)
+        require_eta(self.eta)
         if not 0.0 <= self.p1 <= 1.0:
             raise ValueError(f"p1 must lie in [0, 1], got {self.p1}")
         if self.N is not None:

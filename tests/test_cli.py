@@ -379,6 +379,20 @@ class TestSweep:
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_betas_that_print_alike_exit_2(tmp_path, capsys, command):
+    path = tmp_path / "sweep.cfg"
+    path.write_text(BASE_CONFIG + SWEEP_EXTRAS.replace("2.0,3.0", "1,1.0000001"))
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)]
+    argv += ["--method", "LORD"] if command == "simulate" else ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{command}: duplicate beta values: two print as 1" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("unreadable", ["directory", "not utf-8"])
 def test_unreadable_config_exits_2_and_names_the_path(tmp_path, capsys, command, unreadable):
     path = tmp_path / "config"

@@ -5,7 +5,7 @@ import pickle
 import numpy as np
 import pytest
 
-from layerfdr.core import DecisionRecord, HypothesisEvent, new_record
+from layerfdr.core import DecisionRecord, HypothesisEvent
 from layerfdr.harness import stream_events, stream_tallies
 from layerfdr.metrics import LayerTally
 from layerfdr.procedures import make_procedure, replay
@@ -116,11 +116,13 @@ def test_replay_is_bit_identical(method):
 
 
 def test_a_step_record_is_the_dataclass_record():
-    # the engine fills the record's dict instead of calling the frozen __init__
+    # the record's own __init__ fills its dict instead of the frozen __init__
     record = replay(make_procedure("ml-LORD", 2, 0.1), random_events(5)[0][:3])[-1]
-    fields = [getattr(record, f.name) for f in dataclasses.fields(DecisionRecord)]
+    names = [f.name for f in dataclasses.fields(DecisionRecord)]
+    fields = [getattr(record, name) for name in names]
     built = DecisionRecord(*fields)
-    assert type(record) is DecisionRecord and new_record(*fields) == record == built
+    assert type(record) is DecisionRecord
+    assert DecisionRecord(**dict(zip(names, fields))) == record == built
     assert repr(record) == repr(built) and hash(record) == hash(built)
     assert pickle.loads(pickle.dumps(record)) == built
     assert dataclasses.replace(record, rejected=not record.rejected).rejected != record.rejected

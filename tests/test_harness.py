@@ -18,9 +18,10 @@ from layerfdr.harness import (
     stream_events,
     stream_tallies,
 )
-from layerfdr.metrics import LayerTally, aggregate, prefix_tallies, tally_from_sets
+from layerfdr.metrics import LayerTally, aggregate, prefix_tallies
 from layerfdr.procedures import METHODS
 from layerfdr.simgen import ScenarioSpec, StreamData, make_stream
+from test_metrics import tally_from_sets
 
 BASELINE = ScenarioSpec()  # block / fixed / constant, G=20, n=10, s=20, k=100
 
@@ -212,6 +213,12 @@ class TestSweepSpec:
         # 1 and 1.0 share replicate seeds, so they would be one cell emitted twice
         with pytest.raises(ValueError, match="duplicate beta"):
             SweepSpec(scenario=BASELINE, beta_grid=(1, 1.0))
+
+    def test_betas_that_print_alike_are_duplicates(self):
+        # the CSVs label rows to six significant digits: two rows would read 1
+        with pytest.raises(ValueError, match="duplicate beta values: two print as 1$"):
+            SweepSpec(scenario=BASELINE, beta_grid=(2.0, 1, 1.0000001))
+        SweepSpec(scenario=BASELINE, beta_grid=(1, 1.00001))
 
 
 class TestRunSweep:

@@ -10,9 +10,19 @@ from layerfdr.metrics import (
     _bootstrap_ratio_se,
     aggregate,
     prefix_tallies,
-    tally_from_sets,
 )
 from layerfdr.procedures import make_procedure, replay
+
+
+def tally_from_sets(selected: set[int], true_groups: set[int]) -> LayerTally:
+    """Tally a selection set against the set of true groups seen: the
+    reference, in Python sets, that both numpy tally routes are held to."""
+    hits = len(selected & true_groups)
+    return LayerTally(
+        false_discoveries=len(selected) - hits,
+        true_discoveries=hits,
+        true_groups=len(true_groups),
+    )
 
 
 def event(t, p, groups):

@@ -25,6 +25,7 @@ from layerfdr.procedures import (
     simple_choice,
 )
 from layerfdr.simgen import ScenarioSpec
+from test_procedures import GeometricLevels
 
 ALPHA = 0.1
 PHI = ALPHA / (1.0 - ALPHA)
@@ -252,7 +253,7 @@ class TestMultilayerReference:
     def test_per_layer_level_sequences(self, method):
         sequences = [
             BetaSequence(ALPHA),
-            BetaSequence(0.05, kind="geometric", ratio=0.7),
+            GeometricLevels(0.05, ratio=0.7),
             BetaSequence(0.3),
         ]
         rng = np.random.default_rng(3)
@@ -331,6 +332,17 @@ class TestMultilayerReference:
         with pytest.raises(ValueError, match=message):
             procedure.step(events[2])
         assert procedure.t == 2
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("second", [(2, 3, 4), (2,)])
+    def test_an_event_with_another_layer_count_raises_as_in_the_engine(self, method, second):
+        # the first event sets the layer count, and the second is refused at its step
+        events = [event(1, 0.5, (1, 2)), event(2, 0.5, second)]
+        message = f"event carries {len(second)} group ids, expected 2"
+        with pytest.raises(ValueError, match=message):
+            multilayer_reference(method, events, ALPHA)
+        with pytest.raises(ValueError, match=message):
+            replay(make_procedure(method, 2, ALPHA), events)
 
     def test_state_dependent_spending_policy(self):
         # every rule reads the state the policy is handed, so a snapshot that

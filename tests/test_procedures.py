@@ -104,16 +104,6 @@ class TestBetaSequence:
         assert total <= alpha
         assert total >= 0.9999 * alpha
 
-    def test_geometric_family_sums_to_level(self):
-        seq = BetaSequence(ALPHA, kind="geometric", ratio=0.7)
-        total = sum(seq.value(j) for j in range(1, 400))
-        assert total == pytest.approx(ALPHA, abs=1e-12)
-        assert all(seq.value(j) > 0 for j in range(1, 50))
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            BetaSequence(ALPHA, kind="harmonic")
-
 
 class TestAlphaInvesting:
     def test_two_layer_rejection_pays_both_layers(self):
@@ -489,6 +479,17 @@ class ConstantLevels:
         return self.level
 
 
+class GeometricLevels:
+    """The level sequence alpha * (1 - ratio) * ratio^(j - 1), which sums to alpha."""
+
+    def __init__(self, alpha, ratio=0.5):
+        self.alpha = alpha
+        self.ratio = ratio
+
+    def value(self, j):
+        return self.alpha * (1.0 - self.ratio) * self.ratio ** (j - 1)
+
+
 class TestLevelSequenceValues:
     @pytest.mark.parametrize("method", ["ml-LOND", "ml-LOND_m", "ml-LORD"])
     @pytest.mark.parametrize("level", [math.nan, -0.1, 1.5])
@@ -508,7 +509,7 @@ class TestLevelSequenceValues:
 
     @pytest.mark.parametrize("method", ["LOND", "LORD"])
     def test_a_geometric_sequence_runs_past_its_underflow_to_zero(self, method):
-        geometric = BetaSequence(ALPHA, kind="geometric")
+        geometric = GeometricLevels(ALPHA)
         assert geometric.value(1071) > 0.0 == geometric.value(1072)
         records = make_procedure(method, 1, ALPHA, schedules=[geometric]).run_pvalues(
             [0.5] * 1100
@@ -654,7 +655,7 @@ def test_simple_choice_rejects_alpha_outside_the_unit_interval(alpha):
 
 class TestLayerSchedules:
     def test_per_layer_beta_sequences(self):
-        schedules = [None, BetaSequence(ALPHA, kind="geometric")]
+        schedules = [None, GeometricLevels(ALPHA)]
         proc = make_procedure("ml-LORD", 2, ALPHA, schedules=schedules)
         record = proc.step(event(1, 0.5, (1, 1)))
         assert record.layers[0].threshold == pytest.approx(BETA_1, abs=1e-9)
