@@ -5,8 +5,9 @@ only; their group-level metrics are computed post hoc from the individual
 rejections.  Multi-layer methods run two layers side by side — individual
 singletons plus the scenario's group structure — so their individual and
 group rows always come from the same paired runs.  Both layers are tallied
-by one rule: V counts the discovered groups that hold no true hypothesis, R
-all discovered groups, the individual layer's groups being the arrivals.
+by one rule into (V, TD, T) rows: V counts the discovered groups that hold
+no true hypothesis, TD those that hold one and T all groups that hold one,
+the individual layer's groups being the arrivals.
 
 ``run_sweep`` runs each (method, beta) cell itself: its replicates' streams
 generated stacked, decided by one ``lockstep_rejections`` call and tallied
@@ -29,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import HypothesisEvent, require_integers
-from .metrics import AggregateResult, LayerTally, aggregate
+from .metrics import AggregateResult, LayerTally, aggregate, check_truth_labels
 from .procedures import METHODS, dense_ids, lockstep_rejections, make_procedure, replay
 from .simgen import ScenarioSpec, StreamData, make_streams
 
@@ -66,13 +67,8 @@ class SweepSpec:
             raise ValueError("duplicate method names")
         for beta in self.beta_grid:
             replace(self.scenario, beta=beta)  # the scenario's own beta check
-        # replicate seeds key on float(beta), so 1 and 1.0 name one cell, and
-        # the CSVs label rows to six significant digits, so 1 and 1.0000001
-        # would be two rows labelled 1
-        labels = [_fmt(beta) for beta in self.beta_grid]
-        if len(set(labels)) != len(labels):
-            repeated = next(label for label in labels if labels.count(label) > 1)
-            raise ValueError(f"duplicate beta values: two print as {repeated}")
+        # replicate seeds key on float(beta), so 1 and 1.0 name one cell
+        _require_distinct_labels(self.beta_grid)
 
 
 @dataclass(frozen=True)
@@ -100,15 +96,16 @@ def stream_events(data: StreamData, layers: int) -> list[HypothesisEvent]:
     ]
 
 
-def stream_tallies(data: StreamData, rejected: np.ndarray) -> dict[str, list[LayerTally]]:
+def stream_tallies(data: StreamData, rejected: np.ndarray) -> dict[str, np.ndarray]:
     """Tallies of stacked (R, N) streams at both reporting layers, from their
-    (R, N) rejected mask: one ``LayerTally`` per stream and layer.
+    (R, N) rejected mask: one (R, 3) array of ``LayerTally`` rows per layer.
 
     Each layer is a pair of (R, N) masks over its groups, ``selected`` and
     ``holds_true``, and every pair is counted alike.  The individual layer's
     groups are the arrivals; the group layer's are the (row, id) bins of
     ``dense_ids``, the renumbering the sweep kernel uses.
     """
+    check_truth_labels(data.truths)
     rejected = np.asarray(rejected, dtype=bool)
     true = data.truths == 1
     rows, total = rejected.shape
@@ -119,17 +116,11 @@ def stream_tallies(data: StreamData, rejected: np.ndarray) -> dict[str, list[Lay
         return np.bincount(bins[mask.ravel()], minlength=rows * total).reshape(rows, total) > 0
 
     layers = ((rejected, true), (any_in_group(rejected), any_in_group(true)))
-    return {
-        name: [
-            LayerTally(*counts)
-            for counts in zip(
-                (selected & ~holds_true).sum(axis=1).tolist(),
-                (selected & holds_true).sum(axis=1).tolist(),
-                holds_true.sum(axis=1).tolist(),
-            )
-        ]
-        for name, (selected, holds_true) in zip(LAYER_NAMES, layers)
-    }
+    tallies = {}
+    for name, (selected, holds_true) in zip(LAYER_NAMES, layers):
+        hits = (selected & holds_true).sum(axis=1)
+        tallies[name] = np.column_stack([selected.sum(axis=1) - hits, hits, holds_true.sum(axis=1)])
+    return tallies
 
 
 def run_replicate(scenario: ScenarioSpec, method: str, seed: int) -> ReplicateRun:
@@ -143,7 +134,8 @@ def run_replicate(scenario: ScenarioSpec, method: str, seed: int) -> ReplicateRu
     data = make_streams(scenario, [seed])
     records = replay(procedure, stream_events(data.row(0), layers))
     rejected = np.array([[record.rejected for record in records]], dtype=bool)
-    tallies = {name: per_row[0] for name, per_row in stream_tallies(data, rejected).items()}
+    per_layer = stream_tallies(data, rejected)
+    tallies = {name: LayerTally(*per_layer[name][0].tolist()) for name in LAYER_NAMES}
     return ReplicateRun(records=tuple(records), tallies=tallies)
 
 
@@ -186,6 +178,15 @@ def _fmt(value: float) -> str:
     return f"{value:.6g}"
 
 
+def _require_distinct_labels(betas) -> None:
+    """Raise ValueError if two betas print alike: the CSVs label rows to six
+    significant digits, so 1 and 1.0000001 would be two rows labelled 1."""
+    labels = [_fmt(beta) for beta in betas]
+    if len(set(labels)) != len(labels):
+        repeated = next(label for label in labels if labels.count(label) > 1)
+        raise ValueError(f"duplicate beta values: two print as {repeated}")
+
+
 def format_result_row(row: AggregateResult) -> str:
     # text as it is, numbers (an integer beta too) to six significant digits,
     # and the replicate count in full
@@ -199,13 +200,15 @@ def emit_results(rows: Sequence[AggregateResult], out_dir) -> list[Path]:
     ``results.csv`` holds every aggregate row; the six ``panel_*.csv`` files
     hold one beta-indexed column per method for power/fdr/mfdr at each layer.
     Values carry six significant digits; repeated runs produce identical
-    bytes.  The rows must fill the (method, beta, layer) grid once each.
+    bytes.  The rows must fill the (method, beta, layer) grid once each, and
+    no two of their betas may print alike.
     """
     rows = list(rows)
     if not rows:
         raise ValueError("empty result table")
     methods = sorted({row.method for row in rows}, key=METHODS.index)
     betas = sorted({row.beta for row in rows})
+    _require_distinct_labels(betas)
     cells: dict[tuple, AggregateResult] = {}
     for row in rows:
         cell = (row.method, row.beta, row.layer)

@@ -1,11 +1,11 @@
 """Per-layer discovery accounting and replicate aggregation.
 
 A discovery is a group containing at least one rejected hypothesis; it is
-false while the group contains no true hypothesis seen so far.  FDP is the
-realized false fraction V / max(R, 1) of a single run; FDR averages FDP over
-replicates, while mFDR is the ratio of mean false discoveries to mean
-discoveries plus eta.  Group-level power is reported as the mean of
-per-replicate ratios TD / max(T, 1).
+false while the group contains no true hypothesis seen so far.  A run's
+tally is one row (V, TD, T), and ``aggregate`` alone checks rows and turns
+them into estimates: FDR averages the FDP V / max(V + TD, 1) over
+replicates, mFDR is mean V / (mean (V + TD) + eta), and power
+averages TD / max(T, 1).
 
 Ground truth comes from the simulation as 0/1 labels passed beside the
 decisions; events do not carry it.  ``prefix_tallies`` counts one layer of
@@ -17,41 +17,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .core import require_eta
 
 
-@dataclass(frozen=True)
-class LayerTally:
-    """End-of-stream discovery counts for one layer of one run."""
+class LayerTally(NamedTuple):
+    """(V, TD, T) of one layer of one run; the fields name every tally array's columns."""
 
     false_discoveries: int
     true_discoveries: int
     true_groups: int
-
-    def __post_init__(self) -> None:
-        if min(self.false_discoveries, self.true_discoveries, self.true_groups) < 0:
-            raise ValueError("tally counts must be non-negative")
-        if self.true_discoveries > self.true_groups:
-            raise ValueError(
-                f"true discoveries ({self.true_discoveries}) cannot exceed "
-                f"true groups seen ({self.true_groups})"
-            )
-
-    @property
-    def discoveries(self) -> int:
-        return self.false_discoveries + self.true_discoveries
-
-    @property
-    def fdp(self) -> float:
-        return self.false_discoveries / max(self.discoveries, 1)
-
-    @property
-    def power(self) -> float:
-        return self.true_discoveries / max(self.true_groups, 1)
 
 
 def check_one_label_per_arrival(arrivals: int, labels: int, decisions: int) -> None:
@@ -63,22 +41,27 @@ def check_one_label_per_arrival(arrivals: int, labels: int, decisions: int) -> N
         )
 
 
-def prefix_tallies(ids, truths, rejected) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """V, TD and T of one layer of one stream after every prefix, three (N,) arrays.
+def check_truth_labels(truths: np.ndarray) -> None:
+    """Raise ValueError unless every truth label is 0 or 1."""
+    labelled = (truths == 0) | (truths == 1)
+    if not labelled.all():
+        raise ValueError(f"truth label must be 0 or 1, got {truths[~labelled].tolist()[0]!r}")
+
+
+def prefix_tallies(ids, truths, rejected) -> np.ndarray:
+    """Tallies of one layer of one stream after every prefix, an (N, 3) array.
 
     ``ids`` holds each arrival's group in the layer, ``truths`` its 0/1
     label and ``rejected`` its decision.  A group is discovered at its first
     rejected arrival and holds a true hypothesis from its first true one, so
     R, T and TD are cumulative histograms of those two times and of the later
     of the two: a group discovered while null becomes a true discovery once a
-    true member arrives.  Entry t counts the selected and true groups of the
+    true member arrives.  Row t counts the selected and true groups of the
     first t + 1 arrivals.
     """
     ids, truths, rejected = np.asarray(ids), np.asarray(truths), np.asarray(rejected, dtype=bool)
     check_one_label_per_arrival(len(ids), len(truths), len(rejected))
-    labelled = (truths == 0) | (truths == 1)
-    if not labelled.all():
-        raise ValueError(f"truth label must be 0 or 1, got {truths[~labelled].tolist()[0]!r}")
+    check_truth_labels(truths)
     n = len(ids)
     # stable sorts, so return_index gives each group's first position in the mask
     rejected_at = np.flatnonzero(rejected)
@@ -95,7 +78,9 @@ def prefix_tallies(ids, truths, rejected) -> tuple[np.ndarray, np.ndarray, np.nd
         return np.cumsum(np.bincount(times, minlength=n))
 
     true_hits = by_prefix(true_from)
-    return by_prefix(first_rejected) - true_hits, true_hits, by_prefix(first_true)
+    return np.column_stack(
+        [by_prefix(first_rejected) - true_hits, true_hits, by_prefix(first_true)]
+    )
 
 
 @dataclass(frozen=True)
@@ -125,11 +110,11 @@ BOOTSTRAP_RESAMPLES = 1000
 BOOTSTRAP_SEED = 0
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _bootstrap_counts(n: int) -> np.ndarray:
     """How often each replicate appears in each of the seeded resamples, a
     (resamples, n) matrix shared read-only: every cell of a sweep has the same
-    replicate count, so it is drawn once."""
+    replicate count, so it is drawn once and no other is kept."""
     idx = np.random.default_rng(BOOTSTRAP_SEED).integers(0, n, size=(BOOTSTRAP_RESAMPLES, n))
     idx += n * np.arange(BOOTSTRAP_RESAMPLES)[:, None]
     counts = np.bincount(idx.ravel(), minlength=idx.size).reshape(idx.shape).astype(float)
@@ -153,7 +138,7 @@ def _bootstrap_ratio_se(v: np.ndarray, r: np.ndarray, eta: float) -> float:
 
 
 def aggregate(
-    tallies: Sequence[LayerTally],
+    tallies: np.ndarray | Sequence[LayerTally],
     eta: float,
     *,
     method: str = "",
@@ -162,24 +147,33 @@ def aggregate(
 ) -> AggregateResult:
     """Aggregate replicate tallies sharing one (method, beta, layer) cell.
 
-    FDR and power are means of per-replicate ratios with plain standard
-    errors; mFDR is a ratio of means, so its SE comes from a seeded
-    nonparametric bootstrap over replicates (ratio-of-means has no clean
-    closed form) with ``BOOTSTRAP_RESAMPLES`` resamples drawn from
-    ``BOOTSTRAP_SEED``.
+    ``tallies`` is an (R, 3) integer array or a list of ``LayerTally``.  FDR
+    and power are means of per-replicate ratios with plain standard errors;
+    mFDR is a ratio of means, so its SE comes from a seeded nonparametric
+    bootstrap over replicates (ratio-of-means has no clean closed form) with
+    ``BOOTSTRAP_RESAMPLES`` resamples drawn from ``BOOTSTRAP_SEED``.
 
-    The tallies are read once into an (R, 3) array of counts and every ratio
-    is taken from it in numpy.  While V + TD stays below 2**53 every count is
-    exact as a float and float division rounds correctly, so each FDP and
-    power equals ``LayerTally.fdp`` and ``.power`` bit for bit.
+    While V + TD stays below 2**53 every count is exact as a float and float
+    division rounds correctly, so each FDP and power equals the per-row
+    Python ratio bit for bit.
     """
-    if not tallies:
+    counts = np.asarray(tallies)
+    if len(counts) == 0:
         raise ValueError("at least one replicate is required")
+    if counts.ndim != 2 or counts.shape[1] != len(LayerTally._fields):
+        raise ValueError(f"tallies must be rows of (V, TD, T) counts, got shape {counts.shape}")
+    if not np.issubdtype(counts.dtype, np.integer):
+        raise ValueError(f"tally counts must be integers, got {counts.dtype}")
+    if (counts < 0).any():
+        raise ValueError("tally counts must be non-negative")
+    over = counts[:, 1] > counts[:, 2]
+    if over.any():
+        _, true_hits, true_groups = counts[over][0].tolist()
+        raise ValueError(
+            f"true discoveries ({true_hits}) cannot exceed true groups seen ({true_groups})"
+        )
     require_eta(eta)
-    counts = np.array(
-        [(t.false_discoveries, t.true_discoveries, t.true_groups) for t in tallies], dtype=float
-    )
-    v, true_hits, true_groups = counts.T
+    v, true_hits, true_groups = counts.astype(float).T
     r = v + true_hits
     fdps = v / np.maximum(r, 1.0)
     powers = true_hits / np.maximum(true_groups, 1.0)
@@ -193,5 +187,5 @@ def aggregate(
         mfdr_se=_bootstrap_ratio_se(v, r, eta),
         power=float(powers.mean()),
         power_se=_mean_se(powers),
-        replicates=len(tallies),
+        replicates=len(counts),
     )

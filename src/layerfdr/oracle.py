@@ -274,7 +274,7 @@ def per_discovery_fdp(
     evaluated at the step of the k-th group discovery (truth accumulated
     through that same step).
     """
-    false_hits, true_hits, _ = _layer_tallies(records, truths, layer)
+    false_hits, true_hits, _ = _layer_tallies(records, truths, layer).T
     discoveries = false_hits + true_hits
     grows = np.flatnonzero(np.diff(discoveries, prepend=0))
     return (false_hits[grows] / discoveries[grows]).tolist()
@@ -300,7 +300,7 @@ def balance_trajectories(
         snapshots = [record.layers[m] for record in records]
         if any(snapshot.wealth is None for snapshot in snapshots):
             raise ValueError("balance trajectories require wealth snapshots")
-        false_hits = _layer_tallies(records, truths, m)[0]
+        false_hits = _layer_tallies(records, truths, m)[:, 0]
         rejections = np.array([snapshot.rejections for snapshot in snapshots])
         wealth = np.array([snapshot.wealth for snapshot in snapshots])
         out[m, 1:] = alpha * rejections - false_hits + alpha * eta - wealth

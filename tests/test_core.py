@@ -56,7 +56,7 @@ def tallies_of(pvalues, groups, truths):
     )
     records = replay(make_procedure("ml-LOND", 2, 0.1), stream_events(data.row(0), 2))
     tallies = stream_tallies(data, np.array([[r.rejected for r in records]]))
-    return {name: per_row[0] for name, per_row in tallies.items()}
+    return {name: LayerTally(*per_row[0].tolist()) for name, per_row in tallies.items()}
 
 
 class TestSelectionSets:

@@ -18,7 +18,7 @@ from layerfdr.harness import (
     stream_events,
     stream_tallies,
 )
-from layerfdr.metrics import LayerTally, aggregate, prefix_tallies
+from layerfdr.metrics import aggregate, prefix_tallies
 from layerfdr.procedures import METHODS
 from layerfdr.simgen import ScenarioSpec, StreamData, make_stream
 from test_metrics import tally_from_sets
@@ -65,8 +65,7 @@ class TestRunReplicate:
             for name in LAYER_NAMES:
                 tally = run.tallies[name]
                 assert tally.true_discoveries == 0
-                assert tally.false_discoveries == tally.discoveries
-                assert tally.fdp in (0.0, 1.0)
+                assert aggregate([tally], scenario.eta).fdr in (0.0, 1.0)
 
     def test_baseline_truth_counts(self):
         run = run_replicate(BASELINE, "ml-LORD", seed=11)
@@ -76,7 +75,8 @@ class TestRunReplicate:
     def test_single_layer_methods_report_group_metrics_post_hoc(self):
         run = run_replicate(BASELINE, "LORD", seed=11)
         assert run.tallies["group"].true_groups == 4
-        assert run.tallies["group"].discoveries <= run.tallies["individual"].discoveries
+        group, individual = run.tallies["group"], run.tallies["individual"]
+        assert sum(group[:2]) <= sum(individual[:2])
 
     def test_gai_halt_is_recorded_not_raised(self):
         scenario = ScenarioSpec(s=0.0)
@@ -164,18 +164,35 @@ def test_stacked_tallies_equal_per_stream_set_tallies(case):
         groups=groups, truths=truths.astype(np.int8), pvalues=np.zeros(groups.shape)
     )
     tallies = stream_tallies(data, rejected)
+    for name in LAYER_NAMES:
+        assert tallies[name].shape == (len(groups), 3)
+        assert tallies[name].dtype == np.int64
     for r in range(len(groups)):
-        assert tallies["individual"][r] == tally_from_sets(
+        assert tuple(tallies["individual"][r].tolist()) == tally_from_sets(
             set(np.flatnonzero(rejected[r]).tolist()), set(np.flatnonzero(truths[r]).tolist())
         )
-        assert tallies["group"][r] == tally_from_sets(
+        assert tuple(tallies["group"][r].tolist()) == tally_from_sets(
             set(groups[r][rejected[r]].tolist()), set(groups[r][truths[r]].tolist())
         )
         # the last prefix of each layer is the end-of-stream tally
         arrivals = np.arange(groups.shape[1])
         for name, ids in zip(LAYER_NAMES, (arrivals, groups[r])):
-            last = [int(counts[-1]) for counts in prefix_tallies(ids, truths[r], rejected[r])]
-            assert LayerTally(*last) == tallies[name][r]
+            per_prefix = prefix_tallies(ids, truths[r], rejected[r])
+            assert np.array_equal(per_prefix[-1], tallies[name][r])
+
+
+def test_both_tally_routes_refuse_a_truth_label_other_than_0_or_1():
+    # stream_tallies used to count a label of 2 as null
+    groups, truths, rejected = [1, 1, 2], [2, 0, 1], [True, False, False]
+    data = StreamData(
+        groups=np.array([groups]),
+        truths=np.array([truths], dtype=np.int8),
+        pvalues=np.zeros((1, 3)),
+    )
+    with pytest.raises(ValueError, match="truth label must be 0 or 1, got 2"):
+        stream_tallies(data, np.array([rejected]))
+    with pytest.raises(ValueError, match="truth label must be 0 or 1, got 2"):
+        prefix_tallies(groups, truths, rejected)
 
 
 class TestSweepSpec:
@@ -292,6 +309,14 @@ class TestEmitResults:
         # 2 and 2.0 name one cell, as in SweepSpec
         with pytest.raises(ValueError, match="repeats the cell"):
             emit_results(rows + [replace(rows[0], beta=2)], tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_betas_that_print_alike_are_an_error(self, tmp_path):
+        # a full grid at 2 and 2.0000001 would give each panel two rows labelled 2
+        rows = self.rows()
+        rows += [replace(row, beta=2.0000001) for row in rows if row.beta == 2.0]
+        with pytest.raises(ValueError, match="duplicate beta values: two print as 2$"):
+            emit_results(rows, tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
     def test_a_missing_cell_is_an_error(self, tmp_path):

@@ -327,7 +327,7 @@ def test_stacked_cell_tallies_equal_run_replicate_tallies():
         for r, seed in enumerate(seeds):
             run = run_replicate(replace(spec, beta=1.5), method, seed)
             for name in LAYER_NAMES:
-                assert per_layer[name][r] == run.tallies[name]
+                assert tuple(per_layer[name][r].tolist()) == run.tallies[name]
 
 
 def test_small_sweep_emits_the_step_engine_bytes(tmp_path):

@@ -30,26 +30,49 @@ def event(t, p, groups):
 
 
 class TestLayerTally:
+    def test_is_a_bare_named_row(self):
+        assert issubclass(LayerTally, tuple)
+        assert LayerTally._fields == ("false_discoveries", "true_discoveries", "true_groups")
+        assert LayerTally(1, 2, 3) == (1, 2, 3)
+        assert not hasattr(LayerTally(1, 2, 3), "__dict__")
+
     def test_no_rejections_gives_zero_fdp(self):
-        tally = LayerTally(0, 0, 3)
-        assert tally.fdp == 0.0
-        assert tally.power == 0.0
+        row = aggregate([LayerTally(0, 0, 3)], eta=1.0)
+        assert row.fdr == 0.0
+        assert row.power == 0.0
 
     def test_one_false_among_four(self):
         tally = tally_from_sets({1, 2, 3, 4}, {2, 3, 4, 5})
-        assert tally.false_discoveries == 1
-        assert tally.discoveries == 4
-        assert tally.fdp == 0.25
+        assert tally == LayerTally(1, 3, 4)
+        assert aggregate([tally], eta=1.0).fdr == 0.25
 
     def test_all_null_rejections_have_unit_fdp(self):
         tally = tally_from_sets({1, 2}, set())
-        assert tally.fdp == 1.0
+        assert aggregate([tally], eta=1.0).fdr == 1.0
 
     def test_counts_validated(self):
-        with pytest.raises(ValueError):
-            LayerTally(0, 3, 2)
-        with pytest.raises(ValueError):
-            LayerTally(-1, 0, 0)
+        over = r"true discoveries \(3\) cannot exceed true groups seen \(2\)"
+        with pytest.raises(ValueError, match=over):
+            aggregate([LayerTally(0, 3, 2)], eta=1.0)
+        with pytest.raises(ValueError, match="tally counts must be non-negative"):
+            aggregate([LayerTally(-1, 0, 0)], eta=1.0)
+
+    @pytest.mark.parametrize(
+        "tally", [LayerTally(float("nan"), 0, 0), LayerTally(0.5, 0.25, 1), LayerTally(1.0, 0, 1)]
+    )
+    def test_counts_must_be_integers(self, tally):
+        # a NaN or fractional count used to reach the CSVs as fdr = nan or 0.5
+        with pytest.raises(ValueError, match="tally counts must be integers, got float64"):
+            aggregate([tally], eta=1.0)
+        with pytest.raises(ValueError, match="tally counts must be integers"):
+            aggregate(np.array([tally]), eta=1.0)
+
+    @pytest.mark.parametrize(
+        "tallies", [LayerTally(0, 0, 1), [[0, 0]], [[0, 0, 1, 1]], np.zeros((2, 3, 1), dtype=int)]
+    )
+    def test_rows_must_hold_three_counts(self, tallies):
+        with pytest.raises(ValueError, match=r"tallies must be rows of \(V, TD, T\) counts"):
+            aggregate(tallies, eta=1.0)
 
 
 class TestAggregate:
@@ -73,8 +96,19 @@ class TestAggregate:
         assert row.mfdr == pytest.approx(0.5 / (1.0 + 1.0))
 
     def test_requires_replicates(self):
-        with pytest.raises(ValueError):
-            aggregate([], eta=1.0)
+        for empty in ([], np.zeros((0, 3), dtype=np.int64)):
+            with pytest.raises(ValueError, match="at least one replicate is required"):
+                aggregate(empty, eta=1.0)
+
+    def test_rows_of_tallies_and_an_array_agree(self):
+        rng = np.random.default_rng(5)
+        true_groups = rng.integers(0, 9, 50)
+        counts = np.column_stack(
+            [rng.integers(0, 6, 50), rng.integers(0, true_groups + 1), true_groups]
+        )
+        tallies = [LayerTally(*row) for row in counts.tolist()]
+        for eta in (1.0, 0.25):
+            assert aggregate(tallies, eta, layer="group") == aggregate(counts, eta, layer="group")
 
     def test_requires_positive_eta(self):
         with pytest.raises(ValueError):
@@ -93,6 +127,13 @@ class TestAggregate:
         assert not counts.flags.writeable
         idx = np.random.default_rng(0).integers(0, 7, size=(1000, 7))
         assert np.array_equal(counts, [np.bincount(row, minlength=7) for row in idx])
+
+    def test_bootstrap_cache_keeps_one_replicate_count(self):
+        from layerfdr.metrics import _bootstrap_counts
+
+        aggregate([LayerTally(1, 1, 2)] * 3, eta=1.0)
+        aggregate([LayerTally(1, 1, 2)] * 5, eta=1.0)
+        assert _bootstrap_counts.cache_info().currsize == 1
 
     def test_bootstrap_se_equals_the_gathered_resamples(self):
         from layerfdr.metrics import _bootstrap_ratio_se
@@ -128,10 +169,9 @@ class TestAggregate:
             t = int(rng.integers(1, 6))
             td = int(rng.integers(0, t + 1))
             v = int(rng.integers(0, 5))
-            tally = LayerTally(v, td, t)
-            if tally.discoveries >= 1:
-                ratio = tally.false_discoveries / (tally.discoveries + 1)
-                assert tally.fdp >= ratio
+            row = aggregate([LayerTally(v, td, t)], eta=1.0)
+            assert row.mfdr == v / (v + td + 1)
+            assert row.fdr >= row.mfdr
 
     def test_bootstrap_se_is_deterministic(self):
         replicates = [LayerTally(1, 1, 2), LayerTally(0, 2, 2), LayerTally(2, 0, 2)]
@@ -157,10 +197,11 @@ def layer_tallies(draw, top):
     eta=st.sampled_from([1.0, 0.25, 7.5]),
 )
 def test_aggregate_equals_the_per_tally_reference(tallies, eta):
-    fdps = np.array([t.fdp for t in tallies])
-    powers = np.array([t.power for t in tallies])
+    # the per-run ratios in Python ints, one row at a time
+    fdps = np.array([v / max(v + td, 1) for v, td, _ in tallies])
+    powers = np.array([td / max(t, 1) for _, td, t in tallies])
     v = np.array([t.false_discoveries for t in tallies], dtype=float)
-    r = np.array([t.discoveries for t in tallies], dtype=float)
+    r = np.array([t.false_discoveries + t.true_discoveries for t in tallies], dtype=float)
 
     def se(values):
         return float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
@@ -186,7 +227,7 @@ def layer_prefix_tallies(records, truths, m):
     """``prefix_tallies`` of layer m of a decision log, one ``LayerTally`` per prefix."""
     ids = [record.group_index[m] for record in records]
     counts = prefix_tallies(ids, truths, [record.rejected for record in records])
-    return [LayerTally(*prefix) for prefix in zip(*(c.tolist() for c in counts))]
+    return [LayerTally(*prefix) for prefix in counts.tolist()]
 
 
 def test_prefix_tallies_match_recomputation_on_random_streams():
@@ -220,8 +261,7 @@ def test_prefix_tallies_require_truth_labels():
     for truth in (None, 2, -1, 0.5):
         with pytest.raises(ValueError, match="truth label must be 0 or 1"):
             prefix_tallies([5], [truth], [True])
-    v, td, t = prefix_tallies([], [], [])
-    assert v.tolist() == td.tolist() == t.tolist() == []
+    assert prefix_tallies([], [], []).shape == (0, 3)
 
 
 def test_prefix_tallies_require_one_label_and_decision_per_arrival():

@@ -6,7 +6,9 @@ over the JSON lines of ``step_cost.py``'s 20,000 seeded events (drawn as
 perfbench's stream-cli client draws them: 4,000 groups, a tenth of them
 with signal), and prints, as one JSON object, the best of 5 sessions in
 microseconds per line (``us_per_line``).  Each session gets a fresh
-procedure, reads the lines from a list and appends its replies to one.
+procedure, reads the lines from a list and appends its replies to one.  The
+repeats go round-robin over the (rule, M) cells, so a slow phase of a
+shared host spreads over every cell instead of landing on whole cells.
 
 ``threshold_repeat_share`` is the share of tested-layer thresholds in the
 replies whose text equals that of one of the first 1,024 distinct
@@ -68,21 +70,18 @@ def repeat_share(replies: list[str]) -> float:
     return hits / total if total else 0.0
 
 
-def session_cost(method: str, layers: int) -> tuple[float, float]:
-    """Best-of-``REPEATS`` microseconds per line, and the threshold repeat share."""
+def session(method: str, layers: int, lines: list[str]) -> tuple[float, list[str]]:
+    """Seconds of one session over the lines, and its replies."""
     from layerfdr.cli import build_parser, cmd_stream
 
-    lines = stream_lines(layers)
     args = build_parser().parse_args(["stream", "--method", method, "--layers", str(layers)])
-    best = math.inf
-    for _ in range(REPEATS):
-        replies = Replies()
-        start = perf_counter()
-        code = cmd_stream(args, source=lines, sink=replies)
-        best = min(best, perf_counter() - start)
-        if code != 0 or len(replies.lines) != LINES:
-            raise RuntimeError(f"{method} M={layers}: exit {code}, {len(replies.lines)} replies")
-    return best / LINES * 1e6, repeat_share(replies.lines)
+    replies = Replies()
+    start = perf_counter()
+    code = cmd_stream(args, source=lines, sink=replies)
+    seconds = perf_counter() - start
+    if code != 0 or len(replies.lines) != LINES:
+        raise RuntimeError(f"{method} M={layers}: exit {code}, {len(replies.lines)} replies")
+    return seconds, replies.lines
 
 
 def main(argv=None) -> int:
@@ -90,14 +89,21 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"))
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
-    cost, share = {}, {}
-    for method in RULES:
-        cost[method], share[method] = {}, {}
-        for m in LAYERS:
-            us, repeats = session_cost(method, m)
-            cost[method][str(m)] = round(us, 3)
-            share[method][str(m)] = round(repeats, 3)
-    print(json.dumps({"us_per_line": cost, "threshold_repeat_share": share}))
+    lines = {m: stream_lines(m) for m in LAYERS}
+    best = {(method, m): math.inf for method in RULES for m in LAYERS}
+    share = {}
+    for _ in range(REPEATS):
+        for method, m in best:
+            seconds, replies = session(method, m, lines[m])
+            best[method, m] = min(best[method, m], seconds)
+            if (method, m) not in share:
+                share[method, m] = repeat_share(replies)
+    cost = {
+        method: {str(m): round(best[method, m] / LINES * 1e6, 3) for m in LAYERS}
+        for method in RULES
+    }
+    shares = {method: {str(m): round(share[method, m], 3) for m in LAYERS} for method in RULES}
+    print(json.dumps({"us_per_line": cost, "threshold_repeat_share": shares}))
     return 0
 
 
