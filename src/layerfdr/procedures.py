@@ -39,10 +39,16 @@ decisions.  It takes the group ids of any number of partitions, shape
 (R, N, P), and runs the individual level as one more layer whose groups, the
 arrivals, never recur, so only the partitions keep per-group tables; each
 rule keeps only the state it reads (discovery counts, arrival counts for the
-modified LOND, LORD gaps or wealth).  numpy is imported inside the two array
-kernels, ``lockstep_rejections`` and ``dense_ids``, on their first call, so the
-step engine, and the ``stream`` and ``validate`` commands built on it, run
-without loading numpy.
+modified LOND, LORD gaps or wealth).  Before its step loop the kernel turns
+each p-value into what its rule compares: GAI's constant level into one
+boolean, and LOND's thresholds min(1, levels[t] * (k + 1)), which never fall
+as the discovery count k grows, into the smallest count K that clears, so a
+step compares integers (``_lond_clearances``).  The level table is one numpy
+expression equal to ``BetaSequence.value`` bit for bit (``_levels``).  numpy
+is imported inside the array kernels, ``lockstep_rejections`` and
+``dense_ids``, and their helpers, on their first call, so the step engine,
+and the ``stream`` and ``validate`` commands built on it, run without loading
+numpy.
 """
 
 from __future__ import annotations
@@ -466,38 +472,46 @@ def lockstep_rejections(
     rejected = np.zeros((steps, 1, reps), dtype=bool)
     # levels[j] is the j-th element of the level sequence; no index (t, an
     # effective-test count or a LORD gap) exceeds the number of steps
-    levels = np.array([0.0, *map(BetaSequence(alpha).value, range(1, steps + 1))])
+    levels = _levels(alpha, steps)
+    # keys[t - 1] is what step t compares: for GAI whether each p-value clears
+    # the constant level, for LOND the discovery count it clears at, and for
+    # LORD and LOND_m, whose level index differs by layer, the p-value itself
     if rule == "GAI":
         # the simple-choice rules are constant, so one evaluation serves every step
         policy, snapshot = simple_choice(alpha), LayerState()
-        level = policy.alpha_level(1, snapshot)
+        keys = p_by_step < policy.alpha_level(1, snapshot)
         spend, reward = policy.spend(1, snapshot), policy.reward(1, snapshot)
         wealth = np.full((layers, reps), alpha * eta)
         halted = np.zeros((1, reps), dtype=bool)
     elif rule == "LORD":
+        keys = p_by_step
         gap = np.ones((layers, reps), dtype=np.int64)
     else:
         rejections = np.zeros((layers, reps), dtype=np.int64)
-        if rule == "LOND_m":
+        if rule == "LOND":
+            keys = _lond_clearances(p_by_step, levels)
+        else:
+            keys = p_by_step
+            # arrivals so far in each group, and in rejected groups beyond each group's one test
             seen = np.zeros(decided_groups.size, dtype=np.int64)
-            # arrivals in rejected groups beyond each group's one test
             excess = np.zeros((layers, reps), dtype=np.int64)
 
-    for t, (p, cell) in enumerate(zip(p_by_step, cells), 1):
+    for t, (key, cell, hit) in enumerate(zip(keys, cells, rejected), 1):
         if grouped:
             partition_rows[...] = decided_groups[cell]
         if rule == "GAI":
-            threshold = level
+            cleared = key
         elif rule == "LORD":
-            threshold = levels[gap]
+            cleared = key < levels[gap]
+        elif rule == "LOND":
+            cleared = rejections >= key
         else:
-            index = t - excess if rule == "LOND_m" else t
-            threshold = np.minimum(1.0, levels[index] * (rejections + 1))
-        hit = ((p < threshold) | decided).all(axis=0, keepdims=True)
+            cleared = key < np.minimum(1.0, levels[t - excess] * (rejections + 1))
+        # hit is this step's row of the mask, written in place
+        (cleared | decided).all(axis=0, keepdims=True, out=hit)
         if rule == "GAI":
             hit &= ~halted
-        rejected[t - 1] = hit
-        newly = hit & ~decided
+        newly = hit > decided  # rejected here and not decided before
         if grouped:
             decided_groups[cell] = partition_rows | hit
         if rule == "GAI":
@@ -508,13 +522,55 @@ def lockstep_rejections(
                 break
         elif rule == "LORD":
             gap += ~decided
-            gap[newly] = 1
+            np.putmask(gap, newly, 1)
         else:
             rejections += newly
             if rule == "LOND_m":
-                seen[cell] += 1
-                excess[1:] += np.where(newly[1:], seen[cell] - 1, partition_rows)
+                before = seen[cell]
+                seen[cell] = before + 1
+                excess[1:] += np.where(newly[1:], before, partition_rows)
     return rejected[:, 0].T
+
+
+def _levels(alpha: float, steps: int) -> np.ndarray:
+    """``BetaSequence(alpha).value(j)`` at j = 1..steps, bit for bit, after a 0 at j = 0."""
+    import numpy as np
+
+    j = np.arange(1.0, steps + 1)
+    # the same operations in the same order as ``value``
+    return np.concatenate([[0.0], alpha * 6.0 / (_PI_SQUARED * j * j)])
+
+
+def _lond_clearances(pvalues: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """The smallest discovery count K at which each (step, ...) p-value clears
+    LOND at its step t = 1, 2, ...: p < min(1, levels[t] * (k + 1)) exactly
+    when k >= K, since the float product never falls as k grows.  A p-value
+    that clears at no count up to the number of steps gets a larger K."""
+    import numpy as np
+
+    steps = len(levels) - 1
+    level = levels[1:].reshape((steps,) + (1,) * (pvalues.ndim - 1))
+    # for p < 1, floor(p / level) is K in exact arithmetic; where that is at
+    # most steps + 1, the roundings of the quotient and of the products move it
+    # by less than one count, so K is one of estimate - 1, estimate and
+    # estimate + 1, told apart by the exact products; p = 1 clears nowhere.
+    # One float buffer holds the estimate, then each product, in place.
+    buffer = np.divide(pvalues, level)
+    np.minimum(buffer, steps + 1, out=buffer)
+    np.floor(buffer, out=buffer)
+    clearances = buffer.astype(np.int64)
+    np.multiply(level, buffer, out=buffer)
+    np.minimum(buffer, 1.0, out=buffer)
+    clears_below = pvalues < buffer
+    np.add(clearances, 1.0, out=buffer)
+    np.multiply(level, buffer, out=buffer)
+    np.minimum(buffer, 1.0, out=buffer)
+    clears_at = pvalues < buffer
+    clearances += 1
+    clearances -= clears_below
+    clearances -= clears_at
+    np.putmask(clearances, ~(pvalues < 1.0), steps + 1)
+    return clearances
 
 
 def dense_ids(ids: np.ndarray) -> np.ndarray:

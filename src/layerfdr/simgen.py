@@ -9,17 +9,18 @@ whose mean is set by the strength profile.
 ``make_streams`` realizes one scenario under many seeds at once, as arrays
 stacked (R, N); ``make_stream`` is its single-seed case.  Work that draws no
 randomness (balanced structures, fixed-pattern truths, group layouts) is done
-once per call.  The markov pattern draws one block per stream, the unbalanced
-walk is replayed per stream from raw PCG64 words, and the random pattern's
-``choice`` calls are replayed from the same words for all streams at once; each
-reproduces numpy's stream bit for bit and leaves the generators where it would.
+once per call.  The markov pattern draws one block per stream.  The unbalanced
+walk is replayed for all streams at once from raw PCG64 words, as a four-state
+automaton over the words whose states come from a prefix of the words'
+transition maps; the random pattern's ``choice`` calls are replayed from the
+same words' halves for all streams at once.  Each reproduces numpy's stream
+bit for bit and leaves the generators where it would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -31,6 +32,7 @@ PATTERNS = ("fixed", "random", "markov")
 STRENGTHS = ("constant", "increasing", "decreasing")
 
 _SQRT2 = math.sqrt(2.0)
+_MAX_GROUPS = 2**63 - 1
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,9 @@ class ScenarioSpec:
         require_integers(G=self.G, n=self.n, N=self.total, seed=self.seed)
         if self.G < 1 or self.n < 1:
             raise ValueError("G and n must be positive")
+        if self.G > _MAX_GROUPS:
+            # group ids are int64, and numpy's integers(1, G) refuses a larger G
+            raise ValueError(f"G must be at most 2**63 - 1, got {self.G}")
         if self.structure == "unbalanced" and self.G < 2:
             raise ValueError("unbalanced structure requires at least two groups")
         if not 0.0 <= self.s <= 100.0 or not 0.0 <= self.k <= 100.0:
@@ -153,7 +158,7 @@ def _structures(spec: ScenarioSpec, rngs: list) -> np.ndarray:
         return np.tile(np.repeat(np.arange(1, spec.G + 1), spec.n), (len(rngs), 1))
     if spec.structure == "interleaved":
         return np.tile(np.arange(1, spec.G + 1), (len(rngs), spec.n))
-    return np.array([_walk(spec, bit_gen) for bit_gen in _pcg64(rngs)], dtype=np.int64) + 1
+    return _walks(spec, _pcg64(rngs)) + 1
 
 
 def _pcg64(rngs: list) -> list:
@@ -173,52 +178,210 @@ def _settle(bit_gen: np.random.PCG64, state: dict, words: int, held: int, half: 
     bit_gen.random_raw(words)
 
 
-def _walk(spec: ScenarioSpec, bit_gen: np.random.PCG64) -> list:
-    """One generator's unbalanced walk (0-based group ids) from its raw words.
+_MASK32 = 0xFFFFFFFF
+
+# The walk's words are parsed by a four-state automaton.  Before each word it
+# expects a jump test with no half-word held, with a held half Lemire accepts,
+# with a held half Lemire rejects, or a word drawn for a jump.
+_FREE, _HELD_OK, _HELD_BAD, _DRAW = range(4)
+# where a completed jump's draw comes from: none, the low or high half of a
+# draw word (or the whole word), or the held half
+_NONE, _LOW, _HIGH, _HELD = range(4)
+
+
+def _word_maps() -> np.ndarray:
+    """The transition map of each word class, jump | low accepted << 1 | high
+    accepted << 2, coded f(0) | f(1) << 2 | f(2) << 4 | f(3) << 6."""
+    maps = []
+    for kind in range(8):
+        jump, low, high = kind & 1, kind >> 1 & 1, kind >> 2 & 1
+        drawn = (_HELD_OK if high else _HELD_BAD) if low else (_FREE if high else _DRAW)
+        targets = (
+            _DRAW if jump else _FREE,
+            _FREE if jump else _HELD_OK,  # the held half is the draw
+            _DRAW if jump else _HELD_BAD,  # the held half is drawn and rejected
+            drawn,
+        )
+        maps.append(sum(target << 2 * state for state, target in enumerate(targets)))
+    maps = np.array(maps, dtype=np.uint8)
+    maps.flags.writeable = False
+    return maps
+
+
+def _compositions() -> np.ndarray:
+    """Read-only (256 * 256,) table whose entry f << 8 | g codes map f, then map g."""
+    shifts = np.arange(0, 8, 2, dtype=np.uint8)
+    image = np.arange(256, dtype=np.uint8)[:, None] >> shifts & 3  # image[f, x] = f(x)
+    table = np.zeros((256, 256), dtype=np.uint8)
+    for x, shift in enumerate(shifts):
+        table |= image[:, image[:, x]].T << shift
+    table = table.ravel().astype(np.uint16)
+    table.flags.writeable = False
+    return table
+
+
+def _sources() -> np.ndarray:
+    """The draw source of each parse transition, coded before << 2 | after."""
+    sources = np.full(16, _NONE, dtype=np.uint8)
+    for after in (_FREE, _HELD_OK, _HELD_BAD):
+        # a draw word that lets the parse test again completes its jump
+        sources[_DRAW << 2 | after] = _HIGH if after == _FREE else _LOW
+    sources[_HELD_OK << 2 | _FREE] = _HELD  # a jump that draws the held half
+    sources.flags.writeable = False
+    return sources
+
+
+_WORD_MAPS, _COMPOSE, _SOURCES = _word_maps(), _compositions(), _sources()
+# words per chunk of the two-level prefix scan: at a sweep's 300 words per
+# stream, 15 narrow composition steps and a carry over 19 chunks cost less
+# than the nine full-width rounds of a doubling scan
+_CHUNK = 16
+
+
+def _high_products(words: np.ndarray, factor: int) -> np.ndarray:
+    """The high 64 bits of each uint64 word times ``factor`` < 2**64."""
+    low, high = words & _MASK32, words >> 32
+    f_low, f_high = np.uint64(factor & _MASK32), np.uint64(factor >> 32)
+    middle = high * f_low + (low * f_low >> 32)
+    carry = (middle & _MASK32) + low * f_high
+    return high * f_high + (middle >> 32) + (carry >> 32)
+
+
+def _walks(spec: ScenarioSpec, bit_gens: list) -> np.ndarray:
+    """Every generator's unbalanced walk (0-based group ids), stacked (R, N),
+    parsed from its raw words.
 
     Each arrival after the first reads one word for its jump test, numpy's
     double ``(word >> 11) * 2**-53 < p1``.  A jump then draws
     ``integers(1, G)`` as numpy does, by Lemire's method on 32-bit half-words
     (low half first, the high half held in the generator's buffer for the
     next draw) when G - 1 <= 2**32 and on whole words otherwise; G = 2 draws
-    nothing.  The generator is left where the scalar loop leaves it.
+    nothing.  Whether a word is a jump test or a draw depends on the words
+    before it only through the parse state (``_FREE`` .. ``_DRAW``), so each
+    word's class picks its map of the four states, and the state before every
+    word comes from a prefix of those maps (``_prefix_states``).  A group id
+    is the sum of the completed jumps' steps, mod G.  Each generator is left
+    where the scalar loop leaves it.
     """
     total, G = spec.total, spec.G
+    rows = len(bit_gens)
+    steps = np.zeros((rows, total), dtype=np.int64)
+    if total == 1:
+        return steps
     bound = G - 1  # integers(1, G) is 1 + a draw from [0, G - 1)
-    bits = 32 if bound <= 2**32 else 64
-    mask = (1 << bits) - 1
-    threshold = ((1 << bits) - bound) % bound
+    halves = bound <= 2**32
+    threshold = ((1 << (32 if halves else 64)) - bound) % bound
     # (word >> 11) * 2**-53 < p1 is exact in doubles, so for integer words it
-    # is word >> 11 < ceil(p1 * 2**53), that is word < this limit
-    limit = math.ceil(spec.p1 * 2.0**53) << 11
-    state = bit_gen.state
-    held, half = state["has_uint32"], state["uinteger"]
-    # a block holds about the words a walk at p1 = 0.5 reads; more come lazily
+    # is word >> 11 < ceil(p1 * 2**53)
+    cut = math.ceil(spec.p1 * 2.0**53)
+    states = [bit_gen.state for bit_gen in bit_gens]
+    held = np.array([state["has_uint32"] for state in states])
+    half = np.array([state["uinteger"] for state in states], dtype=np.uint64)
+    # a block holds about the words a walk at p1 = 0.5 reads; a row that runs
+    # out reads another
     block = total + total // 2 + 2
-    words = chain.from_iterable(iter(lambda: bit_gen.random_raw(block).tolist(), None))
-    walk = [0] * total
-    current = drawn = 0
-    for i in range(1, total):
-        if next(words) < limit:
-            offset = 0
-            while bound > 1:
-                if bits == 64:
-                    value = next(words)
-                    drawn += 1
-                elif held:
-                    value, held = half, 0
-                else:
-                    word = next(words)
-                    drawn += 1
-                    value, half, held = word & 0xFFFFFFFF, word >> 32, 1
-                product = value * bound
-                if product & mask >= threshold:
-                    offset = product >> bits
-                    break
-            current = (current + offset + 1) % G
-        walk[i] = current
-    _settle(bit_gen, state, total - 1 + drawn, held, half)
-    return walk
+    raw = np.array([bit_gen.random_raw(block) for bit_gen in bit_gens], dtype=np.uint64)
+    start = np.full(rows, _FREE, dtype=np.uint8)
+    if halves and bound > 1:
+        held_ok = half * np.uint64(bound) & _MASK32 >= threshold
+        start[held == 1] = np.where(held_ok, _HELD_OK, _HELD_BAD)[held == 1]
+    rows_at = np.arange(rows)
+    while True:
+        jump = raw >> 11 < cut
+        if bound == 1:
+            before = after = np.full(raw.shape, _FREE, dtype=np.uint8)
+        else:
+            if halves:
+                # the uint16 of a word's two accepted flags is low + 256 * high
+                accepted = raw.view(np.uint32) * np.uint32(bound & _MASK32) >= threshold
+                accepted = accepted.view(np.uint16)
+                accepted = (accepted | accepted >> 7).astype(np.uint8) & 3
+            else:
+                accepted = (raw * np.uint64(bound) >= threshold).view(np.uint8) << 1
+            kinds = jump.view(np.uint8) | accepted << 1
+            after = _prefix_states(_WORD_MAPS.take(kinds), start)
+            before = np.concatenate([start[:, None], after[:, :-1]], axis=1)
+        arrival = np.cumsum(before != _DRAW, axis=1, dtype=np.int32)
+        # the walk ends after arrival N - 1's test word and any draws of its jump
+        used = np.count_nonzero(arrival < total, axis=1)
+        last = (rows_at, used - 1)
+        finished = (arrival[last] == total - 1) & (after[last] != _DRAW)
+        if finished.all():
+            break
+        # every row that ran out reads another block; the zeros a finished
+        # row gets lie past its end
+        more = np.zeros((rows, block), dtype=np.uint64)
+        for r in np.flatnonzero(~finished).tolist():
+            more[r] = bit_gens[r].random_raw(block)
+        raw = np.hstack([raw, more])
+    width = raw.shape[1]
+    if bound == 1:
+        source = jump.view(np.uint8)  # a jump completes at its test word
+    else:
+        source = _SOURCES.take(before << 2 | after)
+    # the words that complete a jump, flat (row, column), up to each row's end
+    flat = np.flatnonzero(source != _NONE)
+    at = arrival.ravel()[flat]
+    kept = at < total
+    flat, at = flat[kept], at[kept]
+    row, source = flat // width, source.ravel()[flat]
+    if bound == 1:
+        offsets = np.zeros(len(flat), dtype=np.uint64)
+    elif not halves:
+        offsets = _high_products(raw.ravel()[flat], bound)
+    else:
+        word = raw.ravel()[flat]
+        high = word >> 32
+        value = np.where(source == _LOW, word & _MASK32, high)
+        # a jump that draws the held half draws the high half of the row's
+        # previous completing word (only jump tests that draw nothing lie
+        # between them), or the half the generator held at the start
+        taken = np.flatnonzero(source == _HELD)
+        previous = np.maximum(taken - 1, 0)
+        same_row = (taken > 0) & (row[previous] == row[taken])
+        value[taken] = np.where(same_row, high[previous], half[row[taken]])
+        offsets = value * np.uint64(bound) >> 32
+        # numpy's buffer keeps the high half of the last word drawn, which is
+        # the row's last completing draw word; it is held while the parse holds it
+        drawn = np.flatnonzero(source != _HELD)
+        final = drawn[np.diff(row[drawn], append=rows) != 0]
+        half[row[final]] = high[final]
+        held = (after[last] == _HELD_OK) | (after[last] == _HELD_BAD)
+    steps.ravel()[row * total + at] = offsets.astype(np.int64) + 1
+    buffers = zip(held.tolist(), half.tolist())
+    for bit_gen, state, words, (held_now, half_now) in zip(bit_gens, states, used.tolist(), buffers):
+        _settle(bit_gen, state, words, int(held_now), half_now)
+    # steps are below G, so an int64 sum overflows only for G beyond 2**63 / N
+    ids = np.cumsum(steps, axis=1, dtype=np.int64 if (G - 1) * total < 2**63 else object)
+    ids %= G
+    return ids.astype(np.int64, copy=False)
+
+
+def _prefix_states(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The state after each of (R, W) word maps, from each row's ``start`` state.
+
+    A two-level prefix scan: inside chunks of ``_CHUNK`` words the maps are
+    composed in order through ``_COMPOSE``, every chunk of every row at once;
+    each chunk's composed map then carries its row's state into the next chunk.
+    """
+    rows, width = maps.shape
+    chunks = -(-width // _CHUNK)
+    prefix = np.zeros((rows, chunks * _CHUNK), dtype=np.uint16)
+    prefix[:, :width] = maps
+    # (chunk column, row, chunk)
+    prefix = prefix.reshape(rows, chunks, _CHUNK).transpose(2, 0, 1).copy()
+    for j in range(1, _CHUNK):
+        pair = prefix[j - 1] << 8
+        pair |= prefix[j]
+        _COMPOSE.take(pair, out=prefix[j])
+    # shifts are twice each chunk's start state
+    shifts = np.empty((rows, chunks), dtype=np.uint16)
+    shift = start.astype(np.uint16) << 1
+    for c in range(chunks):
+        shifts[:, c] = shift
+        shift = (prefix[-1, :, c] >> shift & 3) << 1
+    states = (prefix >> shifts & 3).astype(np.uint8)
+    return states.transpose(1, 2, 0).reshape(rows, -1)[:, :width]
 
 
 def _truths(spec: ScenarioSpec, groups: np.ndarray, rngs: list) -> np.ndarray:

@@ -393,6 +393,23 @@ def test_betas_that_print_alike_exit_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_group_count_beyond_int64_exits_2(tmp_path, capsys, command):
+    # such a walk would draw integers(1, G) beyond numpy's int64 range, and
+    # at G = 2**70 the draw never accepted, hanging the command
+    config = BASE_CONFIG.replace("structure = block", "structure = unbalanced")
+    path = tmp_path / "huge.cfg"
+    path.write_text(config.replace("G = 20", f"G = {2**70}") + "N = 8\n" + SWEEP_EXTRAS)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)]
+    argv += ["--method", "LORD"] if command == "simulate" else ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "G must be at most 2**63 - 1" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
 @pytest.mark.parametrize("unreadable", ["directory", "not utf-8"])
 def test_unreadable_config_exits_2_and_names_the_path(tmp_path, capsys, command, unreadable):
     path = tmp_path / "config"

@@ -23,6 +23,8 @@ from layerfdr.metrics import aggregate
 from layerfdr.procedures import (
     METHODS,
     BetaSequence,
+    _levels,
+    _lond_clearances,
     lockstep_rejections,
     make_procedure,
     replay,
@@ -143,6 +145,57 @@ def test_pvalues_equal_to_issued_thresholds(method):
             rng.integers(0, 30, size=(40, n)),
         )
         assert_matches_replay(method, pvalues, groups)
+
+
+def clearance_pools(steps, alpha=ALPHA):
+    """Per step t, the p-values at which a rule's decision turns: every level,
+    min(1, levels[t] * (k + 1)) for k = 0..20 and alpha, each with its nearest
+    doubles either way, and 0 and 1."""
+    sequence = BetaSequence(alpha)
+    levels = [sequence.value(j) for j in range(1, steps + 1)]
+    pools = []
+    for level in levels:
+        turns = {alpha, *levels, *(min(1.0, level * (k + 1)) for k in range(21))}
+        near = {np.nextafter(p, 0.0) for p in turns} | {np.nextafter(p, 2.0) for p in turns}
+        pools.append(np.array(sorted(p for p in turns | near | {0.0, 1.0} if p <= 1.0)))
+    return pools
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_pvalues_at_every_turn_of_the_clearance_tables(method):
+    steps, reps = 40, 30
+    pools = clearance_pools(steps)
+    for partitions in (0, 1, 2):
+        rng = np.random.default_rng(partitions)
+        pvalues = np.column_stack([rng.choice(pool, reps) for pool in pools])
+        groups = partitioned(
+            partitions,
+            rng.integers(0, 3, size=(reps, steps)),
+            rng.integers(0, 12, size=(reps, steps)),
+        )
+        assert_matches_replay(method, pvalues, groups)
+
+
+def test_level_table_and_lond_clearances_equal_the_float_comparisons():
+    steps = 60
+    for alpha in (ALPHA, 0.05, 1e-9, 0.999):
+        sequence = BetaSequence(alpha)
+        levels = _levels(alpha, steps)
+        assert levels[0] == 0.0
+        expected = [sequence.value(j) for j in range(1, steps + 1)]
+        assert levels.dtype == np.float64 and levels[1:].tolist() == expected
+        pools = clearance_pools(steps, alpha)
+        width = max(map(len, pools))
+        # (step, candidate) p-values, each pool padded with its first entry
+        pvalues = np.array([np.resize(pool, width) for pool in pools])
+        got = _lond_clearances(pvalues, levels)
+        counts = np.arange(1.0, steps + 2)  # k + 1 for k = 0..steps
+        for t, (row, clearances) in enumerate(zip(pvalues, got), 1):
+            # clears[i, k]: row[i] < min(1, value(t) * (k + 1)), the engine's comparison
+            clears = row[:, None] < np.minimum(1.0, sequence.value(t) * counts)
+            # the smallest clearing count, or any count past the last step
+            first = np.where(clears.any(axis=1), clears.argmax(axis=1), steps + 1)
+            assert np.array_equal(np.minimum(clearances, steps + 1), first)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -5,7 +5,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 from scipy.special import erfc
@@ -75,6 +75,21 @@ class TestScenarioSpec:
     def test_a_negative_seed_is_a_valid_field(self):
         # a config's seed = -1 is valid: it may serve as the fallback master seed
         assert ScenarioSpec(seed=-1).seed == -1
+
+    @pytest.mark.parametrize("G", [2**63, 2**63 + 5, 2**64 + 1, 2**70])
+    def test_group_counts_beyond_int64_are_refused(self, G):
+        # numpy's integers(1, G) refuses such a G, and id G would not fit the int64 ids
+        with pytest.raises(ValueError, match=r"G must be at most 2\*\*63 - 1"):
+            ScenarioSpec(structure="unbalanced", G=G, N=8, s=0.0)
+
+    @pytest.mark.parametrize("N", [8, 300])
+    def test_the_largest_group_count_walks_as_numpy_does(self, N):
+        spec = ScenarioSpec(structure="unbalanced", G=2**63 - 1, N=N, s=0.0)
+        seeds = list(range(8))
+        groups = make_streams(spec, seeds).groups
+        for r, seed in enumerate(seeds):
+            expected = reference_structure(spec, np.random.default_rng(seed))
+            assert groups.dtype == expected.dtype and np.array_equal(groups[r], expected)
 
     @pytest.mark.parametrize("structure", ["block", "unbalanced"])
     def test_numpy_integer_sizes_give_the_same_stream(self, structure):
@@ -591,6 +606,25 @@ def test_crafted_words_force_rejections_and_a_second_read():
     assert len(gens[2].reads) > 2
 
 
+def test_a_row_that_rejects_its_last_half_word_reads_its_next_word():
+    # row 0's two draws fit in its first word, whose high half of 0 is rejected,
+    # while row 1 draws three times, so the rows reach different depths
+    bounds = np.array([[2, 2, 0], [2, 2, 2]])
+    rng = np.random.default_rng(5)
+    words = [rng.integers(0, 2**64, 12, dtype=np.uint64).tolist() for _ in range(2)]
+    words[0][0] = words[0][0] & MASK32 | 1
+    gens = [CraftedWords(raw) for raw in words]
+    halves = _HalfWords(gens)
+    values = halves.draw(bounds)
+    halves.settle()
+    for r, (row, gen, raw) in enumerate(zip(bounds.tolist(), gens, words)):
+        want, rejected, read, held, half = scalar_draws(row, raw, 0, 0)
+        assert rejected == (r == 0)
+        assert values[r].tolist() == want
+        assert gen.reads[-1] == read
+        assert (gen.state["has_uint32"], gen.state["uinteger"]) == (held, half)
+
+
 class CountingPCG64(np.random.PCG64):
     """PCG64 that counts its raw-word reads."""
 
@@ -612,6 +646,34 @@ def test_walks_that_use_a_block_up_read_the_next(case):
         refills += bit_gen.reads > 2
         assert np.array_equal(groups, reference_structure(spec, np.random.default_rng(seed)))
     assert refills > 0
+
+
+WALK_GROUP_COUNTS = (2, 3, 20, 2**31 + 2, 2**32 + 1, 2**33, 2**62 + 2, 2**63 - 1)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    G=st.sampled_from(WALK_GROUP_COUNTS),
+    p1=st.floats(0.0, 1.0),
+    N=st.integers(1, 400),
+    seed=st.integers(0, 2**64 - 2),
+    buffered=st.integers(0, 3),
+)
+@example(G=3, p1=0.0, N=400, seed=0, buffered=1)
+@example(G=2**31 + 2, p1=1.0, N=400, seed=5, buffered=3)
+def test_the_walk_automaton_replays_the_scalar_loop(G, p1, N, seed, buffered):
+    spec = ScenarioSpec(structure="unbalanced", G=G, N=N, p1=p1, s=0.0)
+    # two streams, one holding a half-word the other may not, parsed side by side
+    seeds, held = (seed, seed + 1), (buffered, 3 - buffered)
+    ours = [np.random.default_rng(s) for s in seeds]
+    theirs = [np.random.default_rng(s) for s in seeds]
+    for mine, reference, count in zip(ours, theirs, held):
+        mine.integers(1, 7, count)
+        reference.integers(1, 7, count)
+    groups = _structures(spec, ours)
+    for r, (mine, reference) in enumerate(zip(ours, theirs)):
+        assert np.array_equal(groups[r], reference_structure(spec, reference))
+        assert mine.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("above", [False, True])
