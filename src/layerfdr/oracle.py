@@ -106,11 +106,23 @@ def multilayer_reference(
     levels and simple-choice spending, written out here.  A policy is called
     with a ``LayerState`` this function builds, never with the engine's.  A
     list of the wrong length or an entry of the wrong kind raises ValueError
-    before the first step; an event whose group id count differs from the
-    first event's, a level sequence value outside [0, 1], a GAI level outside
-    (0, 1] or a non-finite spend or reward raises at the step that reads it,
-    as the engine does.
+    before the first step, as do a method the engine does not run, an alpha
+    outside (0, 1), an eta that is not positive and finite and an untested
+    mode other than "literal" and "accept"; an event whose group id count
+    differs from the first event's, a level sequence value outside [0, 1], a
+    GAI level outside (0, 1] or a non-finite spend or reward raises at the step
+    that reads it, as the engine does.
     """
+    # the engine's method names, written out: a name added there runs here
+    # only once this reference writes out its rule
+    if method not in ("GAI", "LORD", "LOND", "ml-GAI", "ml-LORD", "ml-LOND", "ml-LOND_m"):
+        raise ValueError(f"unknown method name: {method!r}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise ValueError(f"eta must be positive and finite, got {eta}")
+    if untested not in ("literal", "accept"):
+        raise ValueError(f"unknown untested-hypothesis mode: {untested!r}")
     rule = method[3:] if method.startswith("ml-") else method
     layers = len(events[0].group_index) if events else 0
     schedules = [None] * layers if schedules is None else list(schedules)

@@ -432,14 +432,15 @@ def lockstep_rejections(
     (1 + P, R) state it reads: discovery counts for LOND, plus per-group
     arrival counts for LOND_m, gaps for LORD, wealth for GAI.  After an
     alpha-investing halt a row is neither tested nor rejected.
-    A method outside ``METHODS``, an eta that is not positive and finite, a
-    p-value outside [0, 1] (NaN included), a ``pvalues`` that is not 2-D, or
-    group ids that are not integers, are negative or exceed the int64 range
-    raise ValueError.
+    A method outside ``METHODS``, an alpha outside (0, 1) (NaN included), an
+    eta that is not positive and finite, a p-value outside [0, 1] (NaN
+    included), a ``pvalues`` that is not 2-D, or group ids that are not
+    integers, are negative or exceed the int64 range raise ValueError.
     """
     import numpy as np
 
     rule = _rule(method)
+    require_alpha(alpha)
     require_eta(eta)
     pvalues = np.asarray(pvalues, dtype=float)
     if pvalues.ndim != 2:

@@ -11,10 +11,10 @@ stacked (R, N); ``make_stream`` is its single-seed case.  Work that draws no
 randomness (balanced structures, fixed-pattern truths, group layouts) is done
 once per call.  The markov pattern draws one block per stream.  The unbalanced
 walk is replayed for all streams at once from raw PCG64 words, as a four-state
-automaton over the words whose states come from a prefix of the words'
-transition maps; the random pattern's ``choice`` calls are replayed from the
-same words' halves for all streams at once.  Each reproduces numpy's stream
-bit for bit and leaves the generators where it would.
+automaton that reads one word of every stream per step; the random pattern's
+``choice`` calls are replayed from the same words' halves for all streams at
+once.  Each reproduces numpy's stream bit for bit and leaves the generators
+where it would.
 """
 
 from __future__ import annotations
@@ -189,33 +189,19 @@ _FREE, _HELD_OK, _HELD_BAD, _DRAW = range(4)
 _NONE, _LOW, _HIGH, _HELD = range(4)
 
 
-def _word_maps() -> np.ndarray:
-    """The transition map of each word class, jump | low accepted << 1 | high
-    accepted << 2, coded f(0) | f(1) << 2 | f(2) << 4 | f(3) << 6."""
-    maps = []
+def _transitions() -> np.ndarray:
+    """Read-only (8, 4) table of the parse state after a word of each class,
+    jump | low accepted << 1 | high accepted << 2, from each state before it."""
+    table = np.empty((8, 4), dtype=np.uint8)
     for kind in range(8):
         jump, low, high = kind & 1, kind >> 1 & 1, kind >> 2 & 1
         drawn = (_HELD_OK if high else _HELD_BAD) if low else (_FREE if high else _DRAW)
-        targets = (
+        table[kind] = (
             _DRAW if jump else _FREE,
             _FREE if jump else _HELD_OK,  # the held half is the draw
             _DRAW if jump else _HELD_BAD,  # the held half is drawn and rejected
             drawn,
         )
-        maps.append(sum(target << 2 * state for state, target in enumerate(targets)))
-    maps = np.array(maps, dtype=np.uint8)
-    maps.flags.writeable = False
-    return maps
-
-
-def _compositions() -> np.ndarray:
-    """Read-only (256 * 256,) table whose entry f << 8 | g codes map f, then map g."""
-    shifts = np.arange(0, 8, 2, dtype=np.uint8)
-    image = np.arange(256, dtype=np.uint8)[:, None] >> shifts & 3  # image[f, x] = f(x)
-    table = np.zeros((256, 256), dtype=np.uint8)
-    for x, shift in enumerate(shifts):
-        table |= image[:, image[:, x]].T << shift
-    table = table.ravel().astype(np.uint16)
     table.flags.writeable = False
     return table
 
@@ -231,11 +217,7 @@ def _sources() -> np.ndarray:
     return sources
 
 
-_WORD_MAPS, _COMPOSE, _SOURCES = _word_maps(), _compositions(), _sources()
-# words per chunk of the two-level prefix scan: at a sweep's 300 words per
-# stream, 15 narrow composition steps and a carry over 19 chunks cost less
-# than the nine full-width rounds of a doubling scan
-_CHUNK = 16
+_TRANSITIONS, _SOURCES = _transitions(), _sources()
 
 
 def _high_products(words: np.ndarray, factor: int) -> np.ndarray:
@@ -257,9 +239,9 @@ def _walks(spec: ScenarioSpec, bit_gens: list) -> np.ndarray:
     (low half first, the high half held in the generator's buffer for the
     next draw) when G - 1 <= 2**32 and on whole words otherwise; G = 2 draws
     nothing.  Whether a word is a jump test or a draw depends on the words
-    before it only through the parse state (``_FREE`` .. ``_DRAW``), so each
-    word's class picks its map of the four states, and the state before every
-    word comes from a prefix of those maps (``_prefix_states``).  A group id
+    before it only through the parse state (``_FREE`` .. ``_DRAW``), so the
+    parse moves every row one word forward at a time, the next state read
+    from ``_TRANSITIONS`` by the word's class and the current state.  A group id
     is the sum of the completed jumps' steps, mod G.  Each generator is left
     where the scalar loop leaves it.
     """
@@ -299,8 +281,17 @@ def _walks(spec: ScenarioSpec, bit_gens: list) -> np.ndarray:
             else:
                 accepted = (raw * np.uint64(bound) >= threshold).view(np.uint8) << 1
             kinds = jump.view(np.uint8) | accepted << 1
-            after = _prefix_states(_WORD_MAPS.take(kinds), start)
-            before = np.concatenate([start[:, None], after[:, :-1]], axis=1)
+            # one row per word column; class << 2 | state indexes _TRANSITIONS
+            codes = np.ascontiguousarray(kinds.T << 2)
+            # parse[c] holds every row's state before word c
+            parse = np.empty((len(codes) + 1, rows), dtype=np.uint8)
+            parse[0] = start
+            index = np.empty(rows, dtype=np.uint8)
+            for code, state, out in zip(codes, parse, parse[1:]):
+                np.add(code, state, out=index)
+                # every index is below 32; "clip" skips the copy "raise" makes
+                _TRANSITIONS.take(index, out=out, mode="clip")
+            before, after = parse[:-1].T, parse[1:].T
         arrival = np.cumsum(before != _DRAW, axis=1, dtype=np.int32)
         # the walk ends after arrival N - 1's test word and any draws of its jump
         used = np.count_nonzero(arrival < total, axis=1)
@@ -355,33 +346,6 @@ def _walks(spec: ScenarioSpec, bit_gens: list) -> np.ndarray:
     ids = np.cumsum(steps, axis=1, dtype=np.int64 if (G - 1) * total < 2**63 else object)
     ids %= G
     return ids.astype(np.int64, copy=False)
-
-
-def _prefix_states(maps: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The state after each of (R, W) word maps, from each row's ``start`` state.
-
-    A two-level prefix scan: inside chunks of ``_CHUNK`` words the maps are
-    composed in order through ``_COMPOSE``, every chunk of every row at once;
-    each chunk's composed map then carries its row's state into the next chunk.
-    """
-    rows, width = maps.shape
-    chunks = -(-width // _CHUNK)
-    prefix = np.zeros((rows, chunks * _CHUNK), dtype=np.uint16)
-    prefix[:, :width] = maps
-    # (chunk column, row, chunk)
-    prefix = prefix.reshape(rows, chunks, _CHUNK).transpose(2, 0, 1).copy()
-    for j in range(1, _CHUNK):
-        pair = prefix[j - 1] << 8
-        pair |= prefix[j]
-        _COMPOSE.take(pair, out=prefix[j])
-    # shifts are twice each chunk's start state
-    shifts = np.empty((rows, chunks), dtype=np.uint16)
-    shift = start.astype(np.uint16) << 1
-    for c in range(chunks):
-        shifts[:, c] = shift
-        shift = (prefix[-1, :, c] >> shift & 3) << 1
-    states = (prefix >> shifts & 3).astype(np.uint8)
-    return states.transpose(1, 2, 0).reshape(rows, -1)[:, :width]
 
 
 def _truths(spec: ScenarioSpec, groups: np.ndarray, rngs: list) -> np.ndarray:
@@ -562,16 +526,6 @@ def gen_pvalues(
     means = signal_means(theta, strength, beta)
     z = means + rng.standard_normal(len(means))
     return two_sided_p_array(z)
-
-
-def two_sided_p(z: float) -> float:
-    """Two-sided standard-normal p-value, 2 * (1 - Phi(|z|)).
-
-    Computed as erfc(|z| / sqrt(2)), accurate to well below 1e-12 absolute.
-    """
-    if not math.isfinite(z):
-        raise ValueError(f"non-finite z-statistic: {z}")
-    return math.erfc(abs(z) / _SQRT2)
 
 
 def two_sided_p_array(z) -> np.ndarray:

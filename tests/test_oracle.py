@@ -289,6 +289,35 @@ class TestMultilayerReference:
         with pytest.raises(ValueError, match=message):
             make_procedure(method, layers, ALPHA, schedules=schedules)
 
+    @pytest.mark.parametrize(
+        "method, alpha, eta, untested, message",
+        [
+            ("ml-LOND", -0.1, 1.0, "literal", "alpha must lie in"),
+            ("LOND", math.nan, 1.0, "literal", "alpha must lie in"),
+            ("ml-LORD", 0.0, 1.0, "literal", "alpha must lie in"),
+            ("LORD", 1.5, 1.0, "literal", "alpha must lie in"),
+            ("ml-LOND_m", 1.0, 1.0, "literal", "alpha must lie in"),
+            ("ml-GAI", ALPHA, -1.0, "literal", "eta must be positive"),
+            ("ml-LOND", ALPHA, math.inf, "literal", "eta must be positive"),
+            ("bogus", ALPHA, 1.0, "literal", "unknown method name"),
+            ("LOND_m", ALPHA, 1.0, "literal", "unknown method name"),
+            ("ml-LORD", ALPHA, 1.0, "nonsense", "unknown untested-hypothesis mode"),
+        ],
+    )
+    def test_the_engine_the_kernel_and_the_reference_refuse_alike(
+        self, method, alpha, eta, untested, message
+    ):
+        pvalues = np.array([[0.001, 0.5, 0.001]])
+        events = [event(t, float(p), (t, 1)) for t, p in enumerate(pvalues[0], 1)]
+        with pytest.raises(ValueError, match=message):
+            make_procedure(method, 2, alpha, eta, untested=untested)
+        with pytest.raises(ValueError, match=message):
+            multilayer_reference(method, events, alpha, eta, untested=untested)
+        if untested == "literal":  # the kernel has no untested mode
+            groups = np.ones(pvalues.shape, dtype=np.int64)
+            with pytest.raises(ValueError, match=message):
+                lockstep_rejections(method, pvalues, groups, alpha, eta)
+
     @pytest.mark.parametrize("method", ["ml-LOND", "ml-LOND_m", "ml-LORD"])
     @pytest.mark.parametrize("level", [math.nan, -0.1, 1.5])
     def test_a_level_outside_the_unit_interval_raises_as_in_the_engine(self, method, level):

@@ -1,15 +1,19 @@
 """Library cost of one sweep cell, stage by stage, per standard panel.
 
-For each panel of ``standard_scenarios()`` at betas 1 and 4, runs all seven
-methods' cells of 100 replicates as ``run_sweep`` does and times each stage
-on its own: the replicate seeds, ``make_streams``, ``lockstep_rejections``,
-``stream_tallies``, ``aggregate`` (both layers) and ``emit_results`` (the
-panel's rows, written once per repeat into a temporary directory and shared
-over its cells).  Prints, as one JSON object, the best of 5 repeats of each
-stage in milliseconds per cell, each stage's sum over the panels, and each
-method's ``lockstep_rejections`` milliseconds per cell summed over the panels.
-The repeats go round-robin over the panels, so a slow phase of a shared host
-spreads over every panel instead of landing on whole panels.
+For each panel of ``standard_scenarios()`` at betas 1 and 4, runs the shipped
+``run_sweep`` over all seven methods' cells of 100 replicates and times each
+stage it calls by wrapping the names it looks up in ``harness``:
+``make_streams``, ``lockstep_rejections``, ``stream_tallies`` and
+``aggregate`` (both layers).  ``replicate_seeds`` is the rest of
+``run_sweep``'s time, outside the wrapped stages: the replicate seeds plus the
+cell loop and the wrappers themselves.  ``emit_results`` writes the panel's
+rows once per repeat into a temporary directory, shared over its cells.
+Prints, as one JSON object, the best of 5 repeats of each stage in
+milliseconds per cell, each stage's sum over the panels, and each method's
+``lockstep_rejections`` milliseconds per cell summed over the panels, read
+from the wrapped call's method argument.  The repeats go round-robin over the
+panels, so a slow phase of a shared host spreads over every panel instead of
+landing on whole panels.
 
     python tools/sweep_cost.py [--src DIR]
 
@@ -24,7 +28,6 @@ import json
 import math
 import sys
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -42,38 +45,47 @@ STAGES = (
 )
 
 
+# the names run_sweep looks up in harness, each timed as the stage it names
+WRAPPED = ("make_streams", "lockstep_rejections", "stream_tallies", "aggregate")
+
+
 def panel_pass(scenario, out_dir: Path) -> tuple[dict, dict]:
-    """Each stage's seconds over one pass of the panel's cells, and each
-    method's ``lockstep_rejections`` seconds over its cells."""
-    from layerfdr.harness import LAYER_NAMES, emit_results, replicate_seed, stream_tallies
-    from layerfdr.metrics import aggregate
-    from layerfdr.procedures import METHODS, lockstep_rejections
-    from layerfdr.simgen import make_streams
+    """Each stage's seconds over one ``run_sweep`` of the panel's cells, and
+    each method's ``lockstep_rejections`` seconds over its cells."""
+    from layerfdr import harness
+    from layerfdr.procedures import METHODS
 
     spent = dict.fromkeys(STAGES, 0.0)
     by_method = dict.fromkeys(METHODS, 0.0)
-    rows = []
-    for method, beta in [(method, beta) for method in METHODS for beta in BETAS]:
-        marks = [perf_counter()]
-        seeds = [replicate_seed(MASTER_SEED, method, beta, r) for r in range(REPLICATES)]
-        marks.append(perf_counter())
-        data = make_streams(replace(scenario, beta=beta), seeds)
-        marks.append(perf_counter())
-        groups = data.groups if method.startswith("ml-") else None
-        rejected = lockstep_rejections(method, data.pvalues, groups, scenario.alpha, scenario.eta)
-        marks.append(perf_counter())
-        per_layer = stream_tallies(data, rejected)
-        marks.append(perf_counter())
-        for name in LAYER_NAMES:
-            rows.append(
-                aggregate(per_layer[name], scenario.eta, method=method, beta=beta, layer=name)
-            )
-        marks.append(perf_counter())
-        for stage, start, end in zip(STAGES, marks, marks[1:]):
-            spent[stage] += end - start
-        by_method[method] += marks[3] - marks[2]
+
+    def timed(stage, function):
+        def wrapper(*args, **kwargs):
+            start = perf_counter()
+            result = function(*args, **kwargs)
+            seconds = perf_counter() - start
+            spent[stage] += seconds
+            if stage == "lockstep_rejections":
+                by_method[args[0]] += seconds
+            return result
+
+        return wrapper
+
+    sweep = harness.SweepSpec(
+        scenario, beta_grid=BETAS, replicates=REPLICATES, master_seed=MASTER_SEED
+    )
+    originals = {stage: getattr(harness, stage) for stage in WRAPPED}
+    for stage, function in originals.items():
+        setattr(harness, stage, timed(stage, function))
+    try:
+        start = perf_counter()
+        rows = harness.run_sweep(sweep)
+        spent["replicate_seeds"] = perf_counter() - start
+    finally:
+        for stage, function in originals.items():
+            setattr(harness, stage, function)
+    spent["replicate_seeds"] -= sum(spent[stage] for stage in WRAPPED)
     start = perf_counter()
-    emit_results(rows, out_dir)
+    harness.emit_results(rows, out_dir)
     spent["emit_results"] = perf_counter() - start
     return spent, by_method
 
