@@ -32,30 +32,17 @@ commit each: it records the arrival, marks a rejected group discovered,
 applies the rule's wealth or LORD-gap update and builds that layer's
 outcome.  A step that raises therefore leaves the procedure unchanged.
 
-``replay`` drives one stream event by event.  ``lockstep_rejections`` runs
-many independent simulated streams side by side as numpy arrays over the
-replicate axis, for the default configurations only, and reaches the same
-decisions.  It takes the group ids of any number of partitions, shape
-(R, N, P), and runs the individual level as one more layer whose groups, the
-arrivals, never recur, so only the partitions keep per-group tables; each
-rule keeps only the state it reads (discovery counts, arrival counts for the
-modified LOND, LORD gaps or wealth).  Before its step loop the kernel turns
-each p-value into what its rule compares: GAI's constant level into one
-boolean, and LOND's thresholds min(1, levels[t] * (k + 1)), which never fall
-as the discovery count k grows, into the smallest count K that clears, so a
-step compares integers (``_lond_clearances``).  The level table is one numpy
-expression equal to ``BetaSequence.value`` bit for bit (``_levels``).  numpy
-is imported inside the array kernels, ``lockstep_rejections`` and
-``dense_ids``, and their helpers, on their first call, so the step engine,
-and the ``stream`` and ``validate`` commands built on it, run without loading
-numpy.
+``replay`` drives one stream event by event.  The module is pure Python, so
+the ``stream`` and ``validate`` commands built on it run without numpy; the
+sweep's array kernel, which reaches the same decisions for many streams at
+once, is ``harness.lockstep_rejections``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .core import (
     DecisionRecord,
@@ -67,9 +54,6 @@ from .core import (
     require_eta,
     require_integers,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _PI_SQUARED = math.pi ** 2
 
@@ -410,180 +394,3 @@ def replay(
         else:
             records.append(procedure.step(event))
     return records
-
-
-def lockstep_rejections(
-    method: str,
-    pvalues: np.ndarray,
-    groups: Optional[np.ndarray],
-    alpha: float,
-    eta: float = 1.0,
-) -> np.ndarray:
-    """Rejected mask, shape (R, N), of R independent streams run in lockstep.
-
-    Row r of ``pvalues`` is one stream of N p-values.  ``groups`` holds the
-    group ids of P partitions, shape (R, N, P), or (R, N) for P = 1; None
-    means P = 0.  Row r runs as ``make_procedure(method, 1 + P, alpha, eta)``,
-    with simple-choice spending and inverse-square levels, on events with
-    group_index (t, *groups[r, t - 1]); the mask equals replay's, row for row.
-
-    Layer 0 is the individual layer, whose groups (the arrivals) never recur,
-    so only the P partitions keep per-group tables.  Each rule keeps only the
-    (1 + P, R) state it reads: discovery counts for LOND, plus per-group
-    arrival counts for LOND_m, gaps for LORD, wealth for GAI.  After an
-    alpha-investing halt a row is neither tested nor rejected.
-    A method outside ``METHODS``, an alpha outside (0, 1) (NaN included), an
-    eta that is not positive and finite, a p-value outside [0, 1] (NaN
-    included), a ``pvalues`` that is not 2-D, or group ids that are not
-    integers, are negative or exceed the int64 range raise ValueError.
-    """
-    import numpy as np
-
-    rule = _rule(method)
-    require_alpha(alpha)
-    require_eta(eta)
-    pvalues = np.asarray(pvalues, dtype=float)
-    if pvalues.ndim != 2:
-        raise ValueError(f"pvalues has shape {pvalues.shape}, not (R, N)")
-    outside = ~((pvalues >= 0.0) & (pvalues <= 1.0))  # NaN fails both comparisons
-    if outside.any():
-        raise ValueError(f"p-value outside [0, 1]: {pvalues[outside][0]}")
-    # one (1, R) row per step, which broadcasts cheaply against (M, R) state
-    p_by_step = np.ascontiguousarray(pvalues.T)[:, None]
-    steps, _, reps = p_by_step.shape
-    groups = np.zeros((reps, steps, 0), np.int64) if groups is None else np.asarray(groups)
-    if groups.shape[:2] != (reps, steps) or groups.ndim > 3:
-        raise ValueError(f"groups has shape {groups.shape}, not ({reps}, {steps}[, P])")
-    if not np.issubdtype(groups.dtype, np.integer):
-        raise ValueError(f"group ids must be integers, got dtype {groups.dtype}")
-    if groups.size and groups.min() < 0:
-        raise ValueError("group ids must be non-negative")
-    if groups.size and int(groups.max()) > np.iinfo(np.int64).max:
-        raise ValueError(f"group ids must fit in int64, got {groups.max()}")
-    partitions = dense_ids(np.moveaxis(np.atleast_3d(groups).astype(np.int64), 2, 0))
-    layers = 1 + len(partitions)
-    grouped = layers > 1  # with no partitions there is no group table to read or write
-    # flat (partition, replicate, group) cell of each arrival, one (P, R) block per step
-    offsets = steps * np.arange((layers - 1) * reps).reshape(layers - 1, reps, 1)
-    cells = np.ascontiguousarray((partitions + offsets).transpose(2, 0, 1))
-    decided_groups = np.zeros(partitions.size, dtype=bool)
-    # row 0 is the individual layer: its group is the arrival, never decided before
-    decided = np.zeros((layers, reps), dtype=bool)
-    partition_rows = decided[1:]
-    rejected = np.zeros((steps, 1, reps), dtype=bool)
-    # levels[j] is the j-th element of the level sequence; no index (t, an
-    # effective-test count or a LORD gap) exceeds the number of steps
-    levels = _levels(alpha, steps)
-    # keys[t - 1] is what step t compares: for GAI whether each p-value clears
-    # the constant level, for LOND the discovery count it clears at, and for
-    # LORD and LOND_m, whose level index differs by layer, the p-value itself
-    if rule == "GAI":
-        # the simple-choice rules are constant, so one evaluation serves every step
-        policy, snapshot = simple_choice(alpha), LayerState()
-        keys = p_by_step < policy.alpha_level(1, snapshot)
-        spend, reward = policy.spend(1, snapshot), policy.reward(1, snapshot)
-        wealth = np.full((layers, reps), alpha * eta)
-        halted = np.zeros((1, reps), dtype=bool)
-    elif rule == "LORD":
-        keys = p_by_step
-        gap = np.ones((layers, reps), dtype=np.int64)
-    else:
-        rejections = np.zeros((layers, reps), dtype=np.int64)
-        if rule == "LOND":
-            keys = _lond_clearances(p_by_step, levels)
-        else:
-            keys = p_by_step
-            # arrivals so far in each group, and in rejected groups beyond each group's one test
-            seen = np.zeros(decided_groups.size, dtype=np.int64)
-            excess = np.zeros((layers, reps), dtype=np.int64)
-
-    for t, (key, cell, hit) in enumerate(zip(keys, cells, rejected), 1):
-        if grouped:
-            partition_rows[...] = decided_groups[cell]
-        if rule == "GAI":
-            cleared = key
-        elif rule == "LORD":
-            cleared = key < levels[gap]
-        elif rule == "LOND":
-            cleared = rejections >= key
-        else:
-            cleared = key < np.minimum(1.0, levels[t - excess] * (rejections + 1))
-        # hit is this step's row of the mask, written in place
-        (cleared | decided).all(axis=0, keepdims=True, out=hit)
-        if rule == "GAI":
-            hit &= ~halted
-        newly = hit > decided  # rejected here and not decided before
-        if grouped:
-            decided_groups[cell] = partition_rows | hit
-        if rule == "GAI":
-            spent = np.where(decided | halted, wealth, wealth - spend)
-            wealth = np.where(newly, wealth + reward - spend, spent)
-            halted |= (wealth <= 0.0).any(axis=0, keepdims=True)
-            if halted.all():
-                break
-        elif rule == "LORD":
-            gap += ~decided
-            np.putmask(gap, newly, 1)
-        else:
-            rejections += newly
-            if rule == "LOND_m":
-                before = seen[cell]
-                seen[cell] = before + 1
-                excess[1:] += np.where(newly[1:], before, partition_rows)
-    return rejected[:, 0].T
-
-
-def _levels(alpha: float, steps: int) -> np.ndarray:
-    """``BetaSequence(alpha).value(j)`` at j = 1..steps, bit for bit, after a 0 at j = 0."""
-    import numpy as np
-
-    j = np.arange(1.0, steps + 1)
-    # the same operations in the same order as ``value``
-    return np.concatenate([[0.0], alpha * 6.0 / (_PI_SQUARED * j * j)])
-
-
-def _lond_clearances(pvalues: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """The smallest discovery count K at which each (step, ...) p-value clears
-    LOND at its step t = 1, 2, ...: p < min(1, levels[t] * (k + 1)) exactly
-    when k >= K, since the float product never falls as k grows.  A p-value
-    that clears at no count up to the number of steps gets a larger K."""
-    import numpy as np
-
-    steps = len(levels) - 1
-    level = levels[1:].reshape((steps,) + (1,) * (pvalues.ndim - 1))
-    # for p < 1, floor(p / level) is K in exact arithmetic; where that is at
-    # most steps + 1, the roundings of the quotient and of the products move it
-    # by less than one count, so K is one of estimate - 1, estimate and
-    # estimate + 1, told apart by the exact products; p = 1 clears nowhere.
-    # One float buffer holds the estimate, then each product, in place.
-    buffer = np.divide(pvalues, level)
-    np.minimum(buffer, steps + 1, out=buffer)
-    np.floor(buffer, out=buffer)
-    clearances = buffer.astype(np.int64)
-    np.multiply(level, buffer, out=buffer)
-    np.minimum(buffer, 1.0, out=buffer)
-    clears_below = pvalues < buffer
-    np.add(clearances, 1.0, out=buffer)
-    np.multiply(level, buffer, out=buffer)
-    np.minimum(buffer, 1.0, out=buffer)
-    clears_at = pvalues < buffer
-    clearances += 1
-    clearances -= clears_below
-    clearances -= clears_at
-    np.putmask(clearances, ~(pvalues < 1.0), steps + 1)
-    return clearances
-
-
-def dense_ids(ids: np.ndarray) -> np.ndarray:
-    """Non-negative int ids of shape (..., N) with every id returned below N:
-    as they are if all are, else each row's distinct ids renumbered 0, 1, ...
-    in increasing order.  Arrivals in a row share an id exactly as before."""
-    import numpy as np
-
-    steps = ids.shape[-1]
-    if not ids.size or ids.max() < steps:
-        return ids
-    rows = ids.reshape(-1, steps)
-    pairs = np.column_stack([np.repeat(np.arange(len(rows)), steps), rows.ravel()])
-    pair = np.unique(pairs, axis=0, return_inverse=True)[1].reshape(rows.shape)
-    return (pair - pair.min(axis=1, keepdims=True)).reshape(ids.shape)

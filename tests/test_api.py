@@ -6,8 +6,8 @@ import pytest
 import layerfdr
 from layerfdr import cli
 from layerfdr.core import HypothesisEvent, LayerState
-from layerfdr.harness import SweepSpec, run_replicate
-from layerfdr.procedures import METHODS, lockstep_rejections, make_procedure
+from layerfdr.harness import SweepSpec, lockstep_rejections, run_replicate
+from layerfdr.procedures import METHODS, make_procedure
 from layerfdr.simgen import ScenarioSpec
 from test_cli import run_python
 

@@ -890,6 +890,38 @@ def test_numpy_and_scipy_are_loaded_only_when_needed():
     assert process.stdout.decode().count('"reject": true') == 1
 
 
+NUMPY_BLOCKED = """
+import io, sys
+
+sys.modules["numpy"] = None  # every import of numpy now raises ImportError
+import layerfdr
+from layerfdr import HypothesisEvent, METHODS, make_procedure, replay, simple_choice, validate_policy
+from layerfdr.cli import main
+
+# three partitions whose groups recur, so some arrivals meet only decided groups
+pvalues = [0.001, 0.5, 0.0001, 0.02, 0.9, 0.003, 0.04, 0.0002]
+events = [
+    HypothesisEvent(t=t, p=p, group_index=(t % 2, t % 3, 0)) for t, p in enumerate(pvalues, 1)
+]
+for method in METHODS:
+    for untested in ("literal", "accept"):
+        procedure = make_procedure(method, 3, 0.1, 5.0, untested=untested)
+        assert len(replay(procedure, events)) == len(events)
+    assert len(make_procedure(method, 2, 0.1).run_pvalues(pvalues)) == len(pvalues)
+assert validate_policy(simple_choice(0.1), 0.1, 10)
+sys.stdin = io.TextIOWrapper(io.BytesIO(b'{"p": 0.004, "groups": [1, 7]}\\n'))
+assert main(["stream", "--method", "ml-GAI", "--layers", "2"]) == 0
+assert main(["validate", "--alpha", "0.1", "--horizon", "10"]) == 0
+"""
+
+
+def test_the_engine_runs_with_numpy_blocked():
+    # the online path needs no numpy at all, not merely defers loading it
+    process = run_python(["-c", NUMPY_BLOCKED])
+    assert process.returncode == 0, process.stderr.decode()
+    assert process.stdout.decode().count('"reject": true') == 1
+
+
 def test_readme_config_keys_are_the_spec_fields(tmp_path):
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     example = readme.split("### Config files", 1)[1].split("```")[1]

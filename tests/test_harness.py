@@ -319,6 +319,23 @@ class TestEmitResults:
             emit_results(rows, tmp_path / "out")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("method", "BH", "unknown method: 'BH'"),
+            ("layer", "capsule", "unknown layer: 'capsule'"),
+            ("beta", float("nan"), "non-finite beta: nan"),
+            ("beta", float("inf"), "non-finite beta: inf"),
+        ],
+    )
+    def test_a_row_outside_the_grid_is_named(self, tmp_path, field, value, message):
+        # both rows of one cell, so the table is otherwise a full grid
+        rows = self.rows()
+        rows[:2] = [replace(row, **{field: value}) for row in rows[:2]]
+        with pytest.raises(ValueError, match=message):
+            emit_results(rows, tmp_path / "out")
+        assert list(tmp_path.iterdir()) == []
+
     def test_a_missing_cell_is_an_error(self, tmp_path):
         missing = r"not a full grid; missing \[\('GAI', 2\.0, 'individual'\)\]"
         with pytest.raises(ValueError, match=missing):

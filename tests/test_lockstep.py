@@ -12,7 +12,10 @@ from layerfdr.core import HypothesisEvent
 from layerfdr.harness import (
     LAYER_NAMES,
     SweepSpec,
+    _levels,
+    _lond_clearances,
     emit_results,
+    lockstep_rejections,
     replicate_seed,
     run_replicate,
     run_sweep,
@@ -23,9 +26,6 @@ from layerfdr.metrics import aggregate
 from layerfdr.procedures import (
     METHODS,
     BetaSequence,
-    _levels,
-    _lond_clearances,
-    lockstep_rejections,
     make_procedure,
     replay,
 )
@@ -115,6 +115,37 @@ def test_masks_match_the_golden_digest():
                     mask = lockstep_rejections(method, data.pvalues, groups, spec.alpha, spec.eta)
                     digest.update(mask.tobytes())
     assert digest.hexdigest() == MASK_DIGEST
+
+
+@pytest.mark.parametrize("panel", sorted(standard_scenarios()))
+def test_exact_identities_of_the_layer_rules(panel):
+    # inputs on which the rules fix the answer exactly, so each mask is
+    # compared with another mask of the kernel itself, with no reference
+    spec = replace(standard_scenarios()[panel], beta=2.5)
+    data = make_streams(spec, [replicate_seed(5, panel, 2.5, r) for r in range(20)])
+    pvalues, ids = data.pvalues, data.groups
+    crossed = np.broadcast_to(np.arange(1, ids.shape[1] + 1) % 7, ids.shape)
+    singletons = np.broadcast_to(np.arange(ids.shape[1]), ids.shape)
+    for method in METHODS:
+        rule = method.removeprefix("ml-")
+
+        def mask(groups, method=method):
+            return lockstep_rejections(method, pvalues, groups, spec.alpha, spec.eta)
+
+        once = mask(ids)
+        # a partition given twice decides as given once
+        assert np.array_equal(mask(np.stack([ids, ids], axis=-1)), once)
+        # an injective relabelling, here past N, changes nothing
+        assert np.array_equal(mask(1000 * ids + 7), once)
+        # the order of two partitions changes nothing
+        both = mask(np.stack([ids, crossed], axis=-1))
+        assert np.array_equal(mask(np.stack([crossed, ids], axis=-1)), both)
+        # a partition of singletons decides as the single-layer rule, and so
+        # does one group for every arrival, except under LOND_m's test counts
+        alone = mask(None, method="LOND" if rule == "LOND_m" else rule)
+        assert np.array_equal(mask(singletons), alone)
+        if rule != "LOND_m":
+            assert np.array_equal(mask(np.zeros_like(ids)), alone)
 
 
 @pytest.mark.parametrize("method", METHODS)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from layerfdr.core import HypothesisEvent
+from layerfdr.harness import lockstep_rejections
 from layerfdr.oracle import (
     balance_trajectories,
     kappa_direct,
@@ -19,7 +20,6 @@ from layerfdr.procedures import (
     METHODS,
     BetaSequence,
     SpendingPolicy,
-    lockstep_rejections,
     make_procedure,
     replay,
     simple_choice,

@@ -6,7 +6,11 @@ read through a pipe, and of ``layerfdr validate`` with its defaults (both run
 as ``python -m layerfdr.cli``), with ``python -c pass`` as the interpreter's
 own floor.  The commands take turns, one of each per round, so a drift in the
 host's speed reaches all of them alike.  Prints, as one JSON object, each
-command's median and quartiles in seconds over ``RUNS`` rounds.
+command's median and quartiles in seconds over ``RUNS`` rounds, and
+``dont_write_bytecode``: whether the commands ran with
+``PYTHONDONTWRITEBYTECODE`` set.  Then no command writes a bytecode cache, so
+unless one was written before, each compiles the package from source and its
+time grows with the size of the modules it imports.
 
     python tools/start_cost.py [--src DIR]
 
@@ -64,7 +68,9 @@ def main(argv=None) -> int:
     for name, runs in times.items():
         q1, median, q3 = statistics.quantiles(runs, n=4)
         seconds[name] = {"q1": round(q1, 4), "median": round(median, 4), "q3": round(q3, 4)}
-    print(json.dumps({"runs": RUNS, "seconds": seconds}))
+    # any non-empty value turns the bytecode cache off, as for the interpreter
+    dont_write_bytecode = bool(env.get("PYTHONDONTWRITEBYTECODE"))
+    print(json.dumps({"runs": RUNS, "dont_write_bytecode": dont_write_bytecode, "seconds": seconds}))
     return 0
 
 
