@@ -16,12 +16,11 @@ gives the same tallies.
 
 ``lockstep_rejections``, the sweep's kernel, runs many streams side by side
 as numpy arrays over the replicate axis, for the default configurations
-only, and reaches the step engine's decisions.  Before its step loop it turns
-each p-value into what its rule compares: GAI's constant level into one
-boolean, and LOND's thresholds min(1, levels[t] * (k + 1)), which never fall
-as the discovery count k grows, into the smallest count K that clears, so a
-step compares integers (``_lond_clearances``).  The level table is one numpy
-expression equal to ``BetaSequence.value`` bit for bit (``_levels``).
+only, and reaches the step engine's decisions.  Only GAI's constant level is
+compared before its step loop, into one boolean table; LORD, LOND and LOND_m
+compare each p-value with its threshold at its step, as the engine does.  The
+level table is one numpy expression equal to ``BetaSequence.value`` bit for
+bit (``_levels``).
 
 Per-replicate seeds are split from the master seed by hashing
 (master_seed, method, beta, replicate) with SHA-256, so results per method
@@ -123,8 +122,8 @@ def lockstep_rejections(
 
     Layer 0 is the individual layer, whose groups (the arrivals) never recur,
     so only the P partitions keep per-group tables.  Each rule keeps only the
-    (1 + P, R) state it reads: discovery counts for LOND, plus per-group
-    arrival counts for LOND_m, gaps for LORD, wealth for GAI.  After an
+    (1 + P, R) state it reads: discovery counts plus one for LOND, with
+    per-group arrival counts for LOND_m, gaps for LORD, wealth for GAI.  After an
     alpha-investing halt a row is neither tested nor rejected.
     A method outside ``METHODS``, an alpha outside (0, 1) (NaN included), an
     eta that is not positive and finite, a p-value outside [0, 1] (NaN
@@ -146,13 +145,7 @@ def lockstep_rejections(
     groups = np.zeros((reps, steps, 0), np.int64) if groups is None else np.asarray(groups)
     if groups.shape[:2] != (reps, steps) or groups.ndim > 3:
         raise ValueError(f"groups has shape {groups.shape}, not ({reps}, {steps}[, P])")
-    if not np.issubdtype(groups.dtype, np.integer):
-        raise ValueError(f"group ids must be integers, got dtype {groups.dtype}")
-    if groups.size and groups.min() < 0:
-        raise ValueError("group ids must be non-negative")
-    if groups.size and int(groups.max()) > np.iinfo(np.int64).max:
-        raise ValueError(f"group ids must fit in int64, got {groups.max()}")
-    partitions = dense_ids(np.moveaxis(np.atleast_3d(groups).astype(np.int64), 2, 0))
+    partitions = dense_ids(np.moveaxis(np.atleast_3d(groups), 2, 0))
     layers = 1 + len(partitions)
     grouped = layers > 1  # with no partitions there is no group table to read or write
     # flat (partition, replicate, group) cell of each arrival, one (P, R) block per step
@@ -167,8 +160,7 @@ def lockstep_rejections(
     # effective-test count or a LORD gap) exceeds the number of steps
     levels = _levels(alpha, steps)
     # keys[t - 1] is what step t compares: for GAI whether each p-value clears
-    # the constant level, for LOND the discovery count it clears at, and for
-    # LORD and LOND_m, whose level index differs by layer, the p-value itself
+    # the constant level, for the other rules the p-value itself
     if rule == "GAI":
         # the simple-choice rules are constant, so one evaluation serves every step
         policy, snapshot = simple_choice(alpha), LayerState()
@@ -180,11 +172,14 @@ def lockstep_rejections(
         keys = p_by_step
         gap = np.ones((layers, reps), dtype=np.int64)
     else:
-        rejections = np.zeros((layers, reps), dtype=np.int64)
-        if rule == "LOND":
-            keys = _lond_clearances(p_by_step, levels)
-        else:
-            keys = p_by_step
+        keys = p_by_step
+        # factor is D + 1 after D discoveries, so each threshold is the engine's
+        # level * (D + 1) bit for bit.  The engine caps it at 1, which these
+        # levels never reach: a tested layer has D <= index - 1 (LOND's index
+        # is t, LOND_m's t - seen_in_rejected + D >= D + 1), so its threshold
+        # is at most 6 alpha (D + 1) / (pi^2 (D + 1)^2) <= 6 alpha / pi^2 < 1.
+        factor = np.ones((layers, reps))
+        if rule == "LOND_m":
             # arrivals so far in each group, and in rejected groups beyond each group's one test
             seen = np.zeros(decided_groups.size, dtype=np.int64)
             excess = np.zeros((layers, reps), dtype=np.int64)
@@ -197,9 +192,9 @@ def lockstep_rejections(
         elif rule == "LORD":
             cleared = key < levels[gap]
         elif rule == "LOND":
-            cleared = rejections >= key
+            cleared = key < levels[t] * factor
         else:
-            cleared = key < np.minimum(1.0, levels[t - excess] * (rejections + 1))
+            cleared = key < levels[t - excess] * factor
         # hit is this step's row of the mask, written in place
         (cleared | decided).all(axis=0, keepdims=True, out=hit)
         if rule == "GAI":
@@ -217,7 +212,7 @@ def lockstep_rejections(
             gap += ~decided
             np.putmask(gap, newly, 1)
         else:
-            rejections += newly
+            factor += newly
             if rule == "LOND_m":
                 before = seen[cell]
                 seen[cell] = before + 1
@@ -232,39 +227,20 @@ def _levels(alpha: float, steps: int) -> np.ndarray:
     return np.concatenate([[0.0], alpha * 6.0 / (_PI_SQUARED * j * j)])
 
 
-def _lond_clearances(pvalues: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """The smallest discovery count K at which each (step, ...) p-value clears
-    LOND at its step t = 1, 2, ...: p < min(1, levels[t] * (k + 1)) exactly
-    when k >= K, since the float product never falls as k grows.  A p-value
-    that clears at no count up to the number of steps gets a larger K."""
-    steps = len(levels) - 1
-    level = levels[1:].reshape((steps,) + (1,) * (pvalues.ndim - 1))
-    # for p < 1, floor(p / level) is K in exact arithmetic; where that is at
-    # most steps + 1, the roundings of the quotient and of the products move it
-    # by less than one count, so K is one of estimate - 1, estimate and
-    # estimate + 1, told apart by the exact products; p = 1 clears nowhere.
-    # No product is capped at 1: for p < 1, p < min(1, x) exactly when p < x.
-    # One float buffer holds the estimate, then each product, in place.
-    buffer = np.divide(pvalues, level)
-    np.minimum(buffer, steps + 1, out=buffer)
-    np.floor(buffer, out=buffer)
-    clearances = buffer.astype(np.int64)
-    np.multiply(level, buffer, out=buffer)
-    clears_below = pvalues < buffer
-    np.add(clearances, 1.0, out=buffer)
-    np.multiply(level, buffer, out=buffer)
-    clears_at = pvalues < buffer
-    clearances += 1
-    clearances -= clears_below
-    clearances -= clears_at
-    np.putmask(clearances, ~(pvalues < 1.0), steps + 1)
-    return clearances
-
-
 def dense_ids(ids: np.ndarray) -> np.ndarray:
-    """Non-negative int ids of shape (..., N) with every id returned below N:
-    as they are if all are, else each row's distinct ids renumbered 0, 1, ...
-    in increasing order.  Arrivals in a row share an id exactly as before."""
+    """Non-negative integer ids of shape (..., N) as int64, with every id
+    below N: as they are if all are, else each row's distinct ids renumbered
+    0, 1, ... in increasing order.  Arrivals in a row share an id exactly as
+    before.  Ids without an integer dtype, negative or past the int64 range
+    raise ValueError.  The cast comes first: uint64 ids paired with int64 row
+    numbers would go through float64 and merge ids past 2**53."""
+    if not np.issubdtype(ids.dtype, np.integer):
+        raise ValueError(f"group ids must be integers, got dtype {ids.dtype}")
+    if ids.size and ids.min() < 0:
+        raise ValueError("group ids must be non-negative")
+    if ids.size and int(ids.max()) > np.iinfo(np.int64).max:
+        raise ValueError(f"group ids must fit in int64, got {ids.max()}")
+    ids = ids.astype(np.int64, copy=False)
     steps = ids.shape[-1]
     if not ids.size or ids.max() < steps:
         return ids
@@ -281,10 +257,14 @@ def stream_tallies(data: StreamData, rejected: np.ndarray) -> dict[str, np.ndarr
     Each layer is a pair of (R, N) masks over its groups, ``selected`` and
     ``holds_true``, and every pair is counted alike.  The individual layer's
     groups are the arrivals; the group layer's are the (row, id) bins of
-    ``dense_ids``, the renumbering the sweep kernel uses.
+    ``dense_ids``, the renumbering the sweep kernel uses, which refuses the
+    ids the kernel refuses.  A mask whose shape is not ``data.truths``'s
+    raises ValueError.
     """
     check_truth_labels(data.truths)
     rejected = np.asarray(rejected, dtype=bool)
+    if rejected.shape != data.truths.shape:
+        raise ValueError(f"rejected mask has shape {rejected.shape}, not {data.truths.shape}")
     true = data.truths == 1
     rows, total = rejected.shape
     # dense ids are below N, so row r's groups take bins r * N .. r * N + N - 1

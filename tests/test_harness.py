@@ -195,6 +195,51 @@ def test_both_tally_routes_refuse_a_truth_label_other_than_0_or_1():
         prefix_tallies(groups, truths, rejected)
 
 
+def test_stream_tallies_refuse_a_mask_of_another_shape():
+    # a (1, N) mask for R > 1 streams used to raise an IndexError from a
+    # boolean index, and a transposed (N, R) mask a broadcasting error
+    rng = np.random.default_rng(0)
+    data = StreamData(
+        groups=rng.integers(0, 3, size=(4, 6)),
+        truths=rng.integers(0, 2, size=(4, 6)).astype(np.int8),
+        pvalues=np.zeros((4, 6)),
+    )
+    rejected = rng.random((4, 6)) < 0.5
+    for mask in (rejected[:1], rejected.T, rejected[0]):
+        shape = str(mask.shape).replace("(", r"\(").replace(")", r"\)")
+        with pytest.raises(ValueError, match=rf"shape {shape}, not \(4, 6\)"):
+            stream_tallies(data, mask)
+
+
+def test_stream_tallies_keep_distinct_uint64_group_ids_apart():
+    # pairing int64 row numbers with uint64 ids promoted both to float64, so
+    # 2**60 + 1 and 2**60 + 2 became one group and a false discovery a true one
+    ids = [2**60 + 1, 2**60 + 2, 5]
+    tallies = []
+    for dtype in (np.uint64, np.int64):
+        data = StreamData(
+            groups=np.array([ids], dtype=dtype),
+            truths=np.array([[1, 0, 0]], dtype=np.int8),
+            pvalues=np.zeros((1, 3)),
+        )
+        tallies.append(stream_tallies(data, np.array([[False, True, False]]))["group"])
+    assert tallies[0].tolist() == tallies[1].tolist() == [[1, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        (np.array([[1, -1, 2]]), "group ids must be non-negative"),
+        (np.array([[1.0, 2.0, 3.0]]), "group ids must be integers, got dtype float64"),
+        (np.array([[1, 2**63, 3]], dtype=np.uint64), "must fit in int64, got 9223372036854775808"),
+    ],
+)
+def test_stream_tallies_refuse_the_group_ids_the_kernel_refuses(groups, message):
+    data = StreamData(groups=groups, truths=np.zeros((1, 3), np.int8), pvalues=np.zeros((1, 3)))
+    with pytest.raises(ValueError, match=message):
+        stream_tallies(data, np.zeros((1, 3), dtype=bool))
+
+
 class TestSweepSpec:
     def test_validation(self):
         with pytest.raises(ValueError):

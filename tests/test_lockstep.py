@@ -13,7 +13,6 @@ from layerfdr.harness import (
     LAYER_NAMES,
     SweepSpec,
     _levels,
-    _lond_clearances,
     emit_results,
     lockstep_rejections,
     replicate_seed,
@@ -207,7 +206,7 @@ def test_pvalues_at_every_turn_of_the_clearance_tables(method):
         assert_matches_replay(method, pvalues, groups)
 
 
-def test_level_table_and_lond_clearances_equal_the_float_comparisons():
+def test_level_table_equals_the_level_sequence():
     steps = 60
     for alpha in (ALPHA, 0.05, 1e-9, 0.999):
         sequence = BetaSequence(alpha)
@@ -215,18 +214,47 @@ def test_level_table_and_lond_clearances_equal_the_float_comparisons():
         assert levels[0] == 0.0
         expected = [sequence.value(j) for j in range(1, steps + 1)]
         assert levels.dtype == np.float64 and levels[1:].tolist() == expected
-        pools = clearance_pools(steps, alpha)
-        width = max(map(len, pools))
-        # (step, candidate) p-values, each pool padded with its first entry
-        pvalues = np.array([np.resize(pool, width) for pool in pools])
-        got = _lond_clearances(pvalues, levels)
-        counts = np.arange(1.0, steps + 2)  # k + 1 for k = 0..steps
-        for t, (row, clearances) in enumerate(zip(pvalues, got), 1):
-            # clears[i, k]: row[i] < min(1, value(t) * (k + 1)), the engine's comparison
-            clears = row[:, None] < np.minimum(1.0, sequence.value(t) * counts)
-            # the smallest clearing count, or any count past the last step
-            first = np.where(clears.any(axis=1), clears.argmax(axis=1), steps + 1)
-            assert np.array_equal(np.minimum(clearances, steps + 1), first)
+
+
+@pytest.mark.parametrize("alpha", [0.999, 0.5, 0.1])
+def test_lond_thresholds_never_reach_the_cap(alpha):
+    # the kernel compares p < level * (D + 1) without the engine's min(1, .),
+    # which is exact while no threshold reaches 1: at most 6 alpha / pi^2 < 1.
+    # Mostly p = 0 and few groups, so layers make many discoveries.
+    bound = 6 * alpha / math.pi**2
+    rng = np.random.default_rng(int(alpha * 1000))
+    largest = 0.0
+    for method in ("LOND", "ml-LOND", "ml-LOND_m"):
+        for _ in range(100):
+            layers, steps = int(rng.integers(1, 4)), int(rng.integers(1, 60))
+            pvalues = np.where(rng.random(steps) < 0.8, 0.0, rng.random(steps))
+            ids = rng.integers(0, 4, size=(steps, layers))
+            events = [
+                HypothesisEvent(t=t, p=float(p), group_index=tuple(map(int, row)))
+                for t, (p, row) in enumerate(zip(pvalues, ids), 1)
+            ]
+            for record in replay(make_procedure(method, layers, alpha), events):
+                for outcome in record.layers:
+                    if outcome.tested:
+                        assert outcome.threshold <= bound
+                        largest = max(largest, outcome.threshold)
+    assert largest == bound  # reached at t = 1
+
+
+@pytest.mark.parametrize("alpha", [0.05, 1e-9, 0.999])
+def test_pvalues_at_every_turn_at_other_alphas(alpha):
+    steps, reps = 30, 30
+    pools = clearance_pools(steps, alpha)
+    for method in METHODS:
+        for partitions in partition_counts(method):
+            rng = np.random.default_rng(partitions)
+            pvalues = np.column_stack([rng.choice(pool, reps) for pool in pools])
+            groups = partitioned(
+                partitions,
+                rng.integers(0, 3, size=(reps, steps)),
+                rng.integers(0, 12, size=(reps, steps)),
+            )
+            assert_matches_replay(method, pvalues, groups, alpha)
 
 
 @pytest.mark.parametrize("method", METHODS)
